@@ -2,10 +2,10 @@
 complete multipartite graphs.
 
 h*-polynomials by three independent methods (closed formulas, the Groebner
-triangulation, and brute-force lattice-point counting), gamma vectors and
-cross-polynomial expansions, recursive relations among Ehrhart polynomials,
-and certified statements about roots on the canonical line Re(z) = -1/2.
-All arithmetic is exact.
+triangulation, and lattice-point counting by a class-wise transfer), gamma
+vectors and cross-polynomial expansions, recursive relations among Ehrhart
+polynomials, and certified statements about roots on the canonical line
+Re(z) = -1/2.  All arithmetic is exact.
 """
 
 from .counting import (

@@ -1,12 +1,14 @@
-"""Pure-Python lattice-point counting kernel.
+"""Brute-force lattice-point counting, the referee for ``counting``.
 
-Same contract as the compiled kernel in ``_countcore.pyx``: count integer
-points x with sum(x) = 0, |x_i| <= k and <lam, x> <= k for every facet row
-lam, restricting the first coordinate to [x0_lo, x0_hi].  Iterative
-depth-first search over coordinates; the last coordinate is forced by the
-zero-sum constraint.  Facet labels are nonnegative (min-0 normalized), so a
-partial dot product p can still decrease by at most k * (sum of the labels
-on unassigned vertices) -- that bound drives the facet pruning.
+Counts integer points x with sum(x) = 0, |x_i| <= k and <lam, x> <= k for
+every facet row lam, restricting the first coordinate to [x0_lo, x0_hi].
+Callers pass the rows of ``enumerate_facet_labelings``, so this count does
+not rest on the three-condition reduction that ``counting`` uses; the test
+suite checks the two against each other.  Iterative depth-first search over
+coordinates; the last coordinate is forced by the zero-sum constraint.
+Facet labels are nonnegative (min-0 normalized), so a partial dot product p
+can still decrease by at most k * (sum of the labels on unassigned
+vertices) -- that bound drives the facet pruning.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .counting import SizeExceeded, hstar_oracle
+from .counting import InterpolationGuardFailed, SizeExceeded, hstar_oracle
 from .formulas import closed_form_hstar
 from .graphs import Signature
 from .grobner import (
@@ -29,7 +29,15 @@ from .grobner import (
     reducedness_check,
     toric_membership_check,
 )
-from .polynomial import HStar, Poly, ehrhart_from_hstar, fraction_str, poly_str
+from .polynomial import (
+    HStar,
+    NegativeHStar,
+    NonIntegerCount,
+    Poly,
+    ehrhart_from_hstar,
+    fraction_str,
+    poly_str,
+)
 from .recursion import (
     RelationFailed,
     conjecture_scan,
@@ -74,42 +82,50 @@ def _emit_plain(payload: dict, prefix: str = "") -> None:
             print(f"{prefix}{key} = {value}")
 
 
-def _hstar_by_method(sig: Signature, method: str, bound: int, jobs: int):
+class _NoClosedForm(ValueError):
+    """The formula method has no closed form for the signature."""
+
+
+def _hstar_by_method(sig: Signature, method: str, bound: int):
     if method == "formula":
         h = closed_form_hstar(sig)
         if h is None:
-            raise ValueError(f"no closed form covers signature {sig}")
+            raise _NoClosedForm(f"no closed form covers signature {sig}")
         return h
     if method == "triangulation":
         return hstar_triangulation(sig, max_total=bound)
     if method == "oracle":
-        return hstar_oracle(sig, max_total=bound, jobs=jobs)
+        return hstar_oracle(sig, max_total=bound)
     raise AssertionError(method)
 
 
 def cmd_hstar(args) -> int:
     started = time.monotonic()
     sig = Signature.parse(args.signature)
-    methods = ["formula", "triangulation", "oracle"] if args.method == "all" else [args.method]
+    compare = args.method == "all"
+    methods = ["formula", "triangulation", "oracle"] if compare else [args.method]
     rows = []
     values: list[tuple[str, HStar]] = []
     for method in methods:
         try:
-            h = _hstar_by_method(sig, method, args.bound, args.jobs)
-        except ValueError:
-            if args.method == "all":  # not every signature has a closed form
-                continue
-            raise
+            h = _hstar_by_method(sig, method, args.bound)
+        except (_NoClosedForm, SizeExceeded) as exc:
+            if not compare:
+                raise
+            rows.append({"method": method, "skipped": str(exc)})
+            continue
         values.append((method, h))
         rows.append({"method": method, "coefficients": list(h.coefficients)})
     agree = len({h.poly for _, h in values}) <= 1
     result = {"signature": str(sig), "rows": rows, "agreement": agree}
+    if compare:
+        result["methods_compared"] = len(values)
     if args.max_dilation is not None and "oracle" in [m for m, _ in values]:
         from .counting import dilation_counts
 
         result["dilation_counts"] = [
             {"k": dc.k, "count": dc.count}
-            for dc in dilation_counts(sig, args.max_dilation, max_total=args.bound, jobs=args.jobs)
+            for dc in dilation_counts(sig, args.max_dilation, max_total=args.bound)
         ]
     if args.format == "csv":
         print("method," + ",".join(f"h{i}" for i in range(sig.dim + 1)))
@@ -120,7 +136,7 @@ def cmd_hstar(args) -> int:
     return EXIT_OK if agree else EXIT_VERIFICATION
 
 
-def _ehrhart_of_signature(sig: Signature, bound: int, jobs: int) -> Poly:
+def _ehrhart_of_signature(sig: Signature, bound: int) -> Poly:
     h = closed_form_hstar(sig)
     if h is None:
         h = hstar_triangulation(sig, max_total=bound)
@@ -130,7 +146,7 @@ def _ehrhart_of_signature(sig: Signature, bound: int, jobs: int) -> Poly:
 def cmd_roots(args) -> int:
     started = time.monotonic()
     sig = Signature.parse(args.signature)
-    e = _ehrhart_of_signature(sig, args.bound, args.jobs)
+    e = _ehrhart_of_signature(sig, args.bound)
     cert = is_cl(e)
     if args.format == "csv":
         print("re,im_interval_lo,im_interval_hi")
@@ -159,8 +175,8 @@ def cmd_interlace(args) -> int:
     started = time.monotonic()
     sig_a = Signature.parse(args.a)
     sig_b = Signature.parse(args.b)
-    g = _ehrhart_of_signature(sig_a, args.bound, args.jobs)
-    f = _ehrhart_of_signature(sig_b, args.bound, args.jobs)
+    g = _ehrhart_of_signature(sig_a, args.bound)
+    f = _ehrhart_of_signature(sig_b, args.bound)
     try:
         cert = interlaces_on_cl(g, f)
     except NotCL as exc:
@@ -254,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, fmt=("json", "plain", "csv")):
         p.add_argument("--format", choices=fmt, default="json")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads for enumeration scans")
         p.add_argument("--bound", type=int, default=None, help="size bound override (total vertices)")
         p.add_argument("--timing", action="store_true", help="attach wall-clock timing to the envelope")
 
@@ -316,6 +331,9 @@ def main(argv=None) -> int:
     except SizeExceeded as exc:
         print(f"size bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND
+    except (NegativeHStar, NonIntegerCount, InterpolationGuardFailed) as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except (ValueError, NotCL, RelationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_VERIFICATION

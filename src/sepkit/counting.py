@@ -1,41 +1,37 @@
-"""Brute-force ground truth: lattice-point counts, Ehrhart interpolation and
-h* extraction for symmetric edge polytopes.
+"""Lattice-point counting, Ehrhart interpolation and h* extraction for
+symmetric edge polytopes.
 
-Membership in the k-th dilate is tested against the facet description: x
-belongs to k * P_G iff sum(x) = 0, every |x_v| <= k (the polytope sits in
-the unit box) and <lam, x> <= k for every facet labeling lam.  Labelings are
-used in their min-0 normalization; on the zero-sum hyperplane any constant
-shift of lam changes the dot product by nothing, so the normalization is
-irrelevant to the test.
+The facets of P_G (see ``graphs``) come from {0,1} labelings and from
+labelings that are -1 and 1 on one class and 0 elsewhere.  Together they
+reduce membership in the k-th dilate to three conditions:
 
-The inner loop lives in a compiled Cython kernel when available, with a
-pure-Python fallback selected at import time.  Both kernels take a range for
-the first coordinate, which is how counting parallelizes.
+* sum(x) = 0,
+* the positive parts of x sum to at most k,
+* sum_{v in A_i} |x_v| <= k for every class A_i.
+
+So the count is a transfer over the classes.  A class of size a contributes
+c_a(P, N) vectors with positive mass P and negative mass N, where P + N <= k;
+convolving these tables class by class, keeping total masses up to k, and
+summing the entries with equal positive and negative mass gives
+|k P_G ∩ Z^n|.
+
+``_countpure`` counts the same points by brute force against the full list
+of ``enumerate_facet_labelings``; the test suite holds this count to it on
+every signature with at most 6 vertices.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from .graphs import Signature, enumerate_facet_labelings
 from .polynomial import Poly, HStar, hstar_from_ehrhart
-
-try:  # compiled kernel, if the extension was built
-    from . import _countcore as _kernel
-
-    USING_COMPILED_KERNEL = True
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _countpure as _kernel
-
-    USING_COMPILED_KERNEL = False
-
 from . import _countpure
 
-DEFAULT_MAX_TOTAL = 6
-HARD_MAX_TOTAL = 7  # allowed only by explicit request
+DEFAULT_MAX_TOTAL = 24
 
 
 class SizeExceeded(ValueError):
@@ -61,59 +57,68 @@ def _check_bound(sig: Signature, max_total: Optional[int]) -> None:
     if sig.total > bound:
         raise SizeExceeded(
             f"signature total {sig.total} exceeds bound {bound}; "
-            f"pass an explicit bound (<= {HARD_MAX_TOTAL}) to override"
+            f"pass an explicit bound to override"
         )
     if sig.k < 2:
         raise ValueError("need at least two classes")
 
 
-def _facet_rows(sig: Signature) -> list[list[int]]:
-    return [list(lam.values) for lam in enumerate_facet_labelings(sig)]
+def _weak_compositions(mass: int, parts: int) -> int:
+    """Ways to write `mass` as an ordered sum of `parts` nonnegative integers."""
+    if mass < 0:
+        return 0
+    if parts == 0:
+        return 1 if mass == 0 else 0
+    return comb(mass + parts - 1, parts - 1)
 
 
-def count_lattice_points(
-    sig: Signature,
-    k: int,
-    max_total: Optional[int] = None,
-    jobs: int = 1,
-    _facets: Optional[list[list[int]]] = None,
-) -> DilationCount:
-    """Exact |k P_G  ∩ Z^n| by pruned depth-first enumeration."""
+def _class_table(a: int, k: int) -> list[list[int]]:
+    """table[P][N] = c_a(P, N) for P + N <= k.  A vector with i positive
+    coordinates is a choice of those coordinates, a composition of P into i
+    positive parts, and a weak composition of N over the other a - i
+    coordinates.  Each row is cut after its last nonzero entry: for a = 1
+    every row but the first is [1], which keeps that class cheap."""
+    table = []
+    for p in range(k + 1):
+        row = [
+            sum(comb(a, i) * _weak_compositions(p - i, i) * _weak_compositions(n, a - i) for i in range(a + 1))
+            for n in range(k + 1 - p)
+        ]
+        while row[-1] == 0:  # c_a(P, 0) >= 1, so the row never empties
+            row.pop()
+        table.append(row)
+    return table
+
+
+def _transfer_count(sig: Signature, k: int) -> int:
+    # ways[P][N]: vectors on the classes so far with positive mass P and
+    # negative mass N, each class within its bound
+    ways = [[1] + [0] * k] + [[0] * (k + 1) for _ in range(k)]
+    for a in sig.parts:
+        table = _class_table(a, k)
+        nxt = [[0] * (k + 1) for _ in range(k + 1)]
+        for P, row in enumerate(ways):
+            for N, w in enumerate(row):
+                if not w:
+                    continue
+                for p, cells in enumerate(table[: k + 1 - P]):
+                    out = nxt[P + p]
+                    end = N + len(cells)
+                    out[N:end] = [x + w * c for x, c in zip(out[N:end], cells)]
+        ways = nxt
+    return sum(ways[m][m] for m in range(k + 1))
+
+
+def count_lattice_points(sig: Signature, k: int, max_total: Optional[int] = None) -> DilationCount:
+    """Exact |k P_G  ∩ Z^n| by the class-wise transfer count."""
     if k < 0:
         raise ValueError("dilation must be nonnegative")
     _check_bound(sig, max_total)
-    if k == 0:
-        return DilationCount(0, 1)
-    n = sig.total
-    facets = _facet_rows(sig) if _facets is None else _facets
-    if jobs <= 1:
-        total = _kernel.count_range(k, n, facets, -k, k)
-    else:
-        # split the first coordinate's value range; summation order is
-        # irrelevant, so the result is deterministic regardless of scheduling
-        values = list(range(-k, k + 1))
-        chunks = [values[i::jobs] for i in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(
-                    lambda ch: sum(_kernel.count_range(k, n, facets, x, x) for x in ch),
-                    chunk,
-                )
-                for chunk in chunks
-                if chunk
-            ]
-            total = sum(f.result() for f in futures)
-    return DilationCount(k, total)
+    return DilationCount(k, _transfer_count(sig, k))
 
 
-def dilation_counts(
-    sig: Signature, up_to: int, max_total: Optional[int] = None, jobs: int = 1
-) -> list[DilationCount]:
-    facets = _facet_rows(sig)
-    return [
-        count_lattice_points(sig, k, max_total=max_total, jobs=jobs, _facets=facets)
-        for k in range(up_to + 1)
-    ]
+def dilation_counts(sig: Signature, up_to: int, max_total: Optional[int] = None) -> list[DilationCount]:
+    return [count_lattice_points(sig, k, max_total=max_total) for k in range(up_to + 1)]
 
 
 class InterpolationGuardFailed(ArithmeticError):
@@ -137,32 +142,28 @@ def _lagrange(points: list[tuple[int, int]]) -> Poly:
     return total
 
 
-def ehrhart_interpolate(
-    sig: Signature, max_total: Optional[int] = None, jobs: int = 1
-) -> Poly:
+def ehrhart_interpolate(sig: Signature, max_total: Optional[int] = None) -> Poly:
     """Unique degree-d interpolant through the counts at k = 0..d, with an
     integrality-and-value guard at k = d + 1."""
     _check_bound(sig, max_total)
     d = sig.dim
-    facets = _facet_rows(sig)
-    counts = [
-        count_lattice_points(sig, k, max_total=max_total, jobs=jobs, _facets=facets).count
-        for k in range(d + 2)
-    ]
+    counts = [count_lattice_points(sig, k, max_total=max_total).count for k in range(d + 2)]
     poly = _lagrange([(k, counts[k]) for k in range(d + 1)])
     guard = poly(d + 1)
     if guard.denominator != 1 or int(guard) != counts[d + 1]:
         raise InterpolationGuardFailed(
-            f"interpolant gives E({d + 1}) = {guard}, enumeration gives {counts[d + 1]}"
+            f"interpolant gives E({d + 1}) = {guard}, the count gives {counts[d + 1]}"
         )
     return poly
 
 
-def hstar_oracle(sig: Signature, max_total: Optional[int] = None, jobs: int = 1) -> HStar:
+def hstar_oracle(sig: Signature, max_total: Optional[int] = None) -> HStar:
     """Ground-truth h*: interpolate the Ehrhart polynomial, then convert."""
-    return hstar_from_ehrhart(ehrhart_interpolate(sig, max_total=max_total, jobs=jobs), sig.dim)
+    return hstar_from_ehrhart(ehrhart_interpolate(sig, max_total=max_total), sig.dim)
 
 
 def enumerate_dilate_points(sig: Signature, k: int) -> list[tuple[int, ...]]:
-    """Explicit point list for small inputs (used by symmetry checks)."""
-    return _countpure.enumerate_points(k, sig.total, _facet_rows(sig))
+    """Explicit point list for small inputs (used by symmetry checks), by
+    brute force against the full facet list."""
+    facets = [list(lam.values) for lam in enumerate_facet_labelings(sig)]
+    return _countpure.enumerate_points(k, sig.total, facets)

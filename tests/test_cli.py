@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from sepkit.cli import EXIT_BOUND, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from sepkit.polynomial import NegativeHStar, NonIntegerCount
 
 
 def run(capsys, *argv):
@@ -26,8 +29,67 @@ class TestHstar:
         assert out.splitlines()[1] == "formula,1,5,5,1"
 
     def test_size_bound_exit(self, capsys):
-        code, _ = run(capsys, "hstar", "--signature", "9,9", "--method", "oracle")
+        code, _ = run(capsys, "hstar", "--signature", "13,12", "--method", "oracle")
         assert code == EXIT_BOUND
+
+    def test_all_reports_formula_skip(self, capsys):
+        code, out = run(capsys, "hstar", "--signature", "1,1,1,1,1", "--method", "all")
+        result = json.loads(out)["result"]
+        assert code == EXIT_OK
+        assert result["rows"][0] == {"method": "formula", "skipped": "no closed form covers signature 1,1,1,1,1"}
+        assert [r["method"] for r in result["rows"][1:]] == ["triangulation", "oracle"]
+        assert result["methods_compared"] == 2
+
+    def test_all_computes_oracle_on_seven_vertices(self, capsys):
+        code, out = run(capsys, "hstar", "--signature", "2,2,3", "--method", "all")
+        result = json.loads(out)["result"]
+        assert code == EXIT_OK
+        assert [r["method"] for r in result["rows"] if "coefficients" in r] == ["formula", "triangulation", "oracle"]
+        assert result["methods_compared"] == 3 and result["agreement"] is True
+
+    def test_all_reports_bound_skip(self, capsys):
+        code, out = run(capsys, "hstar", "--signature", "4,4,4", "--method", "all")
+        result = json.loads(out)["result"]
+        assert code == EXIT_OK
+        assert result["rows"][1] == {"method": "triangulation", "skipped": "signature total 12 exceeds bound 7"}
+        assert result["methods_compared"] == 2 and result["agreement"] is True
+
+    def test_skip_in_plain_not_in_csv(self, capsys):
+        _, out = run(capsys, "hstar", "--signature", "1,1,1,1,1", "--method", "all", "--format", "plain")
+        assert "result.rows[0].skipped = no closed form covers signature 1,1,1,1,1" in out.splitlines()
+        assert "result.methods_compared = 2" in out.splitlines()
+        _, out = run(capsys, "hstar", "--signature", "1,1,1,1,1", "--method", "all", "--format", "csv")
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["triangulation", "oracle"]
+
+    def test_single_method_errors_propagate(self, capsys):
+        assert run(capsys, "hstar", "--signature", "1,1,1,1,1", "--method", "formula")[0] == EXIT_USAGE
+        assert run(capsys, "hstar", "--signature", "4,4,4", "--method", "triangulation")[0] == EXIT_BOUND
+
+    def test_interpolation_guard_exits_verification(self, capsys, monkeypatch):
+        import sepkit.counting as counting
+
+        true_count = counting.count_lattice_points
+
+        def off_by_two_at_k2(sig, k, max_total=None):
+            dc = true_count(sig, k, max_total=max_total)
+            return counting.DilationCount(k, dc.count + 2) if k == 2 else dc
+
+        monkeypatch.setattr(counting, "count_lattice_points", off_by_two_at_k2)
+        code = main(["hstar", "--signature", "1,2", "--method", "oracle"])
+        err = capsys.readouterr().err
+        assert code == EXIT_VERIFICATION
+        assert err.startswith("verification failed: interpolant gives E(3)")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [NegativeHStar, NonIntegerCount])
+    def test_verification_failures_exit_3(self, capsys, monkeypatch, exc):
+        def fail(sig, max_total=None):
+            raise exc("injected")
+
+        monkeypatch.setattr("sepkit.cli.hstar_oracle", fail)
+        code = main(["hstar", "--signature", "1,1", "--method", "oracle"])
+        assert code == EXIT_VERIFICATION
+        assert capsys.readouterr().err == "verification failed: injected\n"
 
     def test_bad_signature_exit(self, capsys):
         code, _ = run(capsys, "hstar", "--signature", "0,1")
@@ -54,6 +116,10 @@ class TestRootsAndInterlace:
     def test_interlace_degree_mismatch(self, capsys):
         code, _ = run(capsys, "interlace", "--a", "1,1", "--b", "1,4")
         assert code == EXIT_VERIFICATION
+
+    def test_jobs_is_not_an_option(self, capsys):
+        code, _ = run(capsys, "roots", "--signature", "2,2", "--jobs", "2")
+        assert code == EXIT_USAGE
 
 
 class TestGb:

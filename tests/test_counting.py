@@ -1,7 +1,10 @@
-"""The brute-force oracle: counting, interpolation, h* extraction."""
+"""The counting oracle: transfer count, interpolation, h* extraction."""
+
+from math import comb
 
 import pytest
 
+from sepkit import _countpure
 from sepkit.counting import (
     DilationCount,
     SizeExceeded,
@@ -10,7 +13,8 @@ from sepkit.counting import (
     enumerate_dilate_points,
     hstar_oracle,
 )
-from sepkit.graphs import Signature, edge_count
+from sepkit.formulas import closed_form_hstar
+from sepkit.graphs import Signature, edge_count, enumerate_facet_labelings
 from sepkit.polynomial import Poly
 
 from test_graphs import signatures_with_total
@@ -45,29 +49,19 @@ class TestCounts:
 
     def test_size_bound(self):
         with pytest.raises(SizeExceeded):
-            count_lattice_points(Signature((4, 4)), 1)
-        # explicit override admits total 7
-        assert count_lattice_points(Signature((4, 3)), 1, max_total=7).count > 0
+            count_lattice_points(Signature((13, 12)), 1)
+        # an explicit bound admits it
+        assert count_lattice_points(Signature((13, 12)), 1, max_total=25).count == 2 * 13 * 12 + 1
 
-    def test_jobs_parallel_agrees(self):
-        sig = Signature((2, 2, 1))
-        a = count_lattice_points(sig, 3).count
-        b = count_lattice_points(sig, 3, jobs=3).count
-        assert a == b
-
-    def test_kernels_agree(self):
-        from sepkit import _countpure
-        from sepkit.counting import _facet_rows, USING_COMPILED_KERNEL
-
-        sig = Signature((1, 2, 2))
-        facets = _facet_rows(sig)
-        n = sig.total
-        pure = _countpure.count_range(3, n, facets, -3, 3)
-        assert pure == count_lattice_points(sig, 3).count
-        if USING_COMPILED_KERNEL:
-            from sepkit import _countcore
-
-            assert _countcore.count_range(3, n, facets, -3, 3) == pure
+    @pytest.mark.parametrize(
+        "sig", signatures_with_total(2, 6) + [Signature((2, 1)), Signature((3, 1, 2))], ids=str
+    )
+    def test_matches_brute_force(self, sig):
+        """The transfer count equals the brute-force count against every
+        enumerated facet, for k = 0..d+1."""
+        facets = [list(lam.values) for lam in enumerate_facet_labelings(sig)]
+        for k in range(sig.dim + 2):
+            assert count_lattice_points(sig, k).count == _countpure.count_range(k, sig.total, facets, -k, k)
 
 
 class TestInterpolation:
@@ -95,3 +89,15 @@ class TestHStarOracle:
     def test_palindromic(self):
         for sig in signatures_with_total(2, 5):
             assert hstar_oracle(sig).is_palindromic()
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_complete_graph_root_polytope(self, n):
+        """h*(K_n) = sum_i C(n-1, i)^2 t^i (Ardila, Beck, Hosten, Pfeifle,
+        Seashore, Root polytopes: triangulations and Ehrhart theory, 2011)."""
+        h = hstar_oracle(Signature((1,) * n))
+        assert h.coefficients == tuple(comb(n - 1, i) ** 2 for i in range(n))
+
+    @pytest.mark.parametrize("parts", [(9, 9), (4, 4, 4), (1, 1, 1, 9)], ids=str)
+    def test_closed_form_past_old_bound(self, parts):
+        sig = Signature(parts)
+        assert hstar_oracle(sig).poly == closed_form_hstar(sig).poly
