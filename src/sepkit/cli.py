@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 from .counting import InterpolationGuardFailed, SizeExceeded, hstar_oracle
-from .formulas import closed_form_hstar
+from .formulas import IdentityFailed, closed_form_hstar
 from .graphs import Signature
 from .grobner import (
     basis_to_text,
@@ -34,17 +34,19 @@ from .polynomial import (
     NegativeHStar,
     NonIntegerCount,
     Poly,
+    RecombinationFailed,
     ehrhart_from_hstar,
     fraction_str,
     poly_str,
 )
 from .recursion import (
+    ExactSolveFailed,
     RelationFailed,
     conjecture_scan,
     corollary_scan,
     reproduce_known_relations,
 )
-from .roots import NotCL, imaginary_bounds, interlaces_on_cl, is_cl
+from .roots import NotCL, RootCheckFailed, imaginary_bounds, interlaces_on_cl, is_cl
 from .triangulation import hstar_triangulation
 
 EXIT_OK = 0
@@ -116,7 +118,7 @@ def cmd_hstar(args) -> int:
             continue
         values.append((method, h))
         rows.append({"method": method, "coefficients": list(h.coefficients)})
-    agree = len({h.poly for _, h in values}) <= 1
+    agree = len({h.poly for _, h in values}) == 1
     result = {"signature": str(sig), "rows": rows, "agreement": agree}
     if compare:
         result["methods_compared"] = len(values)
@@ -133,6 +135,8 @@ def cmd_hstar(args) -> int:
             print(method + "," + ",".join(str(c) for c in h.coefficients))
     else:
         _emit(args, _envelope("hstar", {"signature": str(sig), "method": args.method}, result, started, args.timing))
+    if not values:
+        return EXIT_BOUND
     return EXIT_OK if agree else EXIT_VERIFICATION
 
 
@@ -331,7 +335,15 @@ def main(argv=None) -> int:
     except SizeExceeded as exc:
         print(f"size bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except (NegativeHStar, NonIntegerCount, InterpolationGuardFailed) as exc:
+    except (
+        NegativeHStar,
+        NonIntegerCount,
+        InterpolationGuardFailed,
+        IdentityFailed,
+        RecombinationFailed,
+        ExactSolveFailed,
+        RootCheckFailed,
+    ) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except (ValueError, NotCL, RelationFailed) as exc:

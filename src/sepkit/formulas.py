@@ -20,11 +20,16 @@ suite checks signature by signature):
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 from typing import Optional, Sequence
 
 from .graphs import Signature
 from .polynomial import HStar, ONE_PLUS_T, Poly
+
+
+class IdentityFailed(ArithmeticError):
+    """Two exact routes to one closed form disagreed."""
 
 
 def binom(n: int, k: int) -> int:
@@ -97,7 +102,8 @@ def hstar_111n(n: int) -> HStar:
     if n >= 2:
         direct = direct + 3 * (n - 1) * n * ONE_PLUS_T ** (n - 2) * Poly.x() ** 2
     via_suspension = suspension_substitute(suspension_weight_poly(n), d)
-    assert direct == via_suspension, "suspension identity failed"
+    if direct != via_suspension:
+        raise IdentityFailed(f"K_(1,1,1,{n}): direct form {direct} != suspension form {via_suspension}")
     return HStar(direct, d)
 
 
@@ -160,21 +166,13 @@ def aux_c(*sizes: int) -> int:
     if n == 2:
         return binom(sizes[0] + sizes[1] - 2, sizes[1] - 1)
     total = 0
-
     # js[t] = j_{t+2}; every j_i runs over 0 .. c_i - 1
-    def loop(idx: int, js: list[int]) -> None:
-        nonlocal total
-        if idx == n - 1:
-            term = binom(sizes[0] + js[0] - 1, js[0])
-            term *= binom(sizes[n - 2] - js[-1] + sizes[n - 1] - 2, sizes[n - 1] - 1)
-            for t in range(1, len(js)):
-                term *= binom(sizes[t] - js[t - 1] + js[t] - 1, js[t])
-            total += term
-            return
-        for j in range(sizes[idx]):
-            loop(idx + 1, js + [j])
-
-    loop(1, [])
+    for js in product(*(range(c) for c in sizes[1:-1])):
+        term = binom(sizes[0] + js[0] - 1, js[0])
+        term *= binom(sizes[n - 2] - js[-1] + sizes[n - 1] - 2, sizes[n - 1] - 1)
+        for t in range(1, len(js)):
+            term *= binom(sizes[t] - js[t - 1] + js[t] - 1, js[t])
+        total += term
     return total
 
 

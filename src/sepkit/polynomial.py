@@ -38,6 +38,10 @@ class NotPalindromic(ValueError):
     """A gamma-vector (or cross-basis) operation needs a palindromic input."""
 
 
+class RecombinationFailed(ArithmeticError):
+    """A gamma vector did not recombine to the polynomial it came from."""
+
+
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -379,11 +383,12 @@ def gamma_of_palindromic(h: Poly, d: int) -> Poly:
             g -= gammas[j] * comb(d - 2 * j, i - j)
         gammas.append(g)
     # The triangular solve uses only the lower half; palindromicity makes the
-    # recombination exact, which we assert.
+    # recombination exact, which is checked.
     recombined = Poly.zero()
     for i, g in enumerate(gammas):
         recombined = recombined + g * (ONE_PLUS_T ** (d - 2 * i)) * Poly.x() ** i
-    assert recombined == h, "gamma recombination failed on palindromic input"
+    if recombined != h:
+        raise RecombinationFailed(f"gamma vector of {h} recombines to {recombined}")
     return Poly(gammas)
 
 

@@ -50,6 +50,10 @@ class RelationFailed(AssertionError):
     """A catalogued relation did not solve as the source asserts."""
 
 
+class ExactSolveFailed(ArithmeticError):
+    """The exact solver broke one of its own invariants."""
+
+
 @dataclass
 class RecursionSolution:
     """Outcome of solving f = alpha (2x+1) g + sum alpha_i h_i exactly."""
@@ -84,6 +88,13 @@ class RecursionSolution:
 # ---------------------------------------------------------------------------
 
 
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ExactSolveFailed(f"fraction-free elimination lost integrality: {num} / {den}")
+    return q
+
+
 def _solve_exact(columns: Sequence[Poly], rhs: Poly) -> RecursionSolution:
     """Solve sum_j x_j columns[j] = rhs by fraction-free elimination.
 
@@ -100,11 +111,6 @@ def _solve_exact(columns: Sequence[Poly], rhs: Poly) -> RecursionSolution:
         for v in row_f:
             denom = lcm(denom, v.denominator)
         mat.append([int(v * denom) for v in row_f])
-
-    def exact_div(num: int, den: int) -> int:
-        q, r = divmod(num, den)
-        assert r == 0, "fraction-free elimination lost integrality"
-        return q
 
     # one-step fraction-free Gauss-Jordan elimination with row pivoting:
     # every non-pivot row is rewritten as (pivot * row - row[col] * pivot_row)
@@ -126,7 +132,7 @@ def _solve_exact(columns: Sequence[Poly], rhs: Poly) -> RecursionSolution:
             row = mat[r]
             prow = mat[rank]
             for c2 in range(ncols + 1):
-                row[c2] = exact_div(pivot * row[c2] - factor * prow[c2], prev)
+                row[c2] = _exact_div(pivot * row[c2] - factor * prow[c2], prev)
         prev = pivot
         pivot_cols.append(col)
         rank += 1
@@ -165,7 +171,8 @@ def _solve_exact(columns: Sequence[Poly], rhs: Poly) -> RecursionSolution:
     recomposed = Poly.zero()
     for x, c in zip(sol, columns):
         recomposed = recomposed + x * c
-    assert recomposed == rhs, "exact solver failed to reproduce the target"
+    if recomposed != rhs:
+        raise ExactSolveFailed(f"exact solution recomposes to {recomposed}, not {rhs}")
     return RecursionSolution(sol[0], sol[1:], status="unique")
 
 
@@ -232,7 +239,8 @@ def nonnegative_solution(sol: RecursionSolution) -> Optional[list[Fraction]]:
     if t is None:
         return None
     point = [p[i] + sum(t[j] * kern[j][i] for j in range(k)) for i in range(len(p))]
-    assert all(c >= 0 for c in point)
+    if any(c < 0 for c in point):
+        raise ExactSolveFailed(f"feasible point ({', '.join(map(str, point))}) has a negative coordinate")
     return point
 
 

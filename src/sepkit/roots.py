@@ -33,6 +33,11 @@ class NotCL(ValueError):
     """An interlacing precondition failed (degrees or CL membership)."""
 
 
+class RootCheckFailed(ArithmeticError):
+    """An exact invariant of the CL transform, the root isolation or the
+    interlacing certificate failed."""
+
+
 @dataclass(frozen=True)
 class CLTransform:
     """E repackaged as u^parity * H(u^2) in the variable u = 2x + 1."""
@@ -58,9 +63,11 @@ def cl_transform(e: Poly) -> CLTransform:
     coeffs = list(f.coeffs)
     # F is u^parity times an even polynomial; the symmetry guarantees the
     # complementary coefficients vanish.
-    assert all(coeffs[i] == 0 for i in range(len(coeffs)) if (i - parity) % 2 != 0)
+    if any(coeffs[i] for i in range(1 - parity, len(coeffs), 2)):
+        raise RootCheckFailed(f"2^d E((u-1)/2) of {e} is not u^{parity} times an even polynomial")
     h = Poly(coeffs[parity::2])
-    assert h.degree == d // 2
+    if h.degree != d // 2:
+        raise RootCheckFailed(f"H has degree {h.degree}, expected {d // 2}")
     return CLTransform(e, parity, h)
 
 
@@ -225,7 +232,8 @@ def isolate_real_roots(p: Poly) -> list[Isolation]:
             if p(cand) != 0:
                 mid = cand
                 break
-        assert mid is not None
+        if mid is None:
+            raise RootCheckFailed(f"no split point of ({a}, {b}) avoids the roots of {p}")
         cl = sturm_count(p, a, mid, chain)
         stack.append((a, mid, cl))
         stack.append((mid, b, cnt - cl))
@@ -494,7 +502,10 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
             }
         )
 
-    assert len(a_keys) == f.degree and len(b_keys) == g.degree, "root count mismatch"
+    if len(a_keys) != f.degree or len(b_keys) != g.degree:
+        raise RootCheckFailed(
+            f"root count mismatch: {len(a_keys)} of {f.degree} roots of f, {len(b_keys)} of {g.degree} of g"
+        )
     ok = all(
         a_keys[i] <= b_keys[i] <= a_keys[i + 1] for i in range(len(b_keys))
     )
@@ -515,7 +526,8 @@ def sqrt_bounds(q: Fraction, scale: int = 1 << 32) -> tuple[Fraction, Fraction]:
     root = isqrt(big)
     lo = Fraction(root, q.denominator * scale)
     hi = Fraction(root + 1, q.denominator * scale)
-    assert lo * lo <= q <= hi * hi
+    if not lo * lo <= q <= hi * hi:
+        raise RootCheckFailed(f"sqrt bounds [{lo}, {hi}] do not bracket sqrt({q})")
     return lo, hi
 
 

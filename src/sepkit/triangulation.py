@@ -8,16 +8,33 @@ The h*-polynomial is the histogram of the inedge statistic over these
 standard trees: fixing the smallest vertex r as root, a tree edge counts as
 ingoing when it points toward the component containing r.
 
+The standard trees are found by a depth-first search over the edge order
+that grows a directed forest one edge at a time.  Each edge is skipped or
+added in one of its two orientations; an addition must join two components
+(union-find by component labels) and must not complete a degree-2 or
+degree-3 leading monomial with the variables already chosen (the leading
+monomials are indexed once per call as bitmasks of partner variables), and
+a branch ends as soon as too few edges remain for a spanning tree.  Only
+partial trees that can still be standard are visited, so the work follows
+the number of standard trees instead of the C(|E|, n-1) 2^(n-1) oriented
+edge subsets; ``_treepure`` keeps that exhaustive test as the referee.  The
+search keeps its state on an explicit stack, so it leaves no reference
+cycles behind, and the found trees are sorted into the order of the
+exhaustive test: undirected trees by sorted edge list, then orientations
+lexicographically.
+
 Each standard tree's simplex lies in exactly one facet: the labeling whose
 tight edges (those with label increasing by one along the edge) contain all
-tree edges.  Splitting the histogram by the facet's type reproduces the two
-summands of the closed tripartite formula.
+tree edges.  A spanning tree of tight edges fixes that labeling up to a
+shift, so it is read off the tree and looked up.  Splitting the histogram by
+the facet's type reproduces the two summands of the closed tripartite
+formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import permutations
 from math import comb
 from typing import Iterator, Optional
 
@@ -28,13 +45,12 @@ from .graphs import (
     FacetType,
     Signature,
     classify_labeling,
-    edge_order,
     enumerate_facet_labelings,
 )
 from .grobner import VarTable, build_basis
 from .polynomial import HStar, Poly
 
-DEFAULT_TREE_MAX_TOTAL = 7
+DEFAULT_TREE_MAX_TOTAL = 9
 
 
 class AmbiguousFacet(RuntimeError):
@@ -48,43 +64,87 @@ class DirTree:
     edges: tuple[DirectedEdge, ...]
 
 
-def _is_spanning_tree(n: int, und: tuple[tuple[int, int], ...]) -> bool:
-    if len(und) != n - 1:
-        return False
-    parent = list(range(n + 1))
+def _lead_partners(sig: Signature, nvars: int) -> tuple[list[int], list[dict[int, int]]]:
+    """Leading monomials with all-distinct variables, indexed by variable.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, w in und:
-        ru, rw = find(u), find(w)
-        if ru == rw:
-            return False
-        parent[ru] = rw
-    return True
-
-
-def _lead_sets(sig: Signature) -> tuple[set[frozenset[int]], set[frozenset[int]]]:
-    """Leading monomials with all-distinct variables, as variable sets,
-    split by degree.  Leads with repeated variables can never divide a
-    square-free tree monomial."""
-    basis = build_basis(sig)
-    deg2, deg3 = set(), set()
-    for e in basis:
-        s = frozenset(e.lead)
-        if len(s) != len(e.lead):
+    ``pair[v]`` is the bitmask of the variables w with v w a leading
+    monomial; ``triple[v][w]`` is the bitmask of the variables x with v w x a
+    leading monomial.  Leads with a repeated variable can never divide a
+    square-free tree monomial and are dropped.
+    """
+    pair = [0] * nvars
+    triple: list[dict[int, int]] = [{} for _ in range(nvars)]
+    for e in build_basis(sig):
+        lead = e.lead
+        if len(set(lead)) != len(lead):
             continue
-        (deg2 if len(e.lead) == 2 else deg3).add(s)
-    return deg2, deg3
+        if len(lead) == 2:
+            a, b = lead
+            pair[a] |= 1 << b
+            pair[b] |= 1 << a
+        else:
+            for v, w, x in permutations(lead):
+                triple[v][w] = triple[v].get(w, 0) | 1 << x
+    return pair, triple
+
+
+def _standard_tree_monomials(
+    n: int,
+    edges: list[tuple[int, int]],
+    pair: list[int],
+    triple: list[dict[int, int]],
+) -> list[tuple[int, ...]]:
+    """Square-free monomials of directed spanning trees that no leading
+    monomial divides, as variable tuples in edge order, sorted by
+    (edge indices, orientation bits).
+
+    Depth-first over the edge order with an explicit stack.  Each frame is
+    (next edge index, bitmask of the variables that would complete a leading
+    monomial, vertex component labels, chosen variables).  Edge i is either
+    skipped or added in one of its two orientations, variable 1 + 2i
+    (forward) or 2 + 2i (reverse), when it joins two components and its
+    variable is not blocked.  A frame is only pushed when enough edges
+    remain to reach n - 1 of them.
+    """
+    need = n - 1
+    m = len(edges)
+    leaves: list[tuple[int, ...]] = []
+    stack = [(0, 0, tuple(range(n + 1)), ())]
+    while stack:
+        i, blocked, comp, path = stack.pop()
+        if len(path) == need:
+            leaves.append(path)
+            continue
+        if need - len(path) < m - i:
+            stack.append((i + 1, blocked, comp, path))
+        u, w = edges[i]
+        cu, cw = comp[u], comp[w]
+        if cu == cw:
+            continue
+        merged = tuple(cu if c == cw else c for c in comp)
+        for var in (2 * i + 1, 2 * i + 2):
+            if blocked >> var & 1:
+                continue
+            partners = triple[var]
+            now_blocked = blocked | pair[var]
+            for chosen in path:
+                now_blocked |= partners.get(chosen, 0)
+            stack.append((i + 1, now_blocked, merged, path + (var,)))
+    leaves.sort(key=lambda p: (tuple((v - 1) >> 1 for v in p), tuple((v - 1) & 1 for v in p)))
+    return leaves
 
 
 def enumerate_standard_trees(
     sig: Signature, max_total: Optional[int] = None
 ) -> Iterator[DirTree]:
     """Directed spanning trees whose monomial avoids every leading term.
+
+    The trees are grown edge by edge along ``edge_order(sig)``: a branch
+    adds an edge only when it joins two components, adds a variable only
+    when it completes no degree-2 or degree-3 leading monomial with those
+    already chosen, and stops as soon as too few edges remain for a
+    spanning tree, so the work follows the number of standard trees rather
+    than the number of edge subsets.
 
     Deterministic order: undirected trees by sorted edge list, then
     orientations lexicographically (forward before reverse on each edge).
@@ -94,24 +154,10 @@ def enumerate_standard_trees(
         raise SizeExceeded(f"signature total {sig.total} exceeds bound {bound}")
     if sig.k < 2:
         raise ValueError("need at least two classes")
-    n = sig.total
     vt = VarTable(sig)
-    deg2, deg3 = _lead_sets(sig)
-    edges = edge_order(sig)
-    for und in combinations(edges, n - 1):
-        if not _is_spanning_tree(n, und):
-            continue
-        for orient in product((0, 1), repeat=n - 1):
-            dirs = tuple(
-                DirectedEdge(u, w) if o == 0 else DirectedEdge(w, u)
-                for (u, w), o in zip(und, orient)
-            )
-            mono = [vt.var(e.tail, e.head) for e in dirs]
-            if any(frozenset(p) in deg2 for p in combinations(mono, 2)):
-                continue
-            if deg3 and any(frozenset(p) in deg3 for p in combinations(mono, 3)):
-                continue
-            yield DirTree(dirs)
+    pair, triple = _lead_partners(sig, vt.nvars)
+    for mono in _standard_tree_monomials(sig.total, vt.edges, pair, triple):
+        yield DirTree(tuple(DirectedEdge(*vt.dir_of(v)) for v in mono))
 
 
 def inedge(tree: DirTree, root: int) -> int:
@@ -151,23 +197,34 @@ def hstar_triangulation(sig: Signature, max_total: Optional[int] = None) -> HSta
 
 
 def facet_of_tree(
-    sig: Signature, tree: DirTree, labelings: list[FacetLabeling]
+    sig: Signature, tree: DirTree, facets: dict[tuple[int, ...], FacetLabeling]
 ) -> FacetLabeling:
     """The unique facet whose tight-edge set contains every tree edge.
 
     Directed edge (u, v) carries e_v - e_u, so it is tight for lambda when
-    lambda(v) = lambda(u) + 1.
+    lambda(v) = lambda(u) + 1.  Along a spanning tree this fixes lambda up
+    to a shift: walk the tree from vertex 1, normalize to min 0 and look the
+    labeling up in ``facets``, the facet labelings keyed by their values.
     """
-    matches = [
-        lam
-        for lam in labelings
-        if all(lam[e.head] == lam[e.tail] + 1 for e in tree.edges)
-    ]
-    if len(matches) != 1:
-        raise AmbiguousFacet(
-            f"tree {tree.edges} lies in {len(matches)} facets, expected 1"
-        )
-    return matches[0]
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for e in tree.edges:
+        adj.setdefault(e.tail, []).append((e.head, 1))
+        adj.setdefault(e.head, []).append((e.tail, -1))
+    lam = {1: 0}
+    stack = [1]
+    while stack:
+        u = stack.pop()
+        for w, step in adj.get(u, ()):
+            if w not in lam:
+                lam[w] = lam[u] + step
+                stack.append(w)
+    match = None
+    if len(lam) == sig.total:
+        lo = min(lam.values())
+        match = facets.get(tuple(lam[v] - lo for v in sig.vertices()))
+    if match is None:
+        raise AmbiguousFacet(f"tree {tree.edges} lies in no facet, expected 1")
+    return match
 
 
 def hstar_split_by_facet_type(
@@ -179,11 +236,11 @@ def hstar_split_by_facet_type(
         raise ValueError("facet-type split needs k >= 3")
     d = sig.dim
     root = 1
-    labelings = enumerate_facet_labelings(sig)
+    facets = {lam.values: lam for lam in enumerate_facet_labelings(sig)}
     hist_i = [0] * (d + 1)
     hist_ii = [0] * (d + 1)
     for tree in enumerate_standard_trees(sig, max_total=max_total):
-        lam = facet_of_tree(sig, tree, labelings)
+        lam = facet_of_tree(sig, tree, facets)
         kind = classify_labeling(sig, lam)
         target = hist_i if kind is FacetType.TYPE_I else hist_ii
         target[inedge(tree, root)] += 1

@@ -5,7 +5,10 @@ import json
 import pytest
 
 from sepkit.cli import EXIT_BOUND, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
-from sepkit.polynomial import NegativeHStar, NonIntegerCount
+from sepkit.formulas import IdentityFailed
+from sepkit.polynomial import NegativeHStar, NonIntegerCount, RecombinationFailed
+from sepkit.recursion import ExactSolveFailed
+from sepkit.roots import RootCheckFailed
 
 
 def run(capsys, *argv):
@@ -51,8 +54,20 @@ class TestHstar:
         code, out = run(capsys, "hstar", "--signature", "4,4,4", "--method", "all")
         result = json.loads(out)["result"]
         assert code == EXIT_OK
-        assert result["rows"][1] == {"method": "triangulation", "skipped": "signature total 12 exceeds bound 7"}
+        assert result["rows"][1] == {"method": "triangulation", "skipped": "signature total 12 exceeds bound 9"}
         assert result["methods_compared"] == 2 and result["agreement"] is True
+
+    def test_all_skipped_is_no_agreement(self, capsys):
+        ones = ",".join(["1"] * 25)
+        code, out = run(capsys, "hstar", "--signature", ones, "--method", "all")
+        result = json.loads(out)["result"]
+        assert code == EXIT_BOUND
+        assert [r["method"] for r in result["rows"] if "skipped" in r] == ["formula", "triangulation", "oracle"]
+        assert result["methods_compared"] == 0 and result["agreement"] is False
+        code, out = run(capsys, "hstar", "--signature", ones, "--method", "all", "--format", "plain")
+        assert code == EXIT_BOUND
+        assert "result.agreement = False" in out.splitlines()
+        assert "result.methods_compared = 0" in out.splitlines()
 
     def test_skip_in_plain_not_in_csv(self, capsys):
         _, out = run(capsys, "hstar", "--signature", "1,1,1,1,1", "--method", "all", "--format", "plain")
@@ -81,7 +96,10 @@ class TestHstar:
         assert err.startswith("verification failed: interpolant gives E(3)")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("exc", [NegativeHStar, NonIntegerCount])
+    @pytest.mark.parametrize(
+        "exc",
+        [NegativeHStar, NonIntegerCount, IdentityFailed, RecombinationFailed, ExactSolveFailed, RootCheckFailed],
+    )
     def test_verification_failures_exit_3(self, capsys, monkeypatch, exc):
         def fail(sig, max_total=None):
             raise exc("injected")

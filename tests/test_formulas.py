@@ -220,3 +220,11 @@ class TestDispatch:
         assert closed_form_hstar(Signature((3, 1, 2))).poly == hstar_tripartite(1, 2, 3).poly
         assert closed_form_hstar(Signature((1, 2, 1, 1))).poly == hstar_111n(2).poly
         assert closed_form_hstar(Signature((1, 2, 2, 2))) is None
+
+
+def test_suspension_identity_failure_raises(monkeypatch):
+    import sepkit.formulas as formulas
+
+    monkeypatch.setattr(formulas, "suspension_weight_poly", lambda n: Poly((1, 1)))
+    with pytest.raises(formulas.IdentityFailed, match="K_\\(1,1,1,3\\)"):
+        hstar_111n(3)

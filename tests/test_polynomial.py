@@ -216,3 +216,12 @@ def test_fraction_str():
     assert fraction_str(Fraction(3, 2)) == "3/2"
     assert fraction_str(Fraction(-4, 2)) == "-2"
     assert fraction_str(Fraction(0)) == "0"
+
+
+def test_gamma_recombination_failure_raises(monkeypatch):
+    import sepkit.polynomial as polynomial
+
+    assert polynomial.gamma_of_palindromic(Poly((1, 4, 1)), 2) == Poly((1, 2))
+    monkeypatch.setattr(polynomial, "ONE_PLUS_T", Poly((1, 2)))
+    with pytest.raises(polynomial.RecombinationFailed):
+        polynomial.gamma_of_palindromic(Poly((1, 4, 1)), 2)

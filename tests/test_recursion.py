@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 
 from sepkit.formulas import ehrhart_1mn, ehrhart_bipartite
-from sepkit.polynomial import cross_polynomial
+from sepkit.polynomial import Poly, cross_polynomial
+import sepkit.recursion as recursion
 from sepkit.recursion import (
     CrossDegreeMismatch,
     DegreeMismatch,
+    ExactSolveFailed,
+    RecursionSolution,
     RelationFailed,
     conjecture_scan,
     corollary_scan,
@@ -255,3 +258,26 @@ class TestConjectureScan:
         rep = conjecture_scan(4, 2)
         star = next(r for r in rep["rows"] if r["signature"] == "1,3")
         assert star["ok"] and not star["full_sum_ok"]
+
+
+class TestSolverInvariants:
+    def test_exact_division_checked(self):
+        assert recursion._exact_div(-8, 2) == -4
+        with pytest.raises(ExactSolveFailed, match="lost integrality"):
+            recursion._exact_div(7, 2)
+
+    def test_recomposition_checked(self, monkeypatch):
+        columns, rhs = [Poly((1,)), Poly((0, 1))], Poly((2, 3))
+        assert recursion._solve_exact(columns, rhs).coefficients == [2, 3]
+        monkeypatch.setattr(recursion, "Fraction", lambda num, den=1: F(num, den) + 1)
+        with pytest.raises(ExactSolveFailed, match="recomposes to"):
+            recursion._solve_exact(columns, rhs)
+
+    def test_feasible_point_checked(self, monkeypatch):
+        sol = RecursionSolution(
+            None, [], status="underdetermined", kernel_dim=1, particular=[F(1), F(1)], kernel=[[F(1), F(-1)]]
+        )
+        assert all(c >= 0 for c in nonnegative_solution(sol))
+        monkeypatch.setattr(recursion, "_fourier_motzkin_feasible", lambda rows: [F(5)])
+        with pytest.raises(ExactSolveFailed, match="negative coordinate"):
+            nonnegative_solution(sol)

@@ -8,9 +8,11 @@ import pytest
 
 from sepkit.formulas import ehrhart_1mn, ehrhart_bipartite
 from sepkit.polynomial import HStar, Poly, cross_polynomial, ehrhart_from_hstar
+import sepkit.roots as roots
 from sepkit.roots import (
     NotCL,
     NotSymmetric,
+    RootCheckFailed,
     cl_transform,
     imaginary_bounds,
     interlaces_on_cl,
@@ -179,3 +181,41 @@ class TestBounds:
     def test_imaginary_bounds(self):
         lo, hi = imaginary_bounds(F(-4), F(-1))
         assert lo <= F(1, 2) and hi >= 1
+
+
+class TestInvariantChecks:
+    """Each exact invariant raises when the failure is injected."""
+
+    def test_transform_parity(self, monkeypatch):
+        monkeypatch.setattr(roots, "is_symmetric_about_cl", lambda e: True)
+        with pytest.raises(RootCheckFailed, match="even polynomial"):
+            cl_transform(Poly((1, 0, 1)))
+
+    def test_transform_degree(self, monkeypatch):
+        def drop_top(coeffs):
+            return Poly(coeffs[:-1] if isinstance(coeffs, list) else coeffs)
+
+        monkeypatch.setattr(roots, "Poly", drop_top)
+        with pytest.raises(RootCheckFailed, match="H has degree 0, expected 1"):
+            cl_transform(ehrhart_bipartite(2, 2))
+
+    def test_isolation_split_point(self, monkeypatch):
+        p = Poly.one()
+        for k in (2, 3, 5, 7, 11, 13):
+            p = p * Poly((1 - F(2, k), 1))
+        monkeypatch.setattr(roots, "cauchy_bound", lambda q: F(1))
+        with pytest.raises(RootCheckFailed, match="no split point"):
+            isolate_real_roots(p)
+
+    def test_interlace_root_count(self, monkeypatch):
+        g, f = ehrhart_bipartite(1, 4), ehrhart_bipartite(1, 5)
+        assert interlaces_on_cl(g, f).interlaces
+        monkeypatch.setattr(roots, "_mult_of_root_at", lambda decomp, lo, hi: 0)
+        with pytest.raises(RootCheckFailed, match="root count mismatch"):
+            interlaces_on_cl(g, f)
+
+    def test_sqrt_bounds_bracket(self, monkeypatch):
+        real_isqrt = roots.isqrt
+        monkeypatch.setattr(roots, "isqrt", lambda x: real_isqrt(x) - 2)
+        with pytest.raises(RootCheckFailed, match="do not bracket"):
+            sqrt_bounds(F(2))

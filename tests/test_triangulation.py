@@ -2,13 +2,17 @@
 
 import pytest
 
-from sepkit.counting import hstar_oracle
-from sepkit.graphs import DirectedEdge, Signature
+from sepkit import _treepure
+from sepkit.counting import SizeExceeded, hstar_oracle
+from sepkit.formulas import closed_form_hstar, hstar_type_i
+from sepkit.graphs import DirectedEdge, Signature, enumerate_facet_labelings
 from sepkit.polynomial import Poly
 from sepkit.triangulation import (
+    AmbiguousFacet,
     DirTree,
     enumerate_planar_trees,
     enumerate_standard_trees,
+    facet_of_tree,
     hstar_split_by_facet_type,
     hstar_triangulation,
     inedge,
@@ -31,6 +35,20 @@ class TestStandardTrees:
         trees = list(enumerate_standard_trees(sig))
         h = hstar_triangulation(sig)
         assert len(trees) == h.poly(1)
+
+    @pytest.mark.parametrize(
+        "sig", signatures_with_total(2, 6) + [Signature((1, 1, 5)), Signature((1, 2, 4))], ids=str
+    )
+    def test_matches_brute_force(self, sig):
+        """Same trees in the same order as the exhaustive test of every
+        oriented (n-1)-subset of edges."""
+        assert [t.edges for t in enumerate_standard_trees(sig)] == _treepure.standard_trees(sig)
+
+    def test_size_bound(self):
+        with pytest.raises(SizeExceeded, match="exceeds bound 9"):
+            list(enumerate_standard_trees(Signature((2, 3, 5))))
+        with pytest.raises(SizeExceeded):
+            hstar_triangulation(Signature((1,) * 10))
 
     def test_deterministic_order(self):
         a = [tree_dump(t) for t in enumerate_standard_trees(Signature((1, 2, 2)))]
@@ -75,6 +93,16 @@ class TestHStarTriangulation:
         assert h.is_palindromic()
         assert h.poly.degree == sig.dim
 
+    @pytest.mark.parametrize(
+        "sig", signatures_with_total(8, 8) + [Signature((1,) * 9), Signature((2, 2, 2, 3))], ids=str
+    )
+    def test_three_way_past_seven_vertices(self, sig):
+        h = hstar_triangulation(sig).poly
+        assert h == hstar_oracle(sig).poly
+        closed = closed_form_hstar(sig)
+        if closed is not None:
+            assert h == closed.poly
+
 
 class TestFacetSplit:
     def test_triangle_all_type_ii(self):
@@ -91,11 +119,27 @@ class TestFacetSplit:
         assert hi + hii == Poly((1, 12, 28, 12, 1))
 
     @pytest.mark.parametrize(
-        "sig", [s for s in signatures_with_total(3, 6, min_k=3) if s.k == 3], ids=str
+        "sig", [s for s in signatures_with_total(3, 8, min_k=3) if s.k == 3], ids=str
     )
     def test_parts_sum_to_hstar(self, sig):
         hi, hii = hstar_split_by_facet_type(sig)
-        assert hi + hii == hstar_triangulation(sig).poly
+        assert hi == hstar_type_i(sig.parts)
+        assert hi + hii == hstar_oracle(sig).poly
+
+    @pytest.mark.parametrize("parts", [(1, 2, 2), (1, 1, 2, 2)], ids=str)
+    def test_facet_read_off_the_tree(self, parts):
+        """The looked-up facet is the only labeling that makes every tree
+        edge tight; a tree without one raises."""
+        sig = Signature(parts)
+        labelings = enumerate_facet_labelings(sig)
+        facets = {lam.values: lam for lam in labelings}
+        for tree in enumerate_standard_trees(sig):
+            tight = [
+                lam for lam in labelings if all(lam[e.head] == lam[e.tail] + 1 for e in tree.edges)
+            ]
+            assert tight == [facet_of_tree(sig, tree, facets)]
+            with pytest.raises(AmbiguousFacet):
+                facet_of_tree(sig, tree, {})
 
 
 class TestPlanarTrees:
