@@ -193,22 +193,17 @@ def _crossing_is_lead(vt: VarTable, d1: tuple[int, int], d2: tuple[int, int]) ->
     return min(ranks_partner) < min(ranks_own)
 
 
-def build_basis(
-    sig: Signature,
-    five_cycle_rule: str = "class-min",
-    vt: Optional[VarTable] = None,
-) -> list[GBElement]:
+def build_basis(sig: Signature, vt: Optional[VarTable] = None) -> list[GBElement]:
     """Construct the reduced Groebner basis for the canonical order.
 
-    ``five_cycle_rule`` selects the reading of the 5-cycle middle-vertex
-    condition: "class-min" requires b to be the smallest vertex outside the
-    class of a (the reading validated by the verification suite), while
-    "union-min" pins b to the smallest vertex of the first two classes.
+    In the 5-cycle elements (kind 4) the middle vertex b of the protected
+    2-path a -> b -> c is the smallest vertex outside the class of a.  The
+    literal reading that pins b to the smallest vertex of the first two
+    classes fails the referees: for 2,2,1 both `buchberger_verify` and
+    `basis_matches_ground_truth` reject it.
     """
     if sig.k < 2:
         raise ValueError("need at least two classes")
-    if five_cycle_rule not in ("class-min", "union-min"):
-        raise ValueError(f"unknown five_cycle_rule {five_cycle_rule!r}")
     vt = vt or VarTable(sig)
     table = sig.class_table()
     n = sig.total
@@ -287,32 +282,25 @@ def build_basis(
     # kind 4: 5-cycles a-b-c-d-e with a protected 2-path a -> b -> c
     for a in verts:
         ia = table[a]
-        if five_cycle_rule == "class-min":
-            b = apex[ia]
-            if b is None:
+        b = apex[ia]
+        if b is None:
+            continue
+        for c in verts:
+            if c == a or table[c] != ia:
                 continue
-            bs = [b]
-        else:  # union-min: b is the smallest vertex of the first two classes
-            bs = [1] if table[a] != table[1] else []
-            if sig.k >= 2 and table[a] not in (0, 1):
-                bs = []  # literal reading keeps a, b, c inside the first two classes
-        for b in bs:
-            for c in verts:
-                if c == a or table[c] != ia:
+            for d in verts:
+                if d in (a, b, c) or not adjacent(d, c):
                     continue
-                for d in verts:
-                    if d in (a, b, c) or not adjacent(d, c):
+                for e in verts:
+                    if e in (a, b, c, d) or not adjacent(e, d) or not adjacent(e, a):
                         continue
-                    for e in verts:
-                        if e in (a, b, c, d) or not adjacent(e, d) or not adjacent(e, a):
-                            continue
-                        if _crossing_is_lead(vt, (a, b), (d, e)):
-                            continue
-                        if _crossing_is_lead(vt, (b, c), (d, e)):
-                            continue
-                        lead = tuple(sorted((vt.var(a, b), vt.var(b, c), vt.var(d, e))))
-                        tail = tuple(sorted((Z, vt.var(d, c), vt.var(a, e))))
-                        out.append(GBElement("4", lead, tail))
+                    if _crossing_is_lead(vt, (a, b), (d, e)):
+                        continue
+                    if _crossing_is_lead(vt, (b, c), (d, e)):
+                        continue
+                    lead = tuple(sorted((vt.var(a, b), vt.var(b, c), vt.var(d, e))))
+                    tail = tuple(sorted((Z, vt.var(d, c), vt.var(a, e))))
+                    out.append(GBElement("4", lead, tail))
 
     # kind 5: alternating 6-cycle binomials
     for a in verts:
@@ -409,9 +397,7 @@ def _reduces_to_zero(p: dict[Mono, int], basis: Sequence[GBElement]) -> bool:
     return True
 
 
-def buchberger_verify(
-    sig: Signature, max_edges: int = 9, five_cycle_rule: str = "class-min"
-) -> bool:
+def buchberger_verify(sig: Signature, max_edges: int = 9) -> bool:
     """Every S-polynomial of basis pairs reduces to zero modulo the basis."""
     from .graphs import edge_count
 
@@ -419,7 +405,7 @@ def buchberger_verify(
         raise SizeExceeded(
             f"{edge_count(sig)} edges exceed the S-pair bound {max_edges}"
         )
-    basis = build_basis(sig, five_cycle_rule=five_cycle_rule)
+    basis = build_basis(sig)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             s = _spolynomial(basis[i], basis[j])
@@ -487,10 +473,10 @@ def initial_ideal_ground_truth(
     return deg2_leads, deg3_min
 
 
-def basis_matches_ground_truth(sig: Signature, five_cycle_rule: str = "class-min") -> bool:
+def basis_matches_ground_truth(sig: Signature) -> bool:
     """Do the construction's leads coincide with the minimal generators?"""
     vt = VarTable(sig)
-    basis = build_basis(sig, five_cycle_rule=five_cycle_rule, vt=vt)
+    basis = build_basis(sig, vt=vt)
     built2 = {e.lead for e in basis if len(e.lead) == 2}
     built3 = {e.lead for e in basis if len(e.lead) == 3}
     truth2, truth3 = initial_ideal_ground_truth(sig, vt)

@@ -124,12 +124,12 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly((other,))
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self[i] + other[i] for i in range(n)))
+        return Poly(self[i] + other[i] for i in range(n))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(-c for c in self.coeffs)
 
     def __sub__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -141,7 +141,7 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
+            return Poly(c * other for c in self.coeffs)
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -159,7 +159,7 @@ class Poly:
 
     def __truediv__(self, scalar) -> "Poly":
         s = _frac(scalar)
-        return Poly(tuple(c / s for c in self.coeffs))
+        return Poly(c / s for c in self.coeffs)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -196,7 +196,7 @@ class Poly:
     # -- calculus / evaluation -------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
+        return Poly(i * c for i, c in enumerate(self.coeffs) if i >= 1)
 
     def __call__(self, x) -> Fraction:
         acc = Fraction(0)
@@ -235,10 +235,6 @@ class Poly:
         if g.degree <= 0:
             return self.monic()
         return self.divmod(g)[0].monic()
-
-    def truncate(self, order: int) -> "Poly":
-        """Drop all terms of degree > `order`."""
-        return Poly(self.coeffs[: order + 1])
 
 
 ONE_PLUS_T = Poly((1, 1))

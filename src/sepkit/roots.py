@@ -8,6 +8,13 @@ for a polynomial H of degree floor(d/2).  The roots of E lie on the
 canonical line exactly when every root of H is real and nonpositive, which
 Sturm counting certifies without any floating point.
 
+There is one Sturm chain, over the integers: every member is scaled to its
+primitive integer part, which keeps its signs.  Signs at a rational point
+a/b are signs of integers, b^deg q(a/b) by homogeneous Horner, and the
+exact-zero tests of the isolation evaluate the chain's first member the
+same way.  Each polynomial's transform, squarefree decomposition and
+verdict are computed once per certificate, and each factor's chain once.
+
 Roots on the line are ordered by imaginary part.  A root of E at
 -1/2 + i s corresponds to w = u^2 = -4 s^2, so comparisons of imaginary
 parts reduce to exact comparisons of w-roots, performed on isolating
@@ -19,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
-from typing import Optional
+from math import gcd, isqrt, lcm
+from typing import NamedTuple, Optional
 
 from .polynomial import Poly, fraction_str, is_symmetric_about_cl
 
@@ -76,23 +83,12 @@ def cl_transform(e: Poly) -> CLTransform:
 # ---------------------------------------------------------------------------
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Plain rational Sturm chain p, p', -rem(...), ...;  expects p squarefree."""
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return chain
-
-
 def _primitive_int(p: Poly) -> Poly:
     """Scale a rational polynomial by a positive constant to a primitive
     integer polynomial (content 1, same sign pattern)."""
     if p.is_zero():
         return p
-    from math import gcd, lcm
-
-    denom = lcm(*(c.denominator for c in p.coeffs)) if p.coeffs else 1
+    denom = lcm(*(c.denominator for c in p.coeffs))
     ints = [int(c * denom) for c in p.coeffs]
     g = 0
     for v in ints:
@@ -100,11 +96,10 @@ def _primitive_int(p: Poly) -> Poly:
     return Poly([v // g for v in ints])
 
 
-def sturm_chain_primitive(p: Poly) -> list[Poly]:
-    """Sturm-like chain over the integers: each remainder is replaced by its
-    primitive part.  Positive scaling preserves every sign, so counts agree
-    with the plain chain; the test suite checks the two implementations
-    against each other."""
+def sturm_chain(p: Poly) -> list[Poly]:
+    """Sturm chain p, p', -rem(...), ... of squarefree p over the integers:
+    each member is replaced by its primitive part.  A positive scale keeps
+    every sign, so the variation counts are those of the rational chain."""
     chain = [_primitive_int(p), _primitive_int(p.derivative())]
     while not chain[-1].is_zero():
         chain.append(_primitive_int(-(chain[-2] % chain[-1])))
@@ -112,11 +107,15 @@ def sturm_chain_primitive(p: Poly) -> list[Poly]:
     return chain
 
 
-def _sign_at(p: Poly, x) -> int:
-    if x is None:
-        raise ValueError("need INF/-INF handling at caller")
-    v = p(x)
-    return (v > 0) - (v < 0)
+def _sign_at(q: Poly, x: Fraction) -> int:
+    """Sign of q(x) for a member q of a `sturm_chain`: with x = a/b, b > 0,
+    the sign of the integer b^deg(q) q(a/b), by homogeneous Horner."""
+    a, b = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(q.coeffs):
+        acc = acc * a + c.numerator * scale
+        scale *= b
+    return (acc > 0) - (acc < 0)
 
 
 def _sign_at_inf(p: Poly, positive: bool) -> int:
@@ -145,7 +144,8 @@ def sturm_count(
     chain: Optional[list[Poly]] = None,
 ) -> int:
     """Distinct real roots of squarefree p in the half-open interval (lo, hi],
-    with None meaning the corresponding infinity.
+    with None meaning the corresponding infinity; `chain`, when given, is
+    `sturm_chain(p)`.
 
     With zeros skipped in the sign sequences, the variation count V satisfies
     V(a) - V(b) = #roots in (a, b] even when a or b is itself a root.
@@ -164,9 +164,21 @@ def cauchy_bound(p: Poly) -> Fraction:
     return 1 + max((abs(c) / lead for c in p.coeffs[:-1]), default=Fraction(0))
 
 
+def _split_point(chain: list[Poly], lo: Fraction, hi: Fraction) -> Fraction:
+    """The first of lo + (hi - lo)/k, k = 2, 3, 5, 7, 11, 13, that is not a
+    root of the chain's polynomial."""
+    span = hi - lo
+    for k in (2, 3, 5, 7, 11, 13):
+        mid = lo + span / k
+        if _sign_at(chain[0], mid) != 0:
+            return mid
+    raise RootCheckFailed(f"no split point of ({lo}, {hi}) avoids the roots of {chain[0]}")
+
+
 @dataclass
 class Isolation:
-    """Exactly one root of `poly` in the open interval (lo, hi)."""
+    """Exactly one root of `poly` in the open interval (lo, hi); `chain` is
+    `sturm_chain(poly)`."""
 
     poly: Poly
     lo: Fraction
@@ -178,19 +190,11 @@ class Isolation:
 
     def bisect(self) -> None:
         """Halve the interval, keeping the root and non-root endpoints."""
-        mid = self._nonroot_point()
+        mid = _split_point(self.chain, self.lo, self.hi)
         if sturm_count(self.poly, self.lo, mid, self.chain) == 1:
             self.hi = mid
         else:
             self.lo = mid
-
-    def _nonroot_point(self) -> Fraction:
-        span = self.hi - self.lo
-        for k in (2, 3, 5, 7, 11, 13):
-            mid = self.lo + span / k
-            if self.poly(mid) != 0:
-                return mid
-        raise AssertionError("squarefree polynomial cannot have dense roots")
 
     def refine_below(self, bound: Fraction) -> None:
         while self.hi > bound:
@@ -212,9 +216,9 @@ def isolate_real_roots(p: Poly) -> list[Isolation]:
     chain = sturm_chain(p)
     bound = cauchy_bound(p)
     lo, hi = -bound, bound
-    while p(lo) == 0:
+    while _sign_at(chain[0], lo) == 0:
         lo -= 1
-    while p(hi) == 0:
+    while _sign_at(chain[0], hi) == 0:
         hi += 1
     out: list[Isolation] = []
     stack = [(lo, hi, sturm_count(p, lo, hi, chain))]
@@ -225,15 +229,7 @@ def isolate_real_roots(p: Poly) -> list[Isolation]:
         if cnt == 1:
             out.append(Isolation(p, a, b, chain))
             continue
-        span = b - a
-        mid = None
-        for k in (2, 3, 5, 7, 11, 13):
-            cand = a + span / k
-            if p(cand) != 0:
-                mid = cand
-                break
-        if mid is None:
-            raise RootCheckFailed(f"no split point of ({a}, {b}) avoids the roots of {p}")
+        mid = _split_point(chain, a, b)
         cl = sturm_count(p, a, mid, chain)
         stack.append((a, mid, cl))
         stack.append((mid, b, cnt - cl))
@@ -323,14 +319,55 @@ class RootCertificate:
         }
 
 
-def _root_data_at(decomp: list[tuple[Poly, int]], iso: Isolation) -> tuple[int, Optional[Fraction]]:
-    """(multiplicity, exact rational value when recoverable) for the root in
-    the isolating interval."""
-    for f, m in decomp:
-        if f.degree > 0 and sturm_count(f, iso.lo, iso.hi) == 1:
-            exact = -f[0] / f[1] if f.degree == 1 else None
-            return m, exact
-    raise AssertionError("isolated root missing from the decomposition")
+class _WData(NamedTuple):
+    """What both certificates need of one polynomial E."""
+
+    transform: CLTransform
+    decomp: list[tuple[Poly, int]]  # squarefree decomposition of H
+    squarefree: Poly  # the product of its factors
+    in_range: int  # distinct roots of H in (-inf, 0]
+
+    @property
+    def on_cl(self) -> bool:
+        return self.in_range == self.squarefree.degree
+
+
+def _w_data(e: Poly) -> Optional[_WData]:
+    """The CL transform of E and what both certificates read off H, or None
+    when E lacks the symmetry equation."""
+    try:
+        t = cl_transform(e)
+    except NotSymmetric:
+        return None
+    decomp = squarefree_decomposition(t.half_square)
+    s = Poly.one()
+    for f, _ in decomp:
+        s = s * f
+    return _WData(t, decomp, s, sturm_count(s, None, Fraction(0)))
+
+
+def _split_zero(s: Poly, decomp: list[tuple[Poly, int]]) -> tuple[Poly, int]:
+    """The squarefree part without its root w = 0 (the line's center), and
+    that root's multiplicity in H (0 when w = 0 is no root)."""
+    if s[0] != 0:
+        return s, 0
+    return Poly(s.coeffs[1:]), next(m for f, m in decomp if f[0] == 0)
+
+
+def _factor_chains(decomp: list[tuple[Poly, int]]) -> list[tuple[Poly, int, list[Poly]]]:
+    return [(f, m, sturm_chain(f)) for f, m in decomp]
+
+
+def _factor_at(factors: list[tuple[Poly, int, list[Poly]]], iso: Isolation) -> tuple[int, Optional[Fraction]]:
+    """(multiplicity, exact rational value when the factor is linear) of the
+    decomposition factor whose root the isolating interval holds.
+
+    The root lies in the open interval (lo, hi), and hi can be w = 0, a root
+    of the factor that holds the center, so a root at hi is not counted."""
+    for f, m, chain in factors:
+        if sturm_count(f, iso.lo, iso.hi, chain) - (_sign_at(chain[0], iso.hi) == 0) == 1:
+            return m, (-f[0] / f[1] if f.degree == 1 else None)
+    raise RootCheckFailed(f"isolated root in ({iso.lo}, {iso.hi}) is missing from the decomposition")
 
 
 def is_cl(e: Poly) -> RootCertificate:
@@ -341,35 +378,21 @@ def is_cl(e: Poly) -> RootCertificate:
     (-inf, 0].  Isolating intervals are refined to be pairwise disjoint and
     to avoid straddling 0.
     """
-    if not is_symmetric_about_cl(e):
+    w = _w_data(e)
+    if w is None:
         return RootCertificate(
             e, False, False, e.degree & 1, None, [], 0, reason="not symmetric about the canonical line"
         )
-    t = cl_transform(e)
-    h = t.half_square
-    if h.degree <= 0:
-        return RootCertificate(e, True, True, t.parity, h, [], 0)
-    s = h.squarefree_part()
-    total_distinct = s.degree
-    in_range = sturm_count(s, None, Fraction(0))
-    on_cl = in_range == total_distinct
-    decomp = squarefree_decomposition(h)
     roots: list[WRoot] = []
-    if on_cl:
-        zero_mult = 0
-        if s(0) == 0:
-            for f, m in decomp:
-                if f(Fraction(0)) == 0:
-                    zero_mult = m
-            s_neg = s.divmod(Poly((0, 1)))[0]
-        else:
-            s_neg = s
+    if w.on_cl:
+        s_neg, zero_mult = _split_zero(w.squarefree, w.decomp)
+        factors = _factor_chains(w.decomp)
         isos = isolate_real_roots(s_neg)
         refine_pairwise_disjoint(isos)
         for iso in isos:
             iso.refine_below(Fraction(0))
             iso.refine_to_width(Fraction(1, 64))
-            mult, exact = _root_data_at(decomp, iso)
+            mult, exact = _factor_at(factors, iso)
             if exact is not None:
                 roots.append(WRoot(exact, exact, mult, exact=exact))
             else:
@@ -377,7 +400,8 @@ def is_cl(e: Poly) -> RootCertificate:
         if zero_mult:
             roots.append(WRoot(Fraction(0), Fraction(0), zero_mult, exact=Fraction(0)))
         roots.sort(key=lambda r: r.hi)
-    return RootCertificate(e, True, on_cl, t.parity, h, roots, in_range)
+    t = w.transform
+    return RootCertificate(e, True, w.on_cl, t.parity, t.half_square, roots, w.in_range)
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +429,6 @@ class InterlaceCertificate:
         }
 
 
-def _w_root_multiset(e: Poly) -> tuple[Poly, int, list[tuple[Poly, int]]]:
-    t = cl_transform(e)
-    return t.half_square, t.parity, squarefree_decomposition(t.half_square)
-
-
-def _mult_of_root_at(decomp: list[tuple[Poly, int]], lo: Fraction, hi: Fraction) -> int:
-    for f, m in decomp:
-        if f.degree > 0 and sturm_count(f, lo, hi) == 1:
-            return m
-    return 0
-
-
 def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
     """Certify that g CL-interlaces f (deg f = deg g + 1): ordering all roots
     along the canonical line by imaginary part, the chain
@@ -424,23 +436,13 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
     roots (the gcd factor) counted once in each sequence."""
     if f.degree != g.degree + 1:
         raise NotCL(f"degree ladder broken: deg f = {f.degree}, deg g = {g.degree}")
-    cert_f, cert_g = is_cl(f), is_cl(g)
-    if not cert_f.on_cl or not cert_g.on_cl:
+    wf, wg = _w_data(f), _w_data(g)
+    if wf is None or wg is None or not (wf.on_cl and wg.on_cl):
         raise NotCL("both polynomials must have all roots on the canonical line")
 
-    hf, pf, df = _w_root_multiset(f)
-    hg, pg, dg = _w_root_multiset(g)
-    sf, sg = hf.squarefree_part(), hg.squarefree_part()
-
-    # split off the exact root at w = 0 (it maps to the line's center)
-    def strip_zero(s: Poly, decomp) -> tuple[Poly, int]:
-        if s.degree > 0 and s(0) == 0:
-            mult = next(m for (fac, m) in decomp if fac(Fraction(0)) == 0)
-            return s.divmod(Poly((0, 1)))[0], mult
-        return s, 0
-
-    sf_neg, zf = strip_zero(sf, df)
-    sg_neg, zg = strip_zero(sg, dg)
+    sf_neg, zf = _split_zero(wf.squarefree, wf.decomp)
+    sg_neg, zg = _split_zero(wg.squarefree, wg.decomp)
+    ff, fg = _factor_chains(wf.decomp), _factor_chains(wg.decomp)
 
     shared = sf_neg.gcd(sg_neg)
     f_only = sf_neg.divmod(shared)[0] if shared.degree > 0 else sf_neg
@@ -459,13 +461,13 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
     # multiplicities per source polynomial for each distinct negative w-root
     entries = []
     for tag, iso in isos:
-        mf = _mult_of_root_at(df, iso.lo, iso.hi) if tag in ("shared", "f") else 0
-        mg = _mult_of_root_at(dg, iso.lo, iso.hi) if tag in ("shared", "g") else 0
+        mf = _factor_at(ff, iso)[0] if tag in ("shared", "f") else 0
+        mg = _factor_at(fg, iso)[0] if tag in ("shared", "g") else 0
         entries.append({"lo": iso.lo, "hi": iso.hi, "mf": mf, "mg": mg, "tag": tag})
 
     m = len(entries)
-    center_f = 2 * zf + pf
-    center_g = 2 * zg + pg
+    center_f = 2 * zf + wf.transform.parity
+    center_g = 2 * zg + wg.transform.parity
 
     # global symbol keys along the line: negatives by w ascending, the center,
     # positives by w descending

@@ -277,27 +277,23 @@ def enumerate_planar_trees(a: int, b: int) -> list[tuple[tuple[int, int], ...]]:
     target = a + b - 1
     pairs = [(x, y) for x in range(a) for y in range(b)]
     out: list[tuple[tuple[int, int], ...]] = []
-    chosen: list[tuple[int, int]] = []
-
-    def dfs(idx: int) -> None:
+    stack: list[tuple[int, tuple[tuple[int, int], ...]]] = [(0, ())]
+    while stack:
+        idx, chosen = stack.pop()
         if len(chosen) == target:
             if len({x for x, _ in chosen}) == a and len({y for _, y in chosen}) == b:
-                out.append(tuple(chosen))
-            return
+                out.append(chosen)
+            continue
         if idx == len(pairs) or len(chosen) + len(pairs) - idx < target:
-            return
+            continue
         x, y = pairs[idx]
         # an A-vertex below x with no edge can never be covered later
-        uncovered = {x2 for x2 in range(x)} - {x2 for x2, _ in chosen}
-        if uncovered:
-            return
+        if not set(range(x)) <= {x2 for x2, _ in chosen}:
+            continue
+        # the branch that takes the pair is pushed last, so it is explored first
+        stack.append((idx + 1, chosen))
         if all((x2 - x) * (y2 - y) >= 0 for x2, y2 in chosen):
-            chosen.append((x, y))
-            dfs(idx + 1)
-            chosen.pop()
-        dfs(idx + 1)
-
-    dfs(0)
+            stack.append((idx + 1, chosen + ((x, y),)))
     return out
 
 

@@ -126,6 +126,14 @@ class TestRootsAndInterlace:
         assert out.splitlines()[0] == "re,im_interval_lo,im_interval_hi"
         assert all(line.startswith("-1/2,") for line in out.splitlines()[1:])
 
+    def test_roots_verification_failure_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr("sepkit.roots._factor_chains", lambda decomp: [])
+        code = main(["roots", "--signature", "3,3"])
+        err = capsys.readouterr().err
+        assert code == EXIT_VERIFICATION
+        assert err.startswith("verification failed: isolated root in (")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_interlace_known_pair(self, capsys):
         code, out = run(capsys, "interlace", "--a", "1,4", "--b", "1,5")
         assert code == EXIT_OK

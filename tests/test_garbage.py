@@ -2,10 +2,11 @@
 
 import gc
 
-from sepkit.formulas import closed_form_hstar
+from sepkit.formulas import closed_form_hstar, ehrhart_bipartite
 from sepkit.graphs import Signature
 from sepkit.recursion import conjecture_scan
-from sepkit.triangulation import enumerate_standard_trees, hstar_split_by_facet_type
+from sepkit.roots import interlaces_on_cl, is_cl
+from sepkit.triangulation import enumerate_planar_trees, enumerate_standard_trees, hstar_split_by_facet_type
 
 
 def test_no_cyclic_garbage():
@@ -16,6 +17,9 @@ def test_no_cyclic_garbage():
         hstar_split_by_facet_type(Signature((1, 1, 2, 2)))
         closed_form_hstar(Signature((2, 3, 4)))
         conjecture_scan(4, 3)
+        enumerate_planar_trees(3, 3)
+        is_cl(ehrhart_bipartite(6, 6))
+        interlaces_on_cl(ehrhart_bipartite(1, 5), ehrhart_bipartite(1, 6))
         assert gc.collect() == 0
     finally:
         gc.enable()

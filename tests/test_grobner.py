@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from sepkit.counting import SizeExceeded
+import sepkit.grobner as grobner
 from sepkit.graphs import Signature
 from sepkit.grobner import (
     VarTable,
@@ -71,13 +72,6 @@ class TestBuildBasis:
         generators of the initial ideal computed from toric weight classes."""
         assert basis_matches_ground_truth(sig)
 
-    def test_five_cycle_rule_selection(self):
-        """The literal union-min reading of the 5-cycle condition fails the
-        ground truth as soon as two-element first classes admit 5-cycles;
-        the class-min reading is the validated one."""
-        assert not basis_matches_ground_truth(Signature((2, 2, 1)), "union-min")
-        assert basis_matches_ground_truth(Signature((2, 2, 1)), "class-min")
-
 
 class TestVerification:
     @pytest.mark.parametrize("sig", signatures_with_total(2, 7), ids=str)
@@ -96,10 +90,21 @@ class TestVerification:
     def test_buchberger(self, parts):
         assert buchberger_verify(Signature(parts))
 
-    def test_buchberger_distinguishes_five_cycle_rule(self):
-        # (2,2,1) has 5-cycles through the smallest vertex of the second class
-        assert buchberger_verify(Signature((2, 2, 1)))
-        assert not buchberger_verify(Signature((2, 2, 1)), five_cycle_rule="union-min")
+    def test_referees_catch_a_missing_element(self, monkeypatch):
+        """Both referees reject the basis of 2,2,1 with one 5-cycle element
+        (kind 4) dropped, and accept the full one."""
+        sig = Signature((2, 2, 1))
+        assert buchberger_verify(sig) and basis_matches_ground_truth(sig)
+        real = grobner.build_basis
+
+        def drop_one_five_cycle(sig, vt=None):
+            basis = real(sig, vt)
+            basis.remove(next(e for e in basis if e.kind == "4"))
+            return basis
+
+        monkeypatch.setattr(grobner, "build_basis", drop_one_five_cycle)
+        assert not buchberger_verify(sig)
+        assert not basis_matches_ground_truth(sig)
 
     def test_buchberger_size_gate(self):
         with pytest.raises(SizeExceeded):

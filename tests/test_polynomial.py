@@ -1,5 +1,7 @@
 """Exact polynomial arithmetic and the Ehrhart-side conversions."""
 
+import gc
+import sys
 from fractions import Fraction
 
 import pytest
@@ -53,6 +55,23 @@ class TestPolyCore:
     def test_squarefree_part(self):
         p = Poly((1, 1)) ** 3 * Poly((3, 1))
         assert p.squarefree_part() == (Poly((1, 1)) * Poly((3, 1))).monic()
+
+    def test_operations_park_no_tuples(self):
+        """Results are not built through a throwaway `tuple(<generator>)`:
+        CPython grows such a tuple by resizing, so freeing it parks it on the
+        free list for its size until a full collection (about 4,000 blocks
+        here)."""
+        p = Poly((1, 2, 3, 4, 5, 6, 7))
+
+        def rounds(n):
+            for _ in range(n):
+                p + p, -p, p * 3, p / 3, p.derivative()
+
+        rounds(10)
+        gc.collect()  # a full collection empties the free lists
+        before = sys.getallocatedblocks()
+        rounds(3000)
+        assert sys.getallocatedblocks() - before < 500
 
     def test_immutability(self):
         p = Poly((1, 2))

@@ -21,7 +21,6 @@ from sepkit.roots import (
     sqrt_bounds,
     squarefree_decomposition,
     sturm_chain,
-    sturm_chain_primitive,
     sturm_count,
 )
 
@@ -62,17 +61,27 @@ class TestSturm:
         assert sturm_count(p, F(-2), F(1)) == 2
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_primitive_chain_agrees(self, seed):
+    def test_counts_known_roots(self, seed):
+        """Referee: polynomials built from distinct rational roots, times a
+        quadratic with no real root and a random rational scale, have
+        exactly the known number of roots in (lo, hi], with endpoints on the
+        roots, between them and at infinity."""
         rnd = random.Random(seed)
         for _ in range(8):
-            deg = rnd.randint(1, 10)
-            p = Poly([rnd.randint(-9, 9) for _ in range(deg)] + [rnd.randint(1, 9)])
-            p = p.squarefree_part()
-            if p.degree < 1:
-                continue
-            naive, prim = sturm_chain(p), sturm_chain_primitive(p)
-            for lo, hi in [(None, F(0)), (None, None), (F(-3), F(2)), (F(0), None), (F(-1), F(1))]:
-                assert sturm_count(p, lo, hi, naive) == sturm_count(p, lo, hi, prim)
+            known = sorted({F(rnd.randint(-40, 40), rnd.randint(1, 9)) for _ in range(rnd.randint(1, 8))})
+            p = Poly((rnd.randint(1, 9), rnd.randint(-2, 2), rnd.randint(3, 9)))  # b^2 < 4ac
+            for r in known:
+                p = p * Poly((-r, 1))
+            p = p * F(rnd.choice((-1, 1)) * rnd.randint(1, 50), rnd.randint(1, 50))
+            chain = sturm_chain(p)
+            assert all(c.denominator == 1 for q in chain for c in q.coeffs)
+            between = [known[0] - 1] + [(a + b) / 2 for a, b in zip(known, known[1:])] + [known[-1] + 1]
+            points = [None] + sorted(known + between) + [None]
+            for i, lo in enumerate(points[:-1]):
+                for hi in points[i + 1:]:
+                    want = sum(1 for r in known if (lo is None or lo < r) and (hi is None or r <= hi))
+                    assert sturm_count(p, lo, hi, chain) == want
+                    assert sturm_count(p, lo, hi) == want
 
     def test_isolation(self):
         p = Poly((-2, 1)) * Poly((1, 1)) * Poly((5, 1))  # roots 2, -1, -5
@@ -129,6 +138,31 @@ class TestIsCL:
         assert cert.on_cl
         assert [(r.exact, r.multiplicity) for r in cert.w_roots] == [(F(0), 1)]
 
+    def test_root_next_to_the_center(self):
+        # H(w) = w (w + 1/1000)^2; the bisection ends the isolating interval
+        # of w = -1/1000 at w = 0, the root of the factor w
+        h = Poly((0, 1)) * Poly((F(1, 1000), 1)) ** 2
+        e = h.compose(Poly((0, 0, 1))).compose(Poly((1, 2)))  # E(x) = H((2x + 1)^2)
+        cert = is_cl(e)
+        assert cert.on_cl
+        assert [(r.exact, r.multiplicity) for r in cert.w_roots] == [(F(-1, 1000), 2), (F(0), 1)]
+
+    def test_certificate_pinned(self):
+        assert is_cl(ehrhart_bipartite(5, 5)).as_dict() == {
+            "degree": 9,
+            "symmetric": True,
+            "on_cl": True,
+            "parity": 1,
+            "half_square": ["245283/1120", "121229/504", "11909/240", "157/56", "79/2016"],
+            "w_roots": [
+                {"lo": "-1971504675/41418752", "hi": "-61594365/1294336", "multiplicity": 1, "exact": None},
+                {"lo": "-21824775/1294336", "hi": "-697907805/41418752", "multiplicity": 1, "exact": None},
+                {"lo": "-122703735/20709376", "hi": "-244922475/41418752", "multiplicity": 1, "exact": None},
+                {"lo": "-48984495/41418752", "hi": "-12124875/10354688", "multiplicity": 1, "exact": None},
+            ],
+            "reason": "",
+        }
+
     def test_serialization_round_trips(self):
         cert = is_cl(ehrhart_bipartite(2, 3))
         blob = json.dumps(cert.as_dict())
@@ -156,6 +190,35 @@ class TestInterlacing:
     def test_non_cl_gate(self):
         with pytest.raises(NotCL):
             interlaces_on_cl(Poly((-2, 1, 1)), cross_polynomial(3))
+
+    def test_asymmetric_gate(self):
+        with pytest.raises(NotCL):
+            interlaces_on_cl(Poly((1, 1)), Poly((1, 2, 2)))
+        with pytest.raises(NotCL):
+            interlaces_on_cl(Poly((1, 2)), Poly((1, 2, 3)))
+
+    def test_certificate_pinned(self):
+        def neg(w_lo, w_hi, in_f, in_g):
+            return {"position": "negative-imaginary", "w_lo": w_lo, "w_hi": w_hi, "in_f": in_f, "in_g": in_g}
+
+        brackets = [
+            ("-8099/160", "-24297/640", 1, 0),
+            ("-475/14", "-475/28", 0, 1),
+            ("-8099/640", "-24297/2560", 1, 0),
+            ("-475/56", "-1425/224", 0, 1),
+            ("-8099/1280", "-8099/2560", 1, 0),
+            ("-475/224", "-475/448", 0, 1),
+            ("-8099/10240", "0", 1, 0),
+        ]
+        below = [neg(*b) for b in brackets]
+        above = [dict(entry, position="positive-imaginary") for entry in reversed(below)]
+        center = {"position": "center", "in_f": 0, "in_g": 1}
+        assert interlaces_on_cl(ehrhart_bipartite(4, 4), ehrhart_bipartite(4, 5)).as_dict() == {
+            "interlaces": True,
+            "shared_factor": ["1"],
+            "order": below + [center] + above,
+            "reason": "",
+        }
 
     def test_non_interlacing_pair(self):
         # f's extreme roots must bracket g's; here they nest instead:
@@ -207,10 +270,27 @@ class TestInvariantChecks:
         with pytest.raises(RootCheckFailed, match="no split point"):
             isolate_real_roots(p)
 
+    def test_bisection_split_point(self):
+        # roots at every candidate split point of (0, 1)
+        p = Poly.one()
+        for k in (2, 3, 5, 7, 11, 13):
+            p = p * Poly((-F(1, k), 1))
+        iso = roots.Isolation(p, F(0), F(1), sturm_chain(p))
+        with pytest.raises(RootCheckFailed, match="no split point"):
+            iso.bisect()
+
+    def test_factor_lookup(self):
+        decomp = squarefree_decomposition(Poly((2, 1)) * Poly((3, 1)) ** 2)  # roots -2, -3
+        factors = roots._factor_chains(decomp)
+        lookup = [roots._factor_at(factors, iso) for iso in isolate_real_roots(Poly((6, 5, 1)))]
+        assert lookup == [(2, F(-3)), (1, F(-2))]
+        with pytest.raises(RootCheckFailed, match="missing from the decomposition"):
+            roots._factor_at(factors, roots.Isolation(Poly((1, 1)), F(-3, 2), F(-1, 2), sturm_chain(Poly((1, 1)))))
+
     def test_interlace_root_count(self, monkeypatch):
         g, f = ehrhart_bipartite(1, 4), ehrhart_bipartite(1, 5)
         assert interlaces_on_cl(g, f).interlaces
-        monkeypatch.setattr(roots, "_mult_of_root_at", lambda decomp, lo, hi: 0)
+        monkeypatch.setattr(roots, "_factor_at", lambda factors, iso: (0, None))
         with pytest.raises(RootCheckFailed, match="root count mismatch"):
             interlaces_on_cl(g, f)
 
