@@ -33,6 +33,36 @@ BUCHBERGER_SIGNATURES = [
 ]
 
 
+def union_min_build_basis(sig, vt=None):
+    """`build_basis` with the literal union-min reading of the 5-cycle rule:
+    the middle vertex b is vertex 1, so a and c lie in the second class."""
+    vt = vt or VarTable(sig)
+    table = sig.class_table()
+    verts = list(sig.vertices())
+    basis = [e for e in build_basis(sig, vt) if e.kind != "4"]
+    b = 1
+    for a in verts:
+        if table[a] != 1:
+            continue
+        for c in verts:
+            if c == a or table[c] != 1:
+                continue
+            for d in verts:
+                if d in (a, b, c) or table[d] == table[c]:
+                    continue
+                for e in verts:
+                    if e in (a, b, c, d) or table[e] in (table[d], table[a]):
+                        continue
+                    if grobner._crossing_is_lead(vt, (a, b), (d, e)):
+                        continue
+                    if grobner._crossing_is_lead(vt, (b, c), (d, e)):
+                        continue
+                    lead = tuple(sorted((vt.var(a, b), vt.var(b, c), vt.var(d, e))))
+                    tail = tuple(sorted((grobner.Z, vt.var(d, c), vt.var(a, e))))
+                    basis.append(grobner.GBElement("4", lead, tail))
+    return basis
+
+
 class TestMonomials:
     def test_ops(self):
         assert mono_mul((1, 3), (2,)) == (1, 2, 3)
@@ -72,6 +102,15 @@ class TestBuildBasis:
         generators of the initial ideal computed from toric weight classes."""
         assert basis_matches_ground_truth(sig)
 
+    def test_five_cycle_rule_selection(self, monkeypatch):
+        """The literal union-min reading of the 5-cycle condition fails the
+        ground truth as soon as two-element first classes admit 5-cycles;
+        the class-min reading that `build_basis` uses is the validated one."""
+        sig = Signature((2, 2, 1))
+        assert basis_matches_ground_truth(sig)
+        monkeypatch.setattr(grobner, "build_basis", union_min_build_basis)
+        assert not basis_matches_ground_truth(sig)
+
 
 class TestVerification:
     @pytest.mark.parametrize("sig", signatures_with_total(2, 7), ids=str)
@@ -89,6 +128,13 @@ class TestVerification:
     @pytest.mark.parametrize("parts", BUCHBERGER_SIGNATURES, ids=str)
     def test_buchberger(self, parts):
         assert buchberger_verify(Signature(parts))
+
+    def test_buchberger_distinguishes_five_cycle_rule(self, monkeypatch):
+        # (2,2,1) has 5-cycles through the smallest vertex of the second class
+        sig = Signature((2, 2, 1))
+        assert buchberger_verify(sig)
+        monkeypatch.setattr(grobner, "build_basis", union_min_build_basis)
+        assert not buchberger_verify(sig)
 
     def test_referees_catch_a_missing_element(self, monkeypatch):
         """Both referees reject the basis of 2,2,1 with one 5-cycle element
