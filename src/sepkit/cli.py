@@ -141,9 +141,11 @@ def cmd_hstar(args) -> int:
 
 
 def _ehrhart_of_signature(sig: Signature, bound: int) -> Poly:
+    """E from the closed form, and otherwise from the counting oracle, the
+    method with the largest size bound."""
     h = closed_form_hstar(sig)
     if h is None:
-        h = hstar_triangulation(sig, max_total=bound)
+        h = hstar_oracle(sig, max_total=bound)
     return ehrhart_from_hstar(h)
 
 
@@ -153,16 +155,17 @@ def cmd_roots(args) -> int:
     e = _ehrhart_of_signature(sig, args.bound)
     cert = is_cl(e)
     if args.format == "csv":
+        # one line per root of E: m lines for each root of the pair
+        # -1/2 +- i s whose w-root has multiplicity m, and 2 z + parity lines
+        # for the center, where z is the multiplicity of w = 0 in H
         print("re,im_interval_lo,im_interval_hi")
-        rows = []
+        center = Fraction(0), Fraction(0)
+        rows = [center] * cert.parity
         for r in cert.w_roots:
             if r.exact == 0:
-                rows.append((Fraction(0), Fraction(0)))
-                continue
-            lo, hi = imaginary_bounds(r.lo, r.hi)
-            rows.append((lo, hi))
-        if cert.parity:
-            rows.append((Fraction(0), Fraction(0)))
+                rows += [center] * (2 * r.multiplicity)
+            else:
+                rows += [imaginary_bounds(r.lo, r.hi)] * r.multiplicity
         for lo, hi in sorted(rows):
             if lo == hi == 0:
                 print("-1/2,0,0")

@@ -23,12 +23,11 @@ every signature with at most 6 vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 from typing import Optional
 
 from .graphs import Signature, enumerate_facet_labelings
-from .polynomial import Poly, HStar, hstar_from_ehrhart
+from .polynomial import Poly, HStar, _div_linear, _poly_over, _times_linear, hstar_from_ehrhart
 from . import _countpure
 
 DEFAULT_MAX_TOTAL = 24
@@ -126,20 +125,20 @@ class InterpolationGuardFailed(ArithmeticError):
 
 
 def _lagrange(points: list[tuple[int, int]]) -> Poly:
-    """Exact Lagrange interpolation through integer points."""
-    total = Poly.zero()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        term = Poly.one()
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            term = term * Poly((-xj, 1))
-            denom *= xi - xj
-        total = total + term * (Fraction(yi) / denom)
-    return total
+    """Exact Lagrange interpolation through integer points, on integers:
+    with W = prod_j (x - x_j) and D_i = prod_(j != i) (x_i - x_j), the sum
+    of y_i (L / D_i) W / (x - x_i) over L = lcm |D_i|, divided once by L."""
+    w = [1]
+    for xj, _ in points:
+        w = _times_linear(w, -xj)
+    denoms = [prod(xi - xj for j, (xj, _) in enumerate(points) if j != i) for i, (xi, _) in enumerate(points)]
+    den = lcm(*denoms)
+    total = [0] * len(points)
+    for (xi, yi), di in zip(points, denoms):
+        if yi:
+            scale = yi * (den // di)
+            total = [t + scale * c for t, c in zip(total, _div_linear(w, -xi))]
+    return _poly_over(total, den)
 
 
 def ehrhart_interpolate(sig: Signature, max_total: Optional[int] = None) -> Poly:

@@ -126,20 +126,6 @@ class FacetLabeling:
     def __getitem__(self, v: int) -> int:
         return self.values[v - 1]
 
-    def tight_directed_edges(self, sig: Signature) -> list[DirectedEdge]:
-        """Directed edges (u, v) whose polytope vertex lies on this facet.
-
-        Directed edge (u, v) carries the lattice point e_v - e_u, so it is
-        tight exactly when lambda(v) = lambda(u) + 1.
-        """
-        out = []
-        for u, w in edge_order(sig):
-            if self[w] == self[u] + 1:
-                out.append(DirectedEdge(u, w))
-            elif self[u] == self[w] + 1:
-                out.append(DirectedEdge(w, u))
-        return out
-
 
 class FacetType(Enum):
     TYPE_I = "i"

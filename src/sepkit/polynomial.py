@@ -1,10 +1,14 @@
 """Dense univariate polynomials over the rationals, and the Ehrhart-side
 conversions built on them.
 
-Everything here is exact: coefficients are `fractions.Fraction`, there is no
-floating point anywhere, and all operations are pure.  Degrees in this
-project stay well below 60, so a dense coefficient vector is the right
-representation.
+Everything here is exact and there is no floating point anywhere.  A `Poly`
+holds `fractions.Fraction` coefficients, but its products, divisions and
+gcds, and the Ehrhart-side conversions, run on lists of Python ints scaled
+by one common denominator: d! E has integer coefficients, so E is built as
+an integer vector and divided once at the end.  The roots layer shares the
+integer primitive remainder sequence kept here.  Degrees run to about 100
+(the Ehrhart polynomial of K_{50,50} has degree 99), and the coefficient
+vectors are dense.
 
 The domain-specific operations:
 
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, gcd, lcm
 from typing import Iterable
 
 
@@ -43,7 +47,7 @@ class RecombinationFailed(ArithmeticError):
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class Poly:
@@ -146,14 +150,9 @@ class Poly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Poly(out)
+        a, da = _numerators(self)
+        b, db = _numerators(other)
+        return _poly_over(_int_mul(a, b), da * db)
 
     __rmul__ = __mul__
 
@@ -173,22 +172,17 @@ class Poly:
         return result
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial division with remainder over the rationals."""
+        """Exact polynomial division with remainder over the rationals, by
+        pseudo-division of the integer numerators."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
+        if self.degree < other.degree:
             return Poly.zero(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(quot), Poly(rem)
+        a, da = _numerators(self)
+        b, db = _numerators(other)
+        q, r, scale = _pseudo_divmod(a, b)
+        # scale * a = q * b + r, so self = (q db / (scale da)) other + r / (scale da)
+        return _poly_over([c * db for c in q], scale * da), _poly_over(r, scale * da)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
@@ -213,20 +207,14 @@ class Poly:
 
     # -- number-theoretic helpers -----------------------------------------
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
         return self / self.coeffs[-1]
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd via the Euclidean algorithm over Q."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """Monic gcd, by the integer primitive remainder sequence."""
+        return _poly_over(_int_gcd(_numerators(self)[0], _numerators(other)[0]), 1).monic()
 
     def squarefree_part(self) -> "Poly":
         if self.degree <= 0:
@@ -242,21 +230,158 @@ ONE_MINUS_T = Poly((1, -1))
 TWO_X_PLUS_1 = Poly((1, 2))
 
 
+# ---------------------------------------------------------------------------
+# Integer vectors
+# ---------------------------------------------------------------------------
+#
+# An integer vector is a list of ints, constant term first, whose last entry
+# is nonzero; [] is the zero polynomial.  `_numerators` and `_poly_over`
+# convert between a Poly and an integer vector over one common denominator.
+
+
+def _numerators(p: Poly) -> tuple[list[int], int]:
+    """(a, den) with p = a / den, den > 0 the lcm of p's denominators."""
+    den = lcm(*[c.denominator for c in p.coeffs])
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+
+
+def _poly_over(a: list[int], den: int) -> Poly:
+    """The Poly a / den."""
+    if den == 1:
+        return Poly(a)
+    return Poly(Fraction(c, den) for c in a)
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_eval(a: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _times_linear(a: list[int], c: int) -> list[int]:
+    """(x + c) a."""
+    return [c * a[0]] + [a[i - 1] + c * a[i] for i in range(1, len(a))] + [a[-1]]
+
+
+def _div_linear(a: list[int], c: int) -> list[int]:
+    """a / (x + c), for a divisible by x + c (synthetic division)."""
+    q = [0] * (len(a) - 1)
+    carry = 0
+    for k in range(len(a) - 1, 0, -1):
+        carry = a[k] - c * carry
+        q[k - 1] = carry
+    return q
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, a positive integer, so every sign stays."""
+    g = gcd(*a)
+    return [x // g for x in a] if g > 1 else a
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, scale) with scale * a = q * b + r and deg r < deg b, where
+    scale = |lead(b)|^(deg a - deg b + 1) > 0; needs deg a >= deg b."""
+    lead, n = b[-1], len(b) - 1
+    dq = len(a) - len(b)
+    q, r = [0] * (dq + 1), list(a)
+    for k in range(dq, -1, -1):
+        # lead^s a = q b + r  becomes  lead^(s+1) a = (lead q + c x^k) b + (lead r - c x^k b)
+        c = r[k + n]
+        if lead != 1:
+            q = [lead * x for x in q]
+            r = [lead * x for x in r[: k + n]]
+        else:
+            r = r[: k + n]
+        q[k] = c
+        if c:
+            for j in range(n):
+                r[k + j] -= c * b[j]
+    while r and not r[-1]:
+        r.pop()
+    if lead < 0 and dq % 2 == 0:
+        q, r = [-x for x in q], [-x for x in r]
+    return q, r, abs(lead) ** (dq + 1)
+
+
+def _exact_quo(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer vectors with an integer quotient, such as a
+    primitive a and a primitive divisor b of it (Gauss's lemma)."""
+    q, r, scale = _pseudo_divmod(a, b)
+    if r or any(c % scale for c in q):
+        raise ArithmeticError(f"{b} does not divide {a} over the integers")
+    return [c // scale for c in q]
+
+
+def _sturm_prs(a: list[int], b: list[int]) -> list[list[int]]:
+    """The primitive remainder sequence of a and b (Collins, 1967) with
+    Sturm signs: a and b made primitive, then the primitive part of minus
+    the pseudo-remainder of the last two members, until that vanishes.
+    Each member is a positive multiple of the corresponding member of the
+    rational sequence a, b, -rem(a, b), ..., and the last one is gcd(a, b)
+    up to a constant.  Needs deg a >= deg b."""
+    seq = [_primitive(a)]
+    if b:
+        seq.append(_primitive(b))
+    while len(seq) > 1 and len(seq[-1]) > 1:
+        r = _pseudo_divmod(seq[-2], seq[-1])[1]
+        if not r:
+            break
+        seq.append(_primitive([-x for x in r]))
+    return seq
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd(a, b) up to a constant; [] when both vanish."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _sturm_prs(a, b)[-1] if a else []
+
+
+# ---------------------------------------------------------------------------
+# Binomial basis
+# ---------------------------------------------------------------------------
+
+
+def _falling(shift: int, d: int) -> list[int]:
+    """d! binom(x + shift, d) = (x + shift)(x + shift - 1)...(x + shift - d + 1)."""
+    a = [1]
+    for t in range(d):
+        a = _times_linear(a, shift - t)
+    return a
+
+
 def binom_poly(shift: int, d: int) -> Poly:
     """binom(x + shift, d) as a polynomial in x, expanded exactly."""
     if d < 0:
         raise ValueError("binomial order must be nonnegative")
-    p = Poly.one()
-    for t in range(d):
-        p = p * Poly((shift - t, 1))
-    return p / Fraction(_factorial(d))
+    return _poly_over(_falling(shift, d), factorial(d))
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+def _ehrhart(h: list[int], d: int) -> Poly:
+    """sum_i h_i binom(x + d - i, d), built as the integer vector of d! E.
+
+    With P_i = d! binom(x + d - i, d) = (x + d - i)...(x - i + 1), each next
+    P_(i+1) = P_i (x - i) / (x + d - i) takes one multiplication and one
+    synthetic division by a linear factor."""
+    total = [0] * (d + 1)
+    p = _falling(d, d)
+    for i, hi in enumerate(h):
+        if hi:
+            total = [t + hi * c for t, c in zip(total, p)]
+        if i < len(h) - 1:
+            p = _div_linear(_times_linear(p, -i), d - i)
+    return _poly_over(total, factorial(d))
 
 
 @dataclass(frozen=True)
@@ -298,13 +423,19 @@ class HStar:
 
 def ehrhart_from_hstar(h: HStar) -> Poly:
     """Expand E(x) = sum_i h_i * binom(d + x - i, d) exactly."""
-    d = h.dim
-    total = Poly.zero()
-    for i in range(d + 1):
-        hi = h.poly[i]
-        if hi:
-            total = total + hi * binom_poly(d - i, d)
-    return total
+    return _ehrhart([c.numerator for c in h.poly.coeffs], h.dim)
+
+
+def _values(e: Poly, d: int) -> tuple[list[int], int]:
+    """(v, den) with E(k) = v[k] / den for k = 0..d."""
+    a, den = _numerators(e)
+    return [_int_eval(a, k) for k in range(d + 1)], den
+
+
+def _series(values: list[int], d: int, den: int) -> Poly:
+    """(1-t)^(d+1) sum_k values[k] t^k / den, truncated to degree d."""
+    alternating = [(-1) ** j * comb(d + 1, j) for j in range(d + 1)]
+    return _poly_over(_int_mul(values, alternating)[: d + 1], den)
 
 
 def series_numerator(e: Poly, d: int) -> Poly:
@@ -316,14 +447,8 @@ def series_numerator(e: Poly, d: int) -> Poly:
     """
     if e.degree > d:
         raise ValueError(f"degree {e.degree} exceeds stated dimension {d}")
-    values = [e(k) for k in range(d + 1)]
-    coeffs = []
-    for m in range(d + 1):
-        acc = Fraction(0)
-        for j in range(m + 1):
-            acc += (-1) ** j * comb(d + 1, j) * values[m - j]
-        coeffs.append(acc)
-    return Poly(coeffs)
+    values, den = _values(e, d)
+    return _series(values, d, den)
 
 
 def hstar_from_ehrhart(e: Poly, d: int) -> HStar:
@@ -334,10 +459,11 @@ def hstar_from_ehrhart(e: Poly, d: int) -> HStar:
     """
     if e.degree != d:
         raise ValueError(f"expected degree {d}, got {e.degree}")
-    for k in range(d + 1):
-        if e(k).denominator != 1:
-            raise NonIntegerCount(f"E({k}) = {e(k)} is not an integer")
-    h = series_numerator(e, d)
+    values, den = _values(e, d)
+    for k, v in enumerate(values):
+        if v % den:
+            raise NonIntegerCount(f"E({k}) = {Fraction(v, den)} is not an integer")
+    h = _series(values, d, den)
     for i in range(d + 1):
         if h[i] < 0:
             raise NegativeHStar(f"h*_{i} = {h[i]} < 0")
@@ -353,8 +479,24 @@ def is_symmetric_about_cl(e: Poly) -> bool:
     """
     if e.is_zero():
         return True
-    reflected = e.compose(Poly((-1, -1)))
-    return reflected == (-1) ** e.degree * e
+    f, _ = _centered(e)
+    return not any(f[1 - (e.degree & 1) :: 2])
+
+
+def _centered(e: Poly) -> tuple[list[int], int]:
+    """(f, den) with 2^d E((u-1)/2) = f(u) / den, d = deg E, for nonzero E.
+
+    The substitution u = 2x + 1 centers the canonical line at u = 0, where
+    the symmetry equation says F(-u) = (-1)^d F(u).  With den E = sum a_i x^i,
+    den F(u) = sum a_i 2^(d-i) (u-1)^i, an integer Taylor shift by -1.
+    """
+    a, den = _numerators(e)
+    d = len(a) - 1
+    f = [c << (d - i) for i, c in enumerate(a)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            f[j] -= f[j + 1]
+    return f, den
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +542,7 @@ def cross_polynomial(n: int) -> Poly:
     C_n(x) = sum_k binom(n,k) binom(n + x - k, n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = Poly.zero()
-    for k in range(n + 1):
-        total = total + comb(n, k) * binom_poly(n - k, n)
-    return total
+    return _ehrhart([comb(n, k) for k in range(n + 1)], n)
 
 
 def cross_coefficients(e: Poly, d: int) -> Poly:

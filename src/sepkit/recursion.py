@@ -71,9 +71,6 @@ class RecursionSolution:
     def coefficients(self) -> list[Fraction]:
         return [self.alpha] + list(self.alphas)
 
-    def all_nonnegative(self) -> bool:
-        return self.status == "unique" and all(c >= 0 for c in self.coefficients)
-
     def as_dict(self) -> dict:
         return {
             "status": self.status,

@@ -8,12 +8,19 @@ for a polynomial H of degree floor(d/2).  The roots of E lie on the
 canonical line exactly when every root of H is real and nonpositive, which
 Sturm counting certifies without any floating point.
 
-There is one Sturm chain, over the integers: every member is scaled to its
-primitive integer part, which keeps its signs.  Signs at a rational point
-a/b are signs of integers, b^deg q(a/b) by homogeneous Horner, and the
+The path from E to the certificate runs on integers.  F comes from an
+integer Taylor shift of E's numerators, and E is symmetric exactly when F
+is even or odd.  The Sturm chain of H is the integer primitive remainder
+sequence of H and H' (Collins, 1967): every member is a primitive integer
+polynomial with the signs of the rational chain's, and its last member is
+gcd(H, H').  So one sequence per polynomial tells whether H is squarefree
+and, when it is, is the chain every count and isolation of that
+polynomial reads; the squarefree decomposition otherwise and the shared
+factor of an interlacing use integer gcds.  Signs at a rational point a/b
+are signs of integers, b^deg q(a/b) by homogeneous Horner, and the
 exact-zero tests of the isolation evaluate the chain's first member the
-same way.  Each polynomial's transform, squarefree decomposition and
-verdict are computed once per certificate, and each factor's chain once.
+same way.  Fractions appear only in what a certificate reports: H, the
+brackets and the monic factors.
 
 Roots on the line are ordered by imaginary part.  A root of E at
 -1/2 + i s corresponds to w = u^2 = -4 s^2, so comparisons of imaginary
@@ -26,10 +33,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt
 from typing import NamedTuple, Optional
 
-from .polynomial import Poly, fraction_str, is_symmetric_about_cl
+from .polynomial import (
+    Poly,
+    _centered,
+    _exact_quo,
+    _int_gcd,
+    _numerators,
+    _primitive,
+    _sturm_prs,
+    fraction_str,
+)
 
 
 class NotSymmetric(ValueError):
@@ -58,21 +74,25 @@ class CLTransform:
         return self.source.degree
 
 
+def _even_or_odd(f: list[int]) -> bool:
+    """F(-u) = F(u) or F(-u) = -F(u)."""
+    return not any(f[0::2]) or not any(f[1::2])
+
+
 def cl_transform(e: Poly) -> CLTransform:
-    """Compute F(u) = 2^d E((u-1)/2), strip u^parity, decompress u^2 -> w."""
+    """Compute F(u) = 2^d E((u-1)/2) on integers, test the symmetry on its
+    parity, strip u^parity and decompress u^2 -> w."""
     if e.is_zero():
         raise ValueError("zero polynomial")
-    if not is_symmetric_about_cl(e):
+    f, den = _centered(e)
+    if not _even_or_odd(f):
         raise NotSymmetric(f"{e} fails (-1)^d E(x) = E(-1-x)")
     d = e.degree
-    f = Fraction(2) ** d * e.compose(Poly((Fraction(-1, 2), Fraction(1, 2))))
     parity = d & 1
-    coeffs = list(f.coeffs)
-    # F is u^parity times an even polynomial; the symmetry guarantees the
-    # complementary coefficients vanish.
-    if any(coeffs[i] for i in range(1 - parity, len(coeffs), 2)):
+    # F has degree d, so an even or odd F is u^parity times an even polynomial
+    if any(f[1 - parity :: 2]):
         raise RootCheckFailed(f"2^d E((u-1)/2) of {e} is not u^{parity} times an even polynomial")
-    h = Poly(coeffs[parity::2])
+    h = Poly([Fraction(c, den) for c in f[parity::2]])
     if h.degree != d // 2:
         raise RootCheckFailed(f"H has degree {h.degree}, expected {d // 2}")
     return CLTransform(e, parity, h)
@@ -83,28 +103,18 @@ def cl_transform(e: Poly) -> CLTransform:
 # ---------------------------------------------------------------------------
 
 
-def _primitive_int(p: Poly) -> Poly:
-    """Scale a rational polynomial by a positive constant to a primitive
-    integer polynomial (content 1, same sign pattern)."""
-    if p.is_zero():
-        return p
-    denom = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * denom) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return Poly([v // g for v in ints])
+def _ints(p: Poly) -> list[int]:
+    """The primitive integer vector of p: p times a positive constant."""
+    return _primitive(_numerators(p)[0])
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain p, p', -rem(...), ... of squarefree p over the integers:
-    each member is replaced by its primitive part.  A positive scale keeps
-    every sign, so the variation counts are those of the rational chain."""
-    chain = [_primitive_int(p), _primitive_int(p.derivative())]
-    while not chain[-1].is_zero():
-        chain.append(_primitive_int(-(chain[-2] % chain[-1])))
-    chain.pop()
-    return chain
+    """Sturm chain p, p', -rem(...), ... of p over the integers, as the
+    primitive remainder sequence of p and p'.  A positive scale keeps every
+    sign, so the variation counts are those of the rational chain; for p
+    with repeated roots the chain ends in gcd(p, p') up to a constant."""
+    a = _ints(p)
+    return [Poly(q) for q in _sturm_prs(a, [i * c for i, c in enumerate(a)][1:])]
 
 
 def _sign_at(q: Poly, x: Fraction) -> int:
@@ -208,12 +218,12 @@ class Isolation:
         return self.hi - self.lo
 
 
-def isolate_real_roots(p: Poly) -> list[Isolation]:
+def isolate_real_roots(p: Poly, chain: Optional[list[Poly]] = None) -> list[Isolation]:
     """Disjoint isolating intervals for all real roots of squarefree p,
-    sorted left to right."""
+    sorted left to right; `chain`, when given, is `sturm_chain(p)`."""
     if p.degree <= 0:
         return []
-    chain = sturm_chain(p)
+    chain = chain or sturm_chain(p)
     bound = cauchy_bound(p)
     lo, hi = -bound, bound
     while _sign_at(chain[0], lo) == 0:
@@ -252,18 +262,27 @@ def refine_pairwise_disjoint(isos: list[Isolation]) -> None:
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """[(f_i, i)] with p = c * prod f_i^i, the f_i squarefree and coprime."""
+    """[(f_i, i)] with p = c * prod f_i^i, the f_i squarefree, coprime and
+    monic."""
+    a = _ints(p)
+    return _decompose(a, _int_gcd(a, [i * c for i, c in enumerate(a)][1:]))
+
+
+def _decompose(a: list[int], g: list[int]) -> list[tuple[Poly, int]]:
+    """The squarefree decomposition of a primitive integer vector a, given
+    g = gcd(a, a') up to a constant.  Every quotient is exact and integral,
+    since the divisors are primitive (Gauss's lemma)."""
     out = []
     i = 1
-    g = p.gcd(p.derivative())
-    w = p.divmod(g)[0]  # product of distinct factors
-    while w.degree > 0:
-        y = w.gcd(g)
-        fi = w.divmod(y)[0]
-        if fi.degree > 0:
-            out.append((fi.monic(), i))
+    g = _primitive(g)
+    w = _exact_quo(a, g)  # product of distinct factors
+    while len(w) > 1:
+        y = _int_gcd(w, g)
+        fi = _exact_quo(w, y)
+        if len(fi) > 1:
+            out.append((Poly(fi).monic(), i))
         w = y
-        g = g.divmod(y)[0]
+        g = _exact_quo(g, y)
         i += 1
     return out
 
@@ -325,6 +344,7 @@ class _WData(NamedTuple):
     transform: CLTransform
     decomp: list[tuple[Poly, int]]  # squarefree decomposition of H
     squarefree: Poly  # the product of its factors
+    chain: list[Poly]  # sturm_chain(squarefree), up to sign
     in_range: int  # distinct roots of H in (-inf, 0]
 
     @property
@@ -334,28 +354,49 @@ class _WData(NamedTuple):
 
 def _w_data(e: Poly) -> Optional[_WData]:
     """The CL transform of E and what both certificates read off H, or None
-    when E lacks the symmetry equation."""
+    when E lacks the symmetry equation.
+
+    The chain of H ends in gcd(H, H').  When that is a constant, H is
+    squarefree: its decomposition is H alone, and the chain is that of the
+    squarefree part.  Otherwise the decomposition starts from that gcd, and
+    the squarefree part gets its own chain."""
     try:
         t = cl_transform(e)
     except NotSymmetric:
         return None
-    decomp = squarefree_decomposition(t.half_square)
-    s = Poly.one()
-    for f, _ in decomp:
-        s = s * f
-    return _WData(t, decomp, s, sturm_count(s, None, Fraction(0)))
+    h = t.half_square
+    chain = sturm_chain(h)
+    if chain[-1].degree > 0:
+        decomp = _decompose([c.numerator for c in chain[0].coeffs], [c.numerator for c in chain[-1].coeffs])
+        s = Poly.one()
+        for f, _ in decomp:
+            s = s * f
+        chain = sturm_chain(s)
+    elif h.degree > 0:
+        decomp = [(h.monic(), 1)]
+        s = decomp[0][0]
+    else:
+        decomp, s = [], Poly.one()
+    return _WData(t, decomp, s, chain, sturm_count(s, None, Fraction(0), chain))
 
 
-def _split_zero(s: Poly, decomp: list[tuple[Poly, int]]) -> tuple[Poly, int]:
-    """The squarefree part without its root w = 0 (the line's center), and
-    that root's multiplicity in H (0 when w = 0 is no root)."""
+def _split_zero(w: _WData) -> tuple[Poly, int, Optional[list[Poly]]]:
+    """The squarefree part without its root w = 0 (the line's center), that
+    root's multiplicity in H (0 when w = 0 is no root), and the chain of
+    the former when it is the squarefree part itself."""
+    s = w.squarefree
     if s[0] != 0:
-        return s, 0
-    return Poly(s.coeffs[1:]), next(m for f, m in decomp if f[0] == 0)
+        return s, 0, w.chain
+    return Poly(s.coeffs[1:]), next(m for f, m in w.decomp if f[0] == 0), None
 
 
-def _factor_chains(decomp: list[tuple[Poly, int]]) -> list[tuple[Poly, int, list[Poly]]]:
-    return [(f, m, sturm_chain(f)) for f, m in decomp]
+def _factor_chains(w: _WData) -> list[tuple[Poly, int, list[Poly]]]:
+    """The factors of the decomposition with their multiplicities and
+    chains; a single factor is the squarefree part, whose chain is known."""
+    if len(w.decomp) == 1:
+        f, m = w.decomp[0]
+        return [(f, m, w.chain)]
+    return [(f, m, sturm_chain(f)) for f, m in w.decomp]
 
 
 def _factor_at(factors: list[tuple[Poly, int, list[Poly]]], iso: Isolation) -> tuple[int, Optional[Fraction]]:
@@ -385,9 +426,9 @@ def is_cl(e: Poly) -> RootCertificate:
         )
     roots: list[WRoot] = []
     if w.on_cl:
-        s_neg, zero_mult = _split_zero(w.squarefree, w.decomp)
-        factors = _factor_chains(w.decomp)
-        isos = isolate_real_roots(s_neg)
+        s_neg, zero_mult, chain = _split_zero(w)
+        factors = _factor_chains(w)
+        isos = isolate_real_roots(s_neg, chain)
         refine_pairwise_disjoint(isos)
         for iso in isos:
             iso.refine_below(Fraction(0))
@@ -440,18 +481,20 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
     if wf is None or wg is None or not (wf.on_cl and wg.on_cl):
         raise NotCL("both polynomials must have all roots on the canonical line")
 
-    sf_neg, zf = _split_zero(wf.squarefree, wf.decomp)
-    sg_neg, zg = _split_zero(wg.squarefree, wg.decomp)
-    ff, fg = _factor_chains(wf.decomp), _factor_chains(wg.decomp)
+    sf_neg, zf, cf = _split_zero(wf)
+    sg_neg, zg, cg = _split_zero(wg)
+    ff, fg = _factor_chains(wf), _factor_chains(wg)
 
     shared = sf_neg.gcd(sg_neg)
-    f_only = sf_neg.divmod(shared)[0] if shared.degree > 0 else sf_neg
-    g_only = sg_neg.divmod(shared)[0] if shared.degree > 0 else sg_neg
+    if shared.degree > 0:
+        parts = [("shared", shared, None), ("f", sf_neg.divmod(shared)[0], None), ("g", sg_neg.divmod(shared)[0], None)]
+    else:
+        parts = [("f", sf_neg, cf), ("g", sg_neg, cg)]
 
     isos: list[tuple[str, Isolation]] = []
-    for tag, poly in (("shared", shared), ("f", f_only), ("g", g_only)):
+    for tag, poly, chain in parts:
         if poly.degree > 0:
-            for iso in isolate_real_roots(poly):
+            for iso in isolate_real_roots(poly, chain):
                 isos.append((tag, iso))
     refine_pairwise_disjoint([iso for _, iso in isos])
     for _, iso in isos:

@@ -1,14 +1,16 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from sepkit.cli import EXIT_BOUND, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from sepkit.formulas import IdentityFailed
-from sepkit.polynomial import NegativeHStar, NonIntegerCount, RecombinationFailed
+from sepkit.polynomial import NegativeHStar, NonIntegerCount, Poly, RecombinationFailed, fraction_str
 from sepkit.recursion import ExactSolveFailed
 from sepkit.roots import RootCheckFailed
+from sepkit.triangulation import hstar_triangulation
 
 
 def run(capsys, *argv):
@@ -125,6 +127,46 @@ class TestRootsAndInterlace:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "re,im_interval_lo,im_interval_hi"
         assert all(line.startswith("-1/2,") for line in out.splitlines()[1:])
+
+    def test_roots_csv_one_line_per_root(self, capsys, monkeypatch):
+        # E = (2x+1)^2: the center is a double root
+        monkeypatch.setattr("sepkit.cli._ehrhart_of_signature", lambda sig, bound: Poly((1, 4, 4)))
+        code, out = run(capsys, "roots", "--signature", "2,2", "--format", "csv")
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == ["-1/2,0,0"] * 2
+        # E = (2x+1) ((2x+1)^2 + 4)^2: a simple center and a double pair -1/2 +- i
+        e = Poly((1, 2)) * (Poly((1, 2)) ** 2 + 4) ** 2
+        monkeypatch.setattr("sepkit.cli._ehrhart_of_signature", lambda sig, bound: e)
+        code, out = run(capsys, "roots", "--signature", "2,2", "--format", "csv")
+        lines = out.splitlines()[1:]
+        assert code == EXIT_OK and len(lines) == e.degree == 5
+        assert lines[0] == "-1/2,0,0" and lines[1:3] == lines[3:5]
+        lo, hi = (Fraction(v) for v in lines[2].split(",")[1:])
+        assert lo <= 1 <= hi and lines[1] == f"-1/2,{fraction_str(-hi)},{fraction_str(-lo)}"
+
+    def test_roots_csv_line_count_is_degree(self, capsys):
+        code, out = run(capsys, "roots", "--signature", "3,4", "--format", "csv")
+        assert code == EXIT_OK and len(out.splitlines()) - 1 == 6
+
+    def test_roots_off_line_by_oracle(self, capsys):
+        # 12 vertices: past the triangulation's bound, within the oracle's
+        code, out = run(capsys, "roots", "--signature", "3,3,3,3")
+        cert = json.loads(out)["result"]["certificate"]
+        assert code == EXIT_VERIFICATION
+        assert cert["symmetric"] is True and cert["on_cl"] is False
+
+    def test_roots_on_line_by_oracle(self, capsys):
+        code, out = run(capsys, "roots", "--signature", "2,2,2,2,2")
+        assert code == EXIT_OK
+        assert json.loads(out)["result"]["certificate"]["on_cl"] is True
+
+    def test_roots_oracle_matches_triangulation(self, capsys, monkeypatch):
+        """Byte-identical to the output of the triangulation route."""
+        args = ["roots", "--signature", "1,1,2,2,2"]
+        _, by_oracle = run(capsys, *args)
+        monkeypatch.setattr("sepkit.cli.hstar_oracle", hstar_triangulation)
+        _, by_triangulation = run(capsys, *args)
+        assert by_oracle == by_triangulation
 
     def test_roots_verification_failure_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr("sepkit.roots._factor_chains", lambda decomp: [])

@@ -1,13 +1,16 @@
 """The counting oracle: transfer count, interpolation, h* extraction."""
 
+import random
 from math import comb
 
 import pytest
 
+import fraction_routes as fr
 from sepkit import _countpure
 from sepkit.counting import (
     DilationCount,
     SizeExceeded,
+    _lagrange,
     count_lattice_points,
     ehrhart_interpolate,
     enumerate_dilate_points,
@@ -78,6 +81,19 @@ class TestInterpolation:
         d = e.degree
         for k in range(1, d + 1):
             assert (-1) ** d * e(-k) == e(k - 1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lagrange_against_fraction_route(self, seed):
+        """Referee: the integer interpolation against the Fraction products
+        it replaced, on distinct integer nodes in any order, and on the
+        counts of the 24-vertex bound's largest degree."""
+        rnd = random.Random(seed)
+        for n in range(1, 12):
+            xs = rnd.sample(range(-15, 16), n)
+            points = [(x, rnd.randint(-10**6, 10**6)) for x in xs]
+            assert list(_lagrange(points).coeffs) == fr.lagrange(points)
+        points = [(k, (2 * k + 1) ** 23 + k) for k in range(24)]
+        assert list(_lagrange(points).coeffs) == fr.lagrange(points)
 
 
 class TestHStarOracle:

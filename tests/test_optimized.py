@@ -1,0 +1,44 @@
+"""The library's invariant checks hold without `assert`.
+
+``python -O`` strips every assert statement, so a check written as one
+would let its failure through.  This runs the injected-failure tests of
+the roots and polynomial layers again in a ``python -O`` subprocess."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+INJECTED = [
+    "tests/test_roots.py::TestInvariantChecks",
+    "tests/test_polynomial.py::TestHStarValidation",
+    "tests/test_polynomial.py::TestEhrhartConversion::test_non_integer_count_rejected",
+    "tests/test_polynomial.py::TestEhrhartConversion::test_negative_hstar_rejected",
+    "tests/test_polynomial.py::test_gamma_recombination_failure_raises",
+    "tests/test_polynomial.py::test_inexact_integer_division_raises",
+]
+
+# exits with pytest's code; pytest exits 4 on an unknown node id and 5 when
+# nothing ran
+RUNNER = """
+import sys
+import pytest
+if __debug__:
+    sys.exit("assert statements are still in force")
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
+"""
+
+
+def test_injected_failures_raise_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", RUNNER, *INJECTED],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,11 +1,15 @@
 """Exact polynomial arithmetic and the Ehrhart-side conversions."""
 
 import gc
+import random
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import fraction_routes as fr
+from sepkit.formulas import hstar_111n, hstar_1mn, hstar_22n, hstar_bipartite, hstar_tripartite
 from sepkit.polynomial import (
     HStar,
     NegativeHStar,
@@ -14,6 +18,7 @@ from sepkit.polynomial import (
     ONE_PLUS_T,
     Poly,
     TWO_X_PLUS_1,
+    binom_poly,
     cross_coefficients,
     cross_polynomial,
     cross_recombine,
@@ -244,3 +249,87 @@ def test_gamma_recombination_failure_raises(monkeypatch):
     monkeypatch.setattr(polynomial, "ONE_PLUS_T", Poly((1, 2)))
     with pytest.raises(polynomial.RecombinationFailed):
         polynomial.gamma_of_palindromic(Poly((1, 4, 1)), 2)
+
+
+# ---------------------------------------------------------------------------
+# Referees: the integer arithmetic against the Fraction routes it replaced
+# ---------------------------------------------------------------------------
+
+CLOSED_FORMS = [
+    ("bipartite", hstar_bipartite, (0, 4)),
+    ("bipartite", hstar_bipartite, (3, 9)),
+    ("bipartite", hstar_bipartite, (10, 10)),
+    ("bipartite", hstar_bipartite, (19, 20)),
+    ("1mn", hstar_1mn, (1, 7)),
+    ("1mn", hstar_1mn, (5, 15)),
+    ("1mn", hstar_1mn, (20, 20)),
+    ("111n", hstar_111n, (3,)),
+    ("111n", hstar_111n, (18,)),
+    ("111n", hstar_111n, (38,)),
+    ("22n", hstar_22n, (2,)),
+    ("22n", hstar_22n, (18,)),
+    ("22n", hstar_22n, (37,)),
+    ("tripartite", hstar_tripartite, (2, 3, 4)),
+    ("tripartite", hstar_tripartite, (3, 4, 6)),
+]
+
+
+def random_rational_poly(rnd, degree):
+    coeffs = [Fraction(rnd.randint(-30, 30), rnd.randint(1, 12)) for _ in range(degree)]
+    return Poly(coeffs + [Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 30), rnd.randint(1, 12))])
+
+
+class TestIntegerReferees:
+    @pytest.mark.parametrize("name,family,args", CLOSED_FORMS, ids=[f"{n}{a}" for n, _, a in CLOSED_FORMS])
+    def test_ehrhart_from_hstar(self, name, family, args):
+        h = family(*args)
+        assert h.dim <= 40
+        e = ehrhart_from_hstar(h)
+        assert list(e.coeffs) == fr.ehrhart(list(h.poly.coeffs), h.dim)
+        assert list(series_numerator(e, h.dim).coeffs) == fr.series_numerator(list(e.coeffs), h.dim)
+        assert hstar_from_ehrhart(e, h.dim) == h
+
+    def test_binom_poly_and_cross_polynomials(self):
+        for d in range(0, 12):
+            for shift in range(-3, d + 3):
+                assert list(binom_poly(shift, d).coeffs) == fr.strip(fr.binom(shift, d))
+            assert list(cross_polynomial(d).coeffs) == fr.ehrhart([Fraction(comb(d, k)) for k in range(d + 1)], d)
+
+    def test_series_numerator_of_rational_input(self):
+        rnd = random.Random(3)
+        for degree in range(0, 9):
+            e = random_rational_poly(rnd, degree)
+            for d in (degree, degree + 2):
+                assert list(series_numerator(e, d).coeffs) == fr.series_numerator(list(e.coeffs), d)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ring_operations(self, seed):
+        rnd = random.Random(seed)
+        for _ in range(25):
+            a = random_rational_poly(rnd, rnd.randint(0, 9))
+            b = random_rational_poly(rnd, rnd.randint(0, 6))
+            c = random_rational_poly(rnd, rnd.randint(1, 4))
+            assert list((a * b).coeffs) == fr.mul(list(a.coeffs), list(b.coeffs))
+            q, r = a.divmod(b)
+            assert (list(q.coeffs), list(r.coeffs)) == fr.divmod_(list(a.coeffs), list(b.coeffs))
+            # a common factor c, so the gcd is not always 1
+            ac, bc = a * c, b * c
+            assert list(ac.gcd(bc).coeffs) == fr.gcd_(list(ac.coeffs), list(bc.coeffs))
+            assert list(a.gcd(Poly.zero()).coeffs) == fr.monic(list(a.coeffs))
+
+    def test_symmetry_against_reflection(self):
+        rnd = random.Random(5)
+        symmetric = [ehrhart_from_hstar(family(*args)) for _, family, args in CLOSED_FORMS[:6]]
+        for e in symmetric + [random_rational_poly(rnd, k) for k in range(6)] + [Poly((1, 4, 4)), Poly((7,))]:
+            assert is_symmetric_about_cl(e) == fr.is_symmetric(list(e.coeffs))
+        assert all(is_symmetric_about_cl(e) for e in symmetric)
+
+
+def test_inexact_integer_division_raises():
+    from sepkit.polynomial import _exact_quo
+
+    assert _exact_quo([-1, 0, 1], [1, 1]) == [-1, 1]
+    with pytest.raises(ArithmeticError):
+        _exact_quo([1, 0, 1], [1, 1])  # x^2 + 1 = (x + 1)(x - 1) + 2
+    with pytest.raises(ArithmeticError):
+        _exact_quo([1, 0, 2], [1, 3])  # 3 does not divide the leading 2

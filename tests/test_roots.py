@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from sepkit.formulas import ehrhart_1mn, ehrhart_bipartite
+import fraction_routes as fr
+from sepkit.formulas import ehrhart_111n, ehrhart_1mn, ehrhart_22n, ehrhart_bipartite
 from sepkit.polynomial import HStar, Poly, cross_polynomial, ehrhart_from_hstar
 import sepkit.roots as roots
 from sepkit.roots import (
@@ -102,6 +103,69 @@ class TestSturm:
         }
 
 
+def random_rational(rnd):
+    return F(rnd.randint(-40, 40), rnd.randint(1, 9))
+
+
+def random_polys(seed):
+    """Products of rational linear factors, some repeated, times a quadratic
+    with no real root and a random rational scale, or plain random
+    rational polynomials."""
+    rnd = random.Random(seed)
+    for _ in range(10):
+        p = Poly((rnd.randint(1, 9), rnd.randint(-2, 2), rnd.randint(3, 9)))
+        for _ in range(rnd.randint(1, 6)):
+            p = p * Poly((-random_rational(rnd), 1)) ** rnd.choice((1, 1, 2, 3))
+        yield p * random_rational(rnd) if rnd.random() < 0.9 else p
+        yield Poly([random_rational(rnd) for _ in range(rnd.randint(2, 9))] + [F(rnd.randint(1, 9))])
+
+
+SYMMETRIC = [ehrhart_bipartite(m, n) for m, n in ((1, 1), (2, 3), (4, 4), (5, 9), (12, 13))]
+SYMMETRIC += [ehrhart_1mn(3, 8), ehrhart_111n(9), ehrhart_22n(14), cross_polynomial(7), Poly((1, 4, 4)) * 3]
+
+
+class TestIntegerReferees:
+    """The integer paths against the Fraction routes they replaced."""
+
+    def test_cl_transform_against_compose(self):
+        rnd = random.Random(11)
+        for e in SYMMETRIC:
+            t = cl_transform(e)
+            assert (t.parity, list(t.half_square.coeffs)) == fr.cl_transform(list(e.coeffs))
+        # E(x) = G(2x + 1) with G even or odd is symmetric; most others are not
+        for k in range(1, 9):
+            g = [random_rational(rnd) if i % 2 == k % 2 else 0 for i in range(k)] + [F(rnd.randint(1, 5))]
+            e = Poly(g).compose(Poly((1, 2)))
+            t = cl_transform(e)
+            assert (t.parity, list(t.half_square.coeffs)) == fr.cl_transform(list(e.coeffs))
+            other = e + Poly((0,) * (k - 1) + (1,))
+            if fr.is_symmetric(list(other.coeffs)):
+                assert cl_transform(other).parity == k & 1
+            else:
+                with pytest.raises(NotSymmetric):
+                    cl_transform(other)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sturm_chain_member_by_member(self, seed):
+        for p in list(random_polys(seed)) + [cl_transform(e).half_square for e in SYMMETRIC]:
+            assert [list(q.coeffs) for q in sturm_chain(p)] == fr.sturm_chain(list(p.coeffs))
+
+    def test_sturm_chain_with_degree_gaps(self):
+        # x^n + a x + b: the remainder of p by p' is linear, so the chain
+        # skips degrees, and a pseudo-remainder by a member with a negative
+        # leading coefficient must still keep every sign
+        for n in (4, 5, 6, 7):
+            for a, b in ((1, 1), (3, -2), (-1, 5), (F(1, 3), F(-7, 2))):
+                p = Poly([b, a] + [0] * (n - 2) + [1])
+                assert [list(q.coeffs) for q in sturm_chain(p)] == fr.sturm_chain(list(p.coeffs))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_squarefree_decomposition_against_fraction_gcd(self, seed):
+        for p in random_polys(seed):
+            want = fr.squarefree_decomposition(list(p.coeffs))
+            assert [(list(f.coeffs), m) for f, m in squarefree_decomposition(p)] == want
+
+
 class TestIsCL:
     def test_on_line(self):
         assert is_cl(Poly((1, 2, 2))).on_cl
@@ -162,6 +226,18 @@ class TestIsCL:
             ],
             "reason": "",
         }
+
+    def test_one_chain_per_squarefree_polynomial(self, monkeypatch):
+        """The chain of H that tells it is squarefree is the chain that
+        counts, isolates and looks up its roots."""
+        built = []
+        real = roots.sturm_chain
+        monkeypatch.setattr(roots, "sturm_chain", lambda p: built.append(p) or real(p))
+        assert is_cl(ehrhart_bipartite(16, 16)).on_cl
+        assert len(built) == 1
+        del built[:]
+        assert interlaces_on_cl(ehrhart_bipartite(4, 4), ehrhart_bipartite(4, 5)).interlaces
+        assert len(built) == 2
 
     def test_serialization_round_trips(self):
         cert = is_cl(ehrhart_bipartite(2, 3))
@@ -250,7 +326,7 @@ class TestInvariantChecks:
     """Each exact invariant raises when the failure is injected."""
 
     def test_transform_parity(self, monkeypatch):
-        monkeypatch.setattr(roots, "is_symmetric_about_cl", lambda e: True)
+        monkeypatch.setattr(roots, "_even_or_odd", lambda f: True)
         with pytest.raises(RootCheckFailed, match="even polynomial"):
             cl_transform(Poly((1, 0, 1)))
 
@@ -281,7 +357,7 @@ class TestInvariantChecks:
 
     def test_factor_lookup(self):
         decomp = squarefree_decomposition(Poly((2, 1)) * Poly((3, 1)) ** 2)  # roots -2, -3
-        factors = roots._factor_chains(decomp)
+        factors = [(f, m, sturm_chain(f)) for f, m in decomp]
         lookup = [roots._factor_at(factors, iso) for iso in isolate_real_roots(Poly((6, 5, 1)))]
         assert lookup == [(2, F(-3)), (1, F(-2))]
         with pytest.raises(RootCheckFailed, match="missing from the decomposition"):
