@@ -275,9 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=("json", "plain", "csv")):
+    def common(p, fmt=("json", "plain", "csv"), bound=False):
         p.add_argument("--format", choices=fmt, default="json")
-        p.add_argument("--bound", type=int, default=None, help="size bound override (total vertices)")
+        if bound:
+            p.add_argument("--bound", type=int, default=None, help="size bound override (total vertices)")
         p.add_argument("--timing", action="store_true", help="attach wall-clock timing to the envelope")
 
     p = sub.add_parser("hstar", help="h* coefficients by one or all methods")
@@ -287,18 +288,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-dilation", type=int, default=None,
         help="with the oracle method, also report lattice-point counts up to this dilation",
     )
-    common(p)
+    common(p, bound=True)
     p.set_defaults(func=cmd_hstar)
 
     p = sub.add_parser("roots", help="canonical-line root certificate")
     p.add_argument("--signature", required=True)
-    common(p)
+    common(p, bound=True)
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("interlace", help="certify E_a interlaces E_b on the canonical line")
     p.add_argument("--a", required=True, help="signature of the interlacing (lower-degree) polynomial")
     p.add_argument("--b", required=True, help="signature of the interlaced polynomial")
-    common(p, fmt=("json", "plain"))
+    common(p, fmt=("json", "plain"), bound=True)
     p.set_defaults(func=cmd_interlace)
 
     p = sub.add_parser("recursion", help="solve and verify the catalogued recursions")

@@ -2,6 +2,12 @@
 bipartite graphs, the families K_{1,m,n}, K_{1,1,1,n} and K_{2,2,n}, and the
 full tripartite formula assembled from the facet-type decomposition.
 
+Each family's closed form is its gamma vector: h* = sum_i gamma_i t^i
+(1+t)^(d-2i), the basis in which gamma-positivity is read (Ohsugi and
+Tsuchiya, 2021).  One integer binomial sum, `polynomial.gamma_expand`, turns
+a gamma vector into coefficients.  The tripartite formula is a sum of t^e
+terms, collected as an integer histogram.
+
 Binomial coefficients follow the combinatorial convention: any negative or
 out-of-range argument gives 0.  That makes the case table for the r-counts
 total and the boundary terms of the type-(i) sums come out right.
@@ -25,7 +31,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .graphs import Signature
-from .polynomial import HStar, ONE_PLUS_T, Poly
+from .polynomial import HStar, ONE_PLUS_T, Poly, ehrhart_from_hstar, gamma_expand
 
 
 class IdentityFailed(ArithmeticError):
@@ -44,6 +50,12 @@ def binom(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _matching_gamma(m: int, n: int) -> list[int]:
+    """binom(2i,i) binom(m,i) binom(n,i) for i = 0..min(m,n): the gamma vector
+    shared by K_{m+1,n+1} and K_{1,m,n}."""
+    return [binom(2 * i, i) * binom(m, i) * binom(n, i) for i in range(min(m, n) + 1)]
+
+
 def hstar_bipartite(a: int, b: int) -> HStar:
     """h* of the symmetric edge polytope of K_{a+1,b+1}:
 
@@ -52,11 +64,7 @@ def hstar_bipartite(a: int, b: int) -> HStar:
     if a < 0 or b < 0:
         raise ValueError("parameters must be nonnegative")
     d = a + b + 1
-    total = Poly.zero()
-    for i in range(min(a, b) + 1):
-        coeff = binom(2 * i, i) * binom(a, i) * binom(b, i)
-        total = total + coeff * Poly.x() ** i * ONE_PLUS_T ** (d - 2 * i)
-    return HStar(total, d)
+    return HStar(Poly(gamma_expand(_matching_gamma(a, b), d)), d)
 
 
 def hstar_1mn(m: int, n: int) -> HStar:
@@ -64,11 +72,7 @@ def hstar_1mn(m: int, n: int) -> HStar:
     if m < 1 or n < 1:
         raise ValueError("parameters must be positive")
     d = m + n
-    total = Poly.zero()
-    for i in range(min(m, n) + 1):
-        coeff = binom(2 * i, i) * binom(m, i) * binom(n, i)
-        total = total + coeff * Poly.x() ** i * ONE_PLUS_T ** (d - 2 * i)
-    return HStar(total, d)
+    return HStar(Poly(gamma_expand(_matching_gamma(m, n), d)), d)
 
 
 def suspension_weight_poly(n: int) -> Poly:
@@ -78,13 +82,9 @@ def suspension_weight_poly(n: int) -> Poly:
 
 
 def suspension_substitute(f: Poly, d: int) -> Poly:
-    """(1+t)^d f(4t / (1+t)^2), expanded exactly; needs d >= 2 deg(f)."""
-    if d < 2 * f.degree:
-        raise ValueError("exponent too small for a polynomial result")
-    total = Poly.zero()
-    for i in range(f.degree + 1):
-        total = total + f[i] * Poly((0, 4)) ** i * ONE_PLUS_T ** (d - 2 * i)
-    return total
+    """(1+t)^d f(4t / (1+t)^2), expanded exactly: the gamma vector f_i 4^i.
+    Needs d >= 2 deg(f)."""
+    return Poly(gamma_expand([c * 4**i for i, c in enumerate(f.coeffs)], d))
 
 
 def hstar_111n(n: int) -> HStar:
@@ -98,9 +98,7 @@ def hstar_111n(n: int) -> HStar:
     if n < 1:
         raise ValueError("n must be positive")
     d = n + 2
-    direct = 2 * (2 * n + 1) * ONE_PLUS_T**n * Poly.x() + ONE_PLUS_T ** (n + 2)
-    if n >= 2:
-        direct = direct + 3 * (n - 1) * n * ONE_PLUS_T ** (n - 2) * Poly.x() ** 2
+    direct = Poly(gamma_expand([1, 2 * (2 * n + 1), 3 * (n - 1) * n], d))
     via_suspension = suspension_substitute(suspension_weight_poly(n), d)
     if direct != via_suspension:
         raise IdentityFailed(f"K_(1,1,1,{n}): direct form {direct} != suspension form {via_suspension}")
@@ -116,14 +114,8 @@ def hstar_22n(n: int) -> HStar:
     if n < 1:
         raise ValueError("n must be positive")
     d = n + 3
-    total = (
-        2 * binom(3 * n + 1, 1) * ONE_PLUS_T ** (n + 1) * Poly.x()
-        + ONE_PLUS_T ** (n + 3)
-        + 2 * binom(3 * n, 2) * ONE_PLUS_T ** (n - 1) * Poly.x() ** 2
-    )
-    if n >= 3:
-        total = total + 20 * binom(n, 3) * ONE_PLUS_T ** (n - 3) * Poly.x() ** 3
-    return HStar(total, d)
+    gamma = [1, 2 * binom(3 * n + 1, 1), 2 * binom(3 * n, 2), 20 * binom(n, 3)]
+    return HStar(Poly(gamma_expand(gamma, d)), d)
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +223,16 @@ def hstar_type_i(parts: Sequence[int]) -> Poly:
     class only accounts for the root being 1-labeled there.
     """
     a = sum(parts)
-    total = Poly.zero()
+    total = [0] * a
     for m, am in enumerate(parts):
         shift = 1 if m == 0 else 0
         for i in range(a - am):
             for j in range(1, am):
                 coeff = aux_p(a, am, i, j) * binom(a - am + j - i - 2, j - 1)
                 if coeff:
-                    e1 = i + j + shift
-                    e2 = a - i - j - 1 - shift
-                    total = total + coeff * (Poly.x() ** e1 + Poly.x() ** e2)
-    return total
+                    total[i + j + shift] += coeff
+                    total[a - i - j - 1 - shift] += coeff
+    return Poly(total)
 
 
 def hstar_type_ii(a: int, b: int, c: int) -> Poly:
@@ -249,16 +240,17 @@ def hstar_type_ii(a: int, b: int, c: int) -> Poly:
 
         sum_nu q(nu) r(nu) (t^(nu1+nu2+nu3) + t^(a+b+c-1-nu1-nu2-nu3))
     """
-    total = Poly.zero()
     top = a + b + c - 1
+    total = [0] * (top + 1)
     for n1 in range(a):
         for n2 in range(b + 1):
             for n3 in range(c + 1):
                 qr = aux_q(a, b, c, (n1, n2, n3)) * aux_r(a, b, c, (n1, n2, n3))
                 if qr:
                     s = n1 + n2 + n3
-                    total = total + qr * (Poly.x() ** s + Poly.x() ** (top - s))
-    return total
+                    total[s] += qr
+                    total[top - s] += qr
+    return Poly(total)
 
 
 def hstar_tripartite_parts(a: int, b: int, c: int) -> tuple[Poly, Poly]:
@@ -294,26 +286,18 @@ def ehrhart_bipartite(m: int, n: int) -> Poly:
     """
     if (m, n) in ((1, 0), (0, 1)):
         return Poly.one()
-    from .polynomial import ehrhart_from_hstar
-
     return ehrhart_from_hstar(hstar_bipartite(m - 1, n - 1))
 
 
 def ehrhart_1mn(m: int, n: int) -> Poly:
-    from .polynomial import ehrhart_from_hstar
-
     return ehrhart_from_hstar(hstar_1mn(m, n))
 
 
 def ehrhart_111n(n: int) -> Poly:
-    from .polynomial import ehrhart_from_hstar
-
     return ehrhart_from_hstar(hstar_111n(n))
 
 
 def ehrhart_22n(n: int) -> Poly:
-    from .polynomial import ehrhart_from_hstar
-
     return ehrhart_from_hstar(hstar_22n(n))
 
 

@@ -17,7 +17,8 @@ The domain-specific operations:
   * Ehrhart polynomial -> h* via truncating (1-t)^(d+1) * sum_k E(k) t^k
   * symmetry about the canonical line Re(z) = -1/2,
         (-1)^deg(E) * E(x) == E(-1-x)
-  * gamma vector of a palindromic polynomial in the basis (1+t)^(d-2i) t^i
+  * gamma vector of a palindromic polynomial in the basis (1+t)^(d-2i) t^i,
+    and its expansion back into coefficients
   * cross-polynomials C_n (Ehrhart polynomials of cross-polytopes) and the
     expansion of a symmetric Ehrhart polynomial in the C_n basis.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class NonIntegerCount(ValueError):
@@ -215,14 +216,6 @@ class Poly:
     def gcd(self, other: "Poly") -> "Poly":
         """Monic gcd, by the integer primitive remainder sequence."""
         return _poly_over(_int_gcd(_numerators(self)[0], _numerators(other)[0]), 1).monic()
-
-    def squarefree_part(self) -> "Poly":
-        if self.degree <= 0:
-            return self.monic()
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self.monic()
-        return self.divmod(g)[0].monic()
 
 
 ONE_PLUS_T = Poly((1, 1))
@@ -504,6 +497,25 @@ def _centered(e: Poly) -> tuple[list[int], int]:
 # ---------------------------------------------------------------------------
 
 
+def gamma_expand(gamma: Sequence, d: int) -> list:
+    """Coefficients, constant term first, of sum_i gamma_i t^i (1+t)^(d-2i):
+    c_j = sum_i gamma_i binom(d - 2i, j - i), for j = 0..d.
+
+    The inverse of `gamma_of_palindromic`.  Zero gamma_i are skipped; a
+    nonzero gamma_i with 2i > d has no polynomial term and raises ValueError.
+    """
+    c = [0] * (d + 1)
+    for i, g in enumerate(gamma):
+        if not g:
+            continue
+        if 2 * i > d:
+            raise ValueError(f"gamma_{i} = {g} needs 2*{i} <= d = {d}")
+        n = d - 2 * i
+        for k in range(n + 1):
+            c[i + k] += g * comb(n, k)
+    return c
+
+
 def gamma_of_palindromic(h: Poly, d: int) -> Poly:
     """Gamma vector of a palindromic degree-<=d polynomial, as a Poly.
 
@@ -522,9 +534,7 @@ def gamma_of_palindromic(h: Poly, d: int) -> Poly:
         gammas.append(g)
     # The triangular solve uses only the lower half; palindromicity makes the
     # recombination exact, which is checked.
-    recombined = Poly.zero()
-    for i, g in enumerate(gammas):
-        recombined = recombined + g * (ONE_PLUS_T ** (d - 2 * i)) * Poly.x() ** i
+    recombined = Poly(gamma_expand(gammas, d))
     if recombined != h:
         raise RecombinationFailed(f"gamma vector of {h} recombines to {recombined}")
     return Poly(gammas)
@@ -623,7 +633,7 @@ def gammalemma_check(d: int, n: int) -> bool:
             acc += (-1) ** i * comb(n, i) * polys[i](k)
         lhs.append(acc)
     # right side: (1+t)^d * 4^n t^n * sum_j binom(d+2n+j, j) t^j
-    numer = (ONE_PLUS_T**d) * Poly([0] * n + [4**n])
+    numer = Poly(gamma_expand([0] * n + [4**n], d + 2 * n))
     geo = geometric_series_coeffs(d + 2 * n + 1, order)
     rhs = []
     for k in range(order + 1):

@@ -308,6 +308,11 @@ def solve_recursion_cross(f: Poly, g: Poly, hs: Sequence[Poly]) -> RecursionSolu
 # ---------------------------------------------------------------------------
 
 
+def _signs(cs: Sequence[Fraction]) -> list[str]:
+    """The sign of each coefficient as "+", "0" or "-"."""
+    return ["+" if c > 0 else ("0" if c == 0 else "-") for c in cs]
+
+
 def _E(kind: str, *args: int) -> Poly:
     if kind == "bip":
         return ehrhart_bipartite(*args)
@@ -447,7 +452,7 @@ def reproduce_known_relations(n: int, strict: bool = True) -> dict:
                 "relation": inst["relation"],
                 "n": n,
                 "coefficients": [fraction_str(c) for c in witness],
-                "signs": ["+" if c > 0 else ("0" if c == 0 else "-") for c in witness],
+                "signs": _signs(witness),
                 "verified": True,
                 "note": note,
             }
@@ -468,7 +473,7 @@ def reproduce_known_relations(n: int, strict: bool = True) -> dict:
                 "relation": row["relation"],
                 "n": n,
                 "coefficients": [fraction_str(c) for c in sol.coefficients],
-                "signs": ["+" if c > 0 else ("0" if c == 0 else "-") for c in sol.coefficients],
+                "signs": _signs(sol.coefficients),
                 "verified": True,
                 "note": row["note"],
             }
@@ -523,9 +528,7 @@ def corollary_scan(m: int, n: int) -> dict:
                 "coefficients": [fraction_str(c) for c in sol.coefficients]
                 if sol.status == "unique"
                 else [],
-                "signs": ["+" if c > 0 else ("0" if c == 0 else "-") for c in sol.coefficients]
-                if sol.status == "unique"
-                else [],
+                "signs": _signs(sol.coefficients) if sol.status == "unique" else [],
             }
         )
     report = {"m": m, "n": n, "rows": rows}

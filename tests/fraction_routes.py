@@ -4,9 +4,10 @@ referees for it.
 Each function works on lists of `Fraction`s, constant term first, with the
 schoolbook algorithms sepkit used before: Fraction products and sums, long
 division by the leading coefficient, the Euclidean gcd over Q, the compose
-route of the canonical-line transform and the rational-remainder Sturm
-chain.  Nothing here calls `Poly` arithmetic, so a fault in the integer
-path cannot hide in its own referee.
+route of the canonical-line transform, the rational-remainder Sturm chain
+and the gamma-basis sum as products of (1+t) powers.  Nothing here calls
+`Poly` arithmetic, so a fault in the integer path cannot hide in its own
+referee.
 """
 
 from fractions import Fraction
@@ -86,6 +87,19 @@ def ehrhart(h, d):
     for i, hi in enumerate(h):
         if hi:
             total = add(total, [hi * c for c in binom(d - i, d)])
+    return total
+
+
+def gamma_expand(gamma, d):
+    """sum_i gamma_i t^i (1+t)^(d-2i), each power of (1+t) a product of
+    d - 2i linear factors."""
+    total = []
+    for i, g in enumerate(gamma):
+        if g:
+            term = [Fraction(0)] * i + [Fraction(g)]
+            for _ in range(d - 2 * i):
+                term = mul(term, [Fraction(1), Fraction(1)])
+            total = add(total, term)
     return total
 
 

@@ -111,6 +111,10 @@ class TestHstar:
         assert code == EXIT_VERIFICATION
         assert capsys.readouterr().err == "verification failed: injected\n"
 
+    def test_bound_takes_effect(self, capsys):
+        code, _ = run(capsys, "hstar", "--signature", "2,2,2,2,2", "--method", "oracle", "--bound", "9")
+        assert code == EXIT_BOUND
+
     def test_bad_signature_exit(self, capsys):
         code, _ = run(capsys, "hstar", "--signature", "0,1")
         assert code == EXIT_USAGE
@@ -189,6 +193,10 @@ class TestRootsAndInterlace:
         code, _ = run(capsys, "roots", "--signature", "2,2", "--jobs", "2")
         assert code == EXIT_USAGE
 
+    def test_roots_bound_takes_effect(self, capsys):
+        code, _ = run(capsys, "roots", "--signature", "3,3,3,3", "--bound", "11")
+        assert code == EXIT_BOUND
+
 
 class TestGb:
     def test_default_checks(self, capsys):
@@ -243,6 +251,21 @@ class TestScan:
     def test_k222_kind(self, capsys):
         code, out = run(capsys, "scan", "--kind", "k222", "--orders", "3", "--seed", "1")
         assert code == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gb", "--signature", "1,1,2", "--checks", "reduced"],
+        ["recursion", "--relation", "a", "--n", "2"],
+        ["scan", "--kind", "conjecture", "--max-total", "4"],
+    ],
+    ids=["gb", "recursion", "scan"],
+)
+def test_bound_is_not_an_option(capsys, argv):
+    """Only hstar, roots and interlace have a size bound to override."""
+    code, _ = run(capsys, *argv, "--bound", "3")
+    assert code == EXIT_USAGE
 
 
 class TestDeterminism:

@@ -2,7 +2,8 @@
 
 ``python -O`` strips every assert statement, so a check written as one
 would let its failure through.  This runs the injected-failure tests of
-the roots and polynomial layers again in a ``python -O`` subprocess."""
+the roots, polynomial, formulas and recursion layers again in a
+``python -O`` subprocess."""
 
 import os
 import subprocess
@@ -17,6 +18,8 @@ INJECTED = [
     "tests/test_polynomial.py::TestEhrhartConversion::test_negative_hstar_rejected",
     "tests/test_polynomial.py::test_gamma_recombination_failure_raises",
     "tests/test_polynomial.py::test_inexact_integer_division_raises",
+    "tests/test_formulas.py::test_suspension_identity_failure_raises",
+    "tests/test_recursion.py::TestSolverInvariants",
 ]
 
 # exits with pytest's code; pytest exits 4 on an unknown node id and 5 when

@@ -24,6 +24,7 @@ from sepkit.polynomial import (
     cross_recombine,
     ehrhart_from_hstar,
     fraction_str,
+    gamma_expand,
     gamma_vector,
     gammalemma_check,
     hstar_from_ehrhart,
@@ -56,10 +57,6 @@ class TestPolyCore:
         p = Poly((1, 0, 1))  # 1 + x^2
         assert p.compose(Poly((-1, -1))) == Poly((2, 2, 1))
         assert p(Fraction(1, 2)) == Fraction(5, 4)
-
-    def test_squarefree_part(self):
-        p = Poly((1, 1)) ** 3 * Poly((3, 1))
-        assert p.squarefree_part() == (Poly((1, 1)) * Poly((3, 1))).monic()
 
     def test_operations_park_no_tuples(self):
         """Results are not built through a throwaway `tuple(<generator>)`:
@@ -246,7 +243,8 @@ def test_gamma_recombination_failure_raises(monkeypatch):
     import sepkit.polynomial as polynomial
 
     assert polynomial.gamma_of_palindromic(Poly((1, 4, 1)), 2) == Poly((1, 2))
-    monkeypatch.setattr(polynomial, "ONE_PLUS_T", Poly((1, 2)))
+    expand = polynomial.gamma_expand
+    monkeypatch.setattr(polynomial, "gamma_expand", lambda gamma, d: [c + 1 for c in expand(gamma, d)])
     with pytest.raises(polynomial.RecombinationFailed):
         polynomial.gamma_of_palindromic(Poly((1, 4, 1)), 2)
 
@@ -274,6 +272,15 @@ CLOSED_FORMS = [
 ]
 
 
+# the gamma vector each family states, and its degree d
+STATED_GAMMA = {
+    "bipartite": lambda a, b: ([comb(2 * i, i) * comb(a, i) * comb(b, i) for i in range(min(a, b) + 1)], a + b + 1),
+    "1mn": lambda m, n: ([comb(2 * i, i) * comb(m, i) * comb(n, i) for i in range(min(m, n) + 1)], m + n),
+    "111n": lambda n: ([1, 2 * (2 * n + 1), 3 * (n - 1) * n], n + 2),
+    "22n": lambda n: ([1, 2 * (3 * n + 1), 2 * comb(3 * n, 2), 20 * comb(n, 3)], n + 3),
+}
+
+
 def random_rational_poly(rnd, degree):
     coeffs = [Fraction(rnd.randint(-30, 30), rnd.randint(1, 12)) for _ in range(degree)]
     return Poly(coeffs + [Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 30), rnd.randint(1, 12))])
@@ -288,6 +295,26 @@ class TestIntegerReferees:
         assert list(e.coeffs) == fr.ehrhart(list(h.poly.coeffs), h.dim)
         assert list(series_numerator(e, h.dim).coeffs) == fr.series_numerator(list(e.coeffs), h.dim)
         assert hstar_from_ehrhart(e, h.dim) == h
+
+    @pytest.mark.parametrize("name,family,args", CLOSED_FORMS, ids=[f"{n}{a}" for n, _, a in CLOSED_FORMS])
+    def test_closed_form_is_its_gamma_vector(self, name, family, args):
+        h = family(*args)
+        if name in STATED_GAMMA:
+            gamma, d = STATED_GAMMA[name](*args)
+            assert d == h.dim and all(2 * i <= d for i, g in enumerate(gamma) if g)
+        else:
+            # the tripartite formula states no gamma vector; its h* is
+            # gamma-positive (Ohsugi and Tsuchiya, 2021)
+            gamma, d = list(gamma_vector(h).coeffs), h.dim
+            assert all(g.denominator == 1 and g >= 0 for g in gamma)
+        assert list(h.poly.coeffs) == fr.gamma_expand(gamma, d)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gamma_expand(self, seed):
+        rnd = random.Random(seed)
+        for d in range(0, 15):
+            gamma = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 6)) for _ in range(d // 2 + 1)]
+            assert fr.strip(gamma_expand(gamma, d)) == fr.gamma_expand(gamma, d)
 
     def test_binom_poly_and_cross_polynomials(self):
         for d in range(0, 12):
@@ -323,6 +350,13 @@ class TestIntegerReferees:
         for e in symmetric + [random_rational_poly(rnd, k) for k in range(6)] + [Poly((1, 4, 4)), Poly((7,))]:
             assert is_symmetric_about_cl(e) == fr.is_symmetric(list(e.coeffs))
         assert all(is_symmetric_about_cl(e) for e in symmetric)
+
+
+def test_gamma_expand_rejects_a_term_past_the_degree():
+    assert gamma_expand([1, 2, 0, 0], 2) == [1, 4, 1]
+    assert gamma_expand([], 2) == [0, 0, 0]
+    with pytest.raises(ValueError):
+        gamma_expand([1, 0, 5], 3)
 
 
 def test_inexact_integer_division_raises():
