@@ -104,6 +104,11 @@ def _hstar_by_method(sig: Signature, method: str, bound: int):
 def cmd_hstar(args) -> int:
     started = time.monotonic()
     sig = Signature.parse(args.signature)
+    if args.max_dilation is not None:
+        if args.method not in ("oracle", "all"):
+            raise ValueError(f"--max-dilation needs --method oracle or all, not {args.method}")
+        if args.max_dilation < 0:
+            raise ValueError(f"--max-dilation must be nonnegative, not {args.max_dilation}")
     compare = args.method == "all"
     methods = ["formula", "triangulation", "oracle"] if compare else [args.method]
     rows = []

@@ -355,12 +355,9 @@ def reducedness_check(basis: Sequence[GBElement]) -> bool:
     return True
 
 
-def leading_term_consistency(
-    sig: Signature, basis: Optional[Sequence[GBElement]] = None, vt: Optional[VarTable] = None
-) -> bool:
+def leading_term_consistency(sig: Signature, basis: Optional[Sequence[GBElement]] = None) -> bool:
     """The degrevlex-computed lead of every binomial is its stated lead."""
-    vt = vt or VarTable(sig)
-    basis = build_basis(sig, vt=vt) if basis is None else basis
+    basis = build_basis(sig) if basis is None else basis
     return all(drl_greater(e.lead, e.tail) for e in basis)
 
 

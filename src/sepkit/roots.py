@@ -10,23 +10,24 @@ Sturm counting certifies without any floating point.
 
 The path from E to the certificate runs on integers.  F comes from an
 integer Taylor shift of E's numerators, and E is symmetric exactly when F
-is even or odd.  The Sturm chain of H is the integer primitive remainder
-sequence of H and H' (Collins, 1967): every member is a primitive integer
-polynomial with the signs of the rational chain's, and its last member is
-gcd(H, H').  So one sequence per polynomial tells whether H is squarefree
-and, when it is, is the chain every count and isolation of that
-polynomial reads; the squarefree decomposition otherwise and the shared
-factor of an interlacing use integer gcds.  Signs at a rational point a/b
-are signs of integers, b^deg q(a/b) by homogeneous Horner, and the
-exact-zero tests of the isolation evaluate the chain's first member the
-same way.  Fractions appear only in what a certificate reports: H, the
+is even or odd.  The unit of work is a chain: the integer vectors of the
+primitive remainder sequence of a polynomial q and q' (Collins, 1967), q
+first.  Its members have the signs of the rational Sturm chain's, and the
+last is gcd(q, q'), so the chain of H also tells whether H is squarefree
+and, when it is, counts, isolates and looks up every root of H.  The sign
+at a rational a/b is that of the integer b^deg q(a/b), by homogeneous
+Horner.  An isolating interval keeps the variation counts at its ends, so
+each bisection evaluates the chain once, at its split point.  Integer gcds
+give the squarefree decomposition and the shared factor of an
+interlacing; fractions appear only in what a certificate reports: H, the
 brackets and the monic factors.
 
 Roots on the line are ordered by imaginary part.  A root of E at
 -1/2 + i s corresponds to w = u^2 = -4 s^2, so comparisons of imaginary
 parts reduce to exact comparisons of w-roots, performed on isolating
-intervals refined until pairwise disjoint (shared roots are split off
-through a gcd first).
+intervals.  The intervals of one chain are disjoint by construction; those
+of the different chains of an interlacing are refined until pairwise
+disjoint (shared roots are split off through a gcd first).
 """
 
 from __future__ import annotations
@@ -108,103 +109,98 @@ def _ints(p: Poly) -> list[int]:
     return _primitive(_numerators(p)[0])
 
 
+def _chain(a: list[int]) -> list[list[int]]:
+    """The Sturm chain of the integer vector a: the primitive remainder
+    sequence of a and a'."""
+    return _sturm_prs(a, [i * c for i, c in enumerate(a)][1:])
+
+
 def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm chain p, p', -rem(...), ... of p over the integers, as the
     primitive remainder sequence of p and p'.  A positive scale keeps every
     sign, so the variation counts are those of the rational chain; for p
     with repeated roots the chain ends in gcd(p, p') up to a constant."""
-    a = _ints(p)
-    return [Poly(q) for q in _sturm_prs(a, [i * c for i, c in enumerate(a)][1:])]
+    return [Poly(q) for q in _chain(_ints(p))]
 
 
-def _sign_at(q: Poly, x: Fraction) -> int:
-    """Sign of q(x) for a member q of a `sturm_chain`: with x = a/b, b > 0,
-    the sign of the integer b^deg(q) q(a/b), by homogeneous Horner."""
+def _sign(q: list[int], x: Fraction) -> int:
+    """Sign of q(x): with x = a/b, b > 0, the sign of the integer
+    b^deg(q) q(a/b), by homogeneous Horner."""
     a, b = x.numerator, x.denominator
     acc, scale = 0, 1
-    for c in reversed(q.coeffs):
-        acc = acc * a + c.numerator * scale
+    for c in reversed(q):
+        acc = acc * a + c * scale
         scale *= b
     return (acc > 0) - (acc < 0)
 
 
-def _sign_at_inf(p: Poly, positive: bool) -> int:
-    if p.is_zero():
-        return 0
-    lead = p.coeffs[-1]
-    s = (lead > 0) - (lead < 0)
-    if positive or p.degree % 2 == 0:
-        return s
-    return -s
+def _changes(values: list[int]) -> int:
+    """Sign changes along a list of numbers, zeros skipped."""
+    nonzero = [v for v in values if v]
+    return sum((a < 0) != (b < 0) for a, b in zip(nonzero, nonzero[1:]))
 
 
-def _variations(chain: list[Poly], x, positive_inf: Optional[bool] = None) -> int:
-    signs = []
-    for p in chain:
-        s = _sign_at_inf(p, positive_inf) if x is None else _sign_at(p, x)
-        if s != 0:
-            signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    """V(x): the sign variations of the chain at the rational x."""
+    return _changes([_sign(q, x) for q in chain])
 
 
-def sturm_count(
-    p: Poly,
-    lo: Optional[Fraction],
-    hi: Optional[Fraction],
-    chain: Optional[list[Poly]] = None,
-) -> int:
+def _variations_at_inf(chain: list[list[int]], positive: bool) -> int:
+    """V(+inf) or V(-inf), read off the leading coefficients; at -inf a
+    member of odd degree takes the opposite sign."""
+    return _changes([q[-1] if positive or len(q) % 2 else -q[-1] for q in chain])
+
+
+def sturm_count(p: Poly, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
     """Distinct real roots of squarefree p in the half-open interval (lo, hi],
-    with None meaning the corresponding infinity; `chain`, when given, is
-    `sturm_chain(p)`.
+    with None meaning the corresponding infinity.
 
     With zeros skipped in the sign sequences, the variation count V satisfies
     V(a) - V(b) = #roots in (a, b] even when a or b is itself a root.
     """
     if p.degree <= 0:
         return 0
-    chain = chain or sturm_chain(p)
-    va = _variations(chain, lo, positive_inf=False if lo is None else None)
-    vb = _variations(chain, hi, positive_inf=True if hi is None else None)
+    chain = _chain(_ints(p))
+    va = _variations_at_inf(chain, False) if lo is None else _variations(chain, lo)
+    vb = _variations_at_inf(chain, True) if hi is None else _variations(chain, hi)
     return va - vb
 
 
-def cauchy_bound(p: Poly) -> Fraction:
-    """Strict bound on the absolute value of every real root."""
-    lead = abs(p.coeffs[-1])
-    return 1 + max((abs(c) / lead for c in p.coeffs[:-1]), default=Fraction(0))
+def cauchy_bound(a: list[int]) -> Fraction:
+    """Strict bound on the absolute value of every root of a, deg a >= 1."""
+    return 1 + Fraction(max(abs(c) for c in a[:-1]), abs(a[-1]))
 
 
-def _split_point(chain: list[Poly], lo: Fraction, hi: Fraction) -> Fraction:
+def _split_point(chain: list[list[int]], lo: Fraction, hi: Fraction) -> tuple[Fraction, int]:
     """The first of lo + (hi - lo)/k, k = 2, 3, 5, 7, 11, 13, that is not a
-    root of the chain's polynomial."""
+    root of the chain's polynomial, and V there."""
     span = hi - lo
     for k in (2, 3, 5, 7, 11, 13):
         mid = lo + span / k
-        if _sign_at(chain[0], mid) != 0:
-            return mid
+        if _sign(chain[0], mid) != 0:
+            return mid, _variations(chain, mid)
     raise RootCheckFailed(f"no split point of ({lo}, {hi}) avoids the roots of {chain[0]}")
 
 
 @dataclass
 class Isolation:
-    """Exactly one root of `poly` in the open interval (lo, hi); `chain` is
-    `sturm_chain(poly)`."""
+    """Exactly one root of the chain's polynomial in the open interval
+    (lo, hi); v_lo and v_hi are the chain's variation counts at the ends."""
 
-    poly: Poly
     lo: Fraction
     hi: Fraction
-    chain: list[Poly] = field(repr=False)
-
-    def count(self) -> int:
-        return sturm_count(self.poly, self.lo, self.hi, self.chain)
+    v_lo: int
+    v_hi: int
+    chain: list[list[int]] = field(repr=False)
 
     def bisect(self) -> None:
-        """Halve the interval, keeping the root and non-root endpoints."""
-        mid = _split_point(self.chain, self.lo, self.hi)
-        if sturm_count(self.poly, self.lo, mid, self.chain) == 1:
-            self.hi = mid
+        """Halve the interval, keeping the root and non-root endpoints; the
+        split point is the one new point the chain is evaluated at."""
+        mid, v = _split_point(self.chain, self.lo, self.hi)
+        if self.v_lo - v == 1:
+            self.hi, self.v_hi = mid, v
         else:
-            self.lo = mid
+            self.lo, self.v_lo = mid, v
 
     def refine_below(self, bound: Fraction) -> None:
         while self.hi > bound:
@@ -218,33 +214,32 @@ class Isolation:
         return self.hi - self.lo
 
 
-def isolate_real_roots(p: Poly, chain: Optional[list[Poly]] = None) -> list[Isolation]:
-    """Disjoint isolating intervals for all real roots of squarefree p,
-    sorted left to right; `chain`, when given, is `sturm_chain(p)`."""
-    if p.degree <= 0:
+def _isolate(chain: list[list[int]]) -> list[Isolation]:
+    """Disjoint isolating intervals for all real roots of the chain's
+    squarefree polynomial, sorted left to right."""
+    p = chain[0]
+    if len(p) < 2:
         return []
-    chain = chain or sturm_chain(p)
-    bound = cauchy_bound(p)
-    lo, hi = -bound, bound
-    while _sign_at(chain[0], lo) == 0:
-        lo -= 1
-    while _sign_at(chain[0], hi) == 0:
-        hi += 1
+    hi = cauchy_bound(p)
+    lo = -hi
     out: list[Isolation] = []
-    stack = [(lo, hi, sturm_count(p, lo, hi, chain))]
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
     while stack:
-        a, b, cnt = stack.pop()
-        if cnt == 0:
-            continue
-        if cnt == 1:
-            out.append(Isolation(p, a, b, chain))
-            continue
-        mid = _split_point(chain, a, b)
-        cl = sturm_count(p, a, mid, chain)
-        stack.append((a, mid, cl))
-        stack.append((mid, b, cnt - cl))
+        a, b, va, vb = stack.pop()
+        if va - vb == 1:
+            out.append(Isolation(a, b, va, vb, chain))
+        elif va - vb > 1:
+            mid, vm = _split_point(chain, a, b)
+            stack.append((a, mid, va, vm))
+            stack.append((mid, b, vm, vb))
     out.sort(key=lambda iv: iv.lo)
     return out
+
+
+def isolate_real_roots(p: Poly) -> list[Isolation]:
+    """Disjoint isolating intervals for all real roots of squarefree p,
+    sorted left to right."""
+    return _isolate(_chain(_ints(p)))
 
 
 def refine_pairwise_disjoint(isos: list[Isolation]) -> None:
@@ -343,70 +338,58 @@ class _WData(NamedTuple):
 
     transform: CLTransform
     decomp: list[tuple[Poly, int]]  # squarefree decomposition of H
-    squarefree: Poly  # the product of its factors
-    chain: list[Poly]  # sturm_chain(squarefree), up to sign
+    chain: list[list[int]]  # of the product of its factors, up to sign
     in_range: int  # distinct roots of H in (-inf, 0]
 
     @property
     def on_cl(self) -> bool:
-        return self.in_range == self.squarefree.degree
+        return self.in_range == len(self.chain[0]) - 1
 
 
 def _w_data(e: Poly) -> Optional[_WData]:
     """The CL transform of E and what both certificates read off H, or None
     when E lacks the symmetry equation.
 
-    The chain of H ends in gcd(H, H').  When that is a constant, H is
-    squarefree: its decomposition is H alone, and the chain is that of the
-    squarefree part.  Otherwise the decomposition starts from that gcd, and
-    the squarefree part gets its own chain."""
+    The chain of H ends in g = gcd(H, H'), and H / g is the squarefree part.
+    When g is a constant, that is H itself and the chain is its chain;
+    otherwise the squarefree part gets its own chain."""
     try:
         t = cl_transform(e)
     except NotSymmetric:
         return None
-    h = t.half_square
-    chain = sturm_chain(h)
-    if chain[-1].degree > 0:
-        decomp = _decompose([c.numerator for c in chain[0].coeffs], [c.numerator for c in chain[-1].coeffs])
-        s = Poly.one()
-        for f, _ in decomp:
-            s = s * f
-        chain = sturm_chain(s)
-    elif h.degree > 0:
-        decomp = [(h.monic(), 1)]
-        s = decomp[0][0]
-    else:
-        decomp, s = [], Poly.one()
-    return _WData(t, decomp, s, chain, sturm_count(s, None, Fraction(0), chain))
+    chain = _chain(_ints(t.half_square))
+    decomp = _decompose(chain[0], chain[-1])
+    if len(chain[-1]) > 1:
+        chain = _chain(_exact_quo(chain[0], chain[-1]))
+    return _WData(t, decomp, chain, _variations_at_inf(chain, False) - _variations(chain, Fraction(0)))
 
 
-def _split_zero(w: _WData) -> tuple[Poly, int, Optional[list[Poly]]]:
-    """The squarefree part without its root w = 0 (the line's center), that
-    root's multiplicity in H (0 when w = 0 is no root), and the chain of
-    the former when it is the squarefree part itself."""
-    s = w.squarefree
+def _split_zero(w: _WData) -> tuple[list[list[int]], int]:
+    """The chain of the squarefree part without its root w = 0 (the line's
+    center), and that root's multiplicity in H (0 when w = 0 is no root)."""
+    s = w.chain[0]
     if s[0] != 0:
-        return s, 0, w.chain
-    return Poly(s.coeffs[1:]), next(m for f, m in w.decomp if f[0] == 0), None
+        return w.chain, 0
+    return _chain(s[1:]), next(m for f, m in w.decomp if f[0] == 0)
 
 
-def _factor_chains(w: _WData) -> list[tuple[Poly, int, list[Poly]]]:
+def _factor_chains(w: _WData) -> list[tuple[Poly, int, list[list[int]]]]:
     """The factors of the decomposition with their multiplicities and
     chains; a single factor is the squarefree part, whose chain is known."""
     if len(w.decomp) == 1:
         f, m = w.decomp[0]
         return [(f, m, w.chain)]
-    return [(f, m, sturm_chain(f)) for f, m in w.decomp]
+    return [(f, m, _chain(_ints(f))) for f, m in w.decomp]
 
 
-def _factor_at(factors: list[tuple[Poly, int, list[Poly]]], iso: Isolation) -> tuple[int, Optional[Fraction]]:
+def _factor_at(factors: list[tuple[Poly, int, list[list[int]]]], iso: Isolation) -> tuple[int, Optional[Fraction]]:
     """(multiplicity, exact rational value when the factor is linear) of the
     decomposition factor whose root the isolating interval holds.
 
     The root lies in the open interval (lo, hi), and hi can be w = 0, a root
     of the factor that holds the center, so a root at hi is not counted."""
     for f, m, chain in factors:
-        if sturm_count(f, iso.lo, iso.hi, chain) - (_sign_at(chain[0], iso.hi) == 0) == 1:
+        if _variations(chain, iso.lo) - _variations(chain, iso.hi) - (_sign(chain[0], iso.hi) == 0) == 1:
             return m, (-f[0] / f[1] if f.degree == 1 else None)
     raise RootCheckFailed(f"isolated root in ({iso.lo}, {iso.hi}) is missing from the decomposition")
 
@@ -416,8 +399,8 @@ def is_cl(e: Poly) -> RootCertificate:
 
     The verdict is positive exactly when E satisfies the symmetry equation
     and the squarefree part of H has deg(H)-many distinct real roots, all in
-    (-inf, 0].  Isolating intervals are refined to be pairwise disjoint and
-    to avoid straddling 0.
+    (-inf, 0].  The isolating intervals of one chain are disjoint; each is
+    refined to avoid straddling 0.
     """
     w = _w_data(e)
     if w is None:
@@ -426,11 +409,9 @@ def is_cl(e: Poly) -> RootCertificate:
         )
     roots: list[WRoot] = []
     if w.on_cl:
-        s_neg, zero_mult, chain = _split_zero(w)
+        chain, zero_mult = _split_zero(w)
         factors = _factor_chains(w)
-        isos = isolate_real_roots(s_neg, chain)
-        refine_pairwise_disjoint(isos)
-        for iso in isos:
+        for iso in _isolate(chain):
             iso.refine_below(Fraction(0))
             iso.refine_to_width(Fraction(1, 64))
             mult, exact = _factor_at(factors, iso)
@@ -481,21 +462,21 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
     if wf is None or wg is None or not (wf.on_cl and wg.on_cl):
         raise NotCL("both polynomials must have all roots on the canonical line")
 
-    sf_neg, zf, cf = _split_zero(wf)
-    sg_neg, zg, cg = _split_zero(wg)
+    cf, zf = _split_zero(wf)
+    cg, zg = _split_zero(wg)
     ff, fg = _factor_chains(wf), _factor_chains(wg)
 
-    shared = sf_neg.gcd(sg_neg)
-    if shared.degree > 0:
-        parts = [("shared", shared, None), ("f", sf_neg.divmod(shared)[0], None), ("g", sg_neg.divmod(shared)[0], None)]
+    shared = _int_gcd(cf[0], cg[0])
+    if len(shared) > 1:
+        parts = [
+            ("shared", _chain(shared)),
+            ("f", _chain(_exact_quo(cf[0], shared))),
+            ("g", _chain(_exact_quo(cg[0], shared))),
+        ]
     else:
-        parts = [("f", sf_neg, cf), ("g", sg_neg, cg)]
+        parts = [("f", cf), ("g", cg)]
 
-    isos: list[tuple[str, Isolation]] = []
-    for tag, poly, chain in parts:
-        if poly.degree > 0:
-            for iso in isolate_real_roots(poly, chain):
-                isos.append((tag, iso))
+    isos = [(tag, iso) for tag, chain in parts for iso in _isolate(chain)]
     refine_pairwise_disjoint([iso for _, iso in isos])
     for _, iso in isos:
         iso.refine_below(Fraction(0))
@@ -555,7 +536,7 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
         a_keys[i] <= b_keys[i] <= a_keys[i + 1] for i in range(len(b_keys))
     )
     reason = "" if ok else "alternation chain broken"
-    return InterlaceCertificate(ok, shared, order_out, reason)
+    return InterlaceCertificate(ok, Poly(shared).monic(), order_out, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +544,17 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
 # ---------------------------------------------------------------------------
 
 
-def sqrt_bounds(q: Fraction, scale: int = 1 << 32) -> tuple[Fraction, Fraction]:
+SQRT_SCALE = 1 << 32  # the bounds are multiples of 1 / (SQRT_SCALE * denominator)
+
+
+def sqrt_bounds(q: Fraction) -> tuple[Fraction, Fraction]:
     """Exact rational lo <= sqrt(q) <= hi with lo^2 <= q <= hi^2 verified."""
     if q < 0:
         raise ValueError("negative radicand")
-    big = q.numerator * q.denominator * scale * scale
+    big = q.numerator * q.denominator * SQRT_SCALE * SQRT_SCALE
     root = isqrt(big)
-    lo = Fraction(root, q.denominator * scale)
-    hi = Fraction(root + 1, q.denominator * scale)
+    lo = Fraction(root, q.denominator * SQRT_SCALE)
+    hi = Fraction(root + 1, q.denominator * SQRT_SCALE)
     if not lo * lo <= q <= hi * hi:
         raise RootCheckFailed(f"sqrt bounds [{lo}, {hi}] do not bracket sqrt({q})")
     return lo, hi

@@ -119,6 +119,22 @@ class TestHstar:
         code, _ = run(capsys, "hstar", "--signature", "0,1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("method", ["formula", "triangulation"])
+    def test_max_dilation_without_oracle_is_usage_error(self, capsys, method):
+        code = main(["hstar", "--signature", "2,2", "--method", method, "--max-dilation", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == f"error: --max-dilation needs --method oracle or all, not {method}\n"
+
+    def test_negative_max_dilation_is_usage_error(self, capsys):
+        code = main(["hstar", "--signature", "2,2", "--method", "oracle", "--max-dilation", "-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == "error: --max-dilation must be nonnegative, not -1\n"
+        code, out = run(capsys, "hstar", "--signature", "2,2", "--method", "oracle", "--max-dilation", "0")
+        assert code == EXIT_OK
+        assert json.loads(out)["result"]["dilation_counts"] == [{"k": 0, "count": 1}]
+
 
 class TestRootsAndInterlace:
     def test_roots_json(self, capsys):

@@ -1,5 +1,6 @@
 """Sturm counting, canonical-line certificates, interlacing."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import fraction_routes as fr
-from sepkit.formulas import ehrhart_111n, ehrhart_1mn, ehrhart_22n, ehrhart_bipartite
+from sepkit.formulas import ehrhart_111n, ehrhart_1mn, ehrhart_22n, ehrhart_bipartite, hstar_tripartite
 from sepkit.polynomial import HStar, Poly, cross_polynomial, ehrhart_from_hstar
 import sepkit.roots as roots
 from sepkit.roots import (
@@ -74,14 +75,16 @@ class TestSturm:
             for r in known:
                 p = p * Poly((-r, 1))
             p = p * F(rnd.choice((-1, 1)) * rnd.randint(1, 50), rnd.randint(1, 50))
-            chain = sturm_chain(p)
-            assert all(c.denominator == 1 for q in chain for c in q.coeffs)
+            chain = roots._chain(roots._ints(p))
+            assert all(type(c) is int for q in chain for c in q)
             between = [known[0] - 1] + [(a + b) / 2 for a, b in zip(known, known[1:])] + [known[-1] + 1]
             points = [None] + sorted(known + between) + [None]
             for i, lo in enumerate(points[:-1]):
                 for hi in points[i + 1:]:
                     want = sum(1 for r in known if (lo is None or lo < r) and (hi is None or r <= hi))
-                    assert sturm_count(p, lo, hi, chain) == want
+                    va = roots._variations_at_inf(chain, False) if lo is None else roots._variations(chain, lo)
+                    vb = roots._variations_at_inf(chain, True) if hi is None else roots._variations(chain, hi)
+                    assert va - vb == want
                     assert sturm_count(p, lo, hi) == want
 
     def test_isolation(self):
@@ -89,9 +92,23 @@ class TestSturm:
         isos = isolate_real_roots(p.monic())
         assert len(isos) == 3
         for iso in isos:
-            assert iso.count() == 1
+            assert sturm_count(p, iso.lo, iso.hi) == 1
         spans = [(iso.lo, iso.hi) for iso in isos]
         assert spans == sorted(spans)
+
+    def test_bisect_evaluates_the_chain_once(self, monkeypatch):
+        """A bisection evaluates the chain only at its split point: the
+        count at lo is kept from the step before."""
+        iso = isolate_real_roots(Poly((-2, 0, 1)))[1]  # sqrt(2) in (0, 3); no midpoint is a root
+        points = []
+        real = roots._variations
+        monkeypatch.setattr(roots, "_variations", lambda *a, **k: points.append(a[1]) or real(*a, **k))
+        for _ in range(3):
+            lo, hi = iso.lo, iso.hi
+            del points[:]
+            iso.bisect()
+            assert points == [(lo + hi) / 2]
+        assert iso.lo ** 2 < 2 < iso.hi ** 2
 
     def test_squarefree_decomposition(self):
         p = Poly((1, 1)) ** 2 * Poly((3, 1)) ** 3 * Poly((0, 1))
@@ -231,8 +248,8 @@ class TestIsCL:
         """The chain of H that tells it is squarefree is the chain that
         counts, isolates and looks up its roots."""
         built = []
-        real = roots.sturm_chain
-        monkeypatch.setattr(roots, "sturm_chain", lambda p: built.append(p) or real(p))
+        real = roots._chain
+        monkeypatch.setattr(roots, "_chain", lambda a: built.append(a) or real(a))
         assert is_cl(ehrhart_bipartite(16, 16)).on_cl
         assert len(built) == 1
         del built[:]
@@ -312,6 +329,41 @@ class TestInterlacing:
         assert interlaces_on_cl(ehrhart_bipartite(1, n), ehrhart_1mn(1, n)).interlaces
 
 
+class TestSweepDigest:
+    # sha256 of the certificates' JSON, taken when every count still
+    # evaluated the chain at both ends of its interval
+    DIGEST = "054dfb9cb7ef49d69dd1d475f59f519b2415bedfe5bb89e6859df5f36d8e14fe"
+
+    def test_certificates_unchanged(self):
+        """is_cl over closed-form families and three made-up polynomials
+        (H with a repeated root, with a root at the center, and with a
+        double root at w = -1/1000 next to it), and interlaces_on_cl over
+        the four chains the benchmark certifies, byte for byte."""
+        polys = [ehrhart_bipartite(m, n) for m in range(1, 11) for n in range(m, 21 - m)]
+        polys += [ehrhart_1mn(m, n) for m in range(1, 5) for n in range(m, 9)]
+        polys += [ehrhart_111n(n) for n in range(1, 9)] + [ehrhart_22n(n) for n in range(1, 9)]
+        polys += [
+            ehrhart_from_hstar(hstar_tripartite(a, b, c))
+            for a in range(1, 4)
+            for b in range(a, 5)
+            for c in range(b, 6)
+        ]
+        w, u2 = Poly((0, 1)), Poly((0, 0, 1)).compose(Poly((1, 2)))  # u^2 = (2x + 1)^2
+        for h in (Poly((1, 1)) ** 2 * Poly((3, 1)), w * Poly((4, 1)) ** 2, w * Poly((F(1, 1000), 1)) ** 2):
+            polys.append(h.compose(u2))  # E(x) = H((2x + 1)^2)
+        pairs = []
+        for n in range(1, 11):
+            pairs += [
+                (ehrhart_bipartite(1, n), ehrhart_1mn(1, n)),
+                (ehrhart_1mn(1, n), ehrhart_111n(n)),
+                (ehrhart_1mn(1, n), ehrhart_1mn(1, n + 1)),
+            ]
+        pairs += [(ehrhart_bipartite(n, n), ehrhart_bipartite(n, n + 1)) for n in range(1, 9)]
+        certs = [is_cl(e).as_dict() for e in polys] + [interlaces_on_cl(g, f).as_dict() for g, f in pairs]
+        assert (len(polys), len(pairs)) == (173, 38)
+        assert hashlib.sha256(json.dumps(certs).encode()).hexdigest() == self.DIGEST
+
+
 class TestBounds:
     def test_sqrt_bounds(self):
         lo, hi = sqrt_bounds(F(3))
@@ -351,17 +403,19 @@ class TestInvariantChecks:
         p = Poly.one()
         for k in (2, 3, 5, 7, 11, 13):
             p = p * Poly((-F(1, k), 1))
-        iso = roots.Isolation(p, F(0), F(1), sturm_chain(p))
+        chain = roots._chain(roots._ints(p))
+        iso = roots.Isolation(F(0), F(1), roots._variations(chain, F(0)), roots._variations(chain, F(1)), chain)
         with pytest.raises(RootCheckFailed, match="no split point"):
             iso.bisect()
 
     def test_factor_lookup(self):
         decomp = squarefree_decomposition(Poly((2, 1)) * Poly((3, 1)) ** 2)  # roots -2, -3
-        factors = [(f, m, sturm_chain(f)) for f, m in decomp]
+        factors = [(f, m, roots._chain(roots._ints(f))) for f, m in decomp]
         lookup = [roots._factor_at(factors, iso) for iso in isolate_real_roots(Poly((6, 5, 1)))]
         assert lookup == [(2, F(-3)), (1, F(-2))]
+        other = roots.Isolation(F(-3, 2), F(-1, 2), 1, 0, roots._chain([1, 1]))  # the root -1
         with pytest.raises(RootCheckFailed, match="missing from the decomposition"):
-            roots._factor_at(factors, roots.Isolation(Poly((1, 1)), F(-3, 2), F(-1, 2), sturm_chain(Poly((1, 1)))))
+            roots._factor_at(factors, other)
 
     def test_interlace_root_count(self, monkeypatch):
         g, f = ehrhart_bipartite(1, 4), ehrhart_bipartite(1, 5)
