@@ -127,13 +127,17 @@ def cmd_hstar(args) -> int:
     result = {"signature": str(sig), "rows": rows, "agreement": agree}
     if compare:
         result["methods_compared"] = len(values)
-    if args.max_dilation is not None and "oracle" in [m for m, _ in values]:
+    if args.max_dilation is not None:
         from .counting import dilation_counts
 
-        result["dilation_counts"] = [
-            {"k": dc.k, "count": dc.count}
-            for dc in dilation_counts(sig, args.max_dilation, max_total=args.bound)
-        ]
+        oracle = rows[-1]  # the oracle's row comes last; run alone, it raises instead of skipping
+        if "skipped" in oracle:
+            result["dilation_counts_skipped"] = oracle["skipped"]
+        else:
+            result["dilation_counts"] = [
+                {"k": dc.k, "count": dc.count}
+                for dc in dilation_counts(sig, args.max_dilation, max_total=args.bound)
+            ]
     if args.format == "csv":
         print("method," + ",".join(f"h{i}" for i in range(sig.dim + 1)))
         for method, h in values:

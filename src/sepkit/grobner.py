@@ -69,8 +69,10 @@ class VarTable:
         self.nvars = 1 + 2 * len(edges)
         self._var_of: dict[tuple[int, int], int] = {}
         self._dir_of: list[Optional[tuple[int, int]]] = [None] * self.nvars
-        self._edge_rank = {e: r for r, e in enumerate(edges)}
+        # _rank[u][w] = _rank[w][u]: position of the edge {u, w}, -1 for a non-edge
+        self._rank = [[-1] * (sig.total + 1) for _ in range(sig.total + 1)]
         for r, (u, w) in enumerate(edges):
+            self._rank[u][w] = self._rank[w][u] = r
             first = (u, w) if first_dir is None else first_dir[(u, w)]
             second = (first[1], first[0])
             self._var_of[first] = 1 + 2 * r
@@ -88,7 +90,14 @@ class VarTable:
         return d
 
     def edge_rank(self, u: int, w: int) -> int:
-        return self._edge_rank[tuple(sorted((u, w)))]
+        """Position of the undirected edge {u, w} in the edge order."""
+        try:
+            r = self._rank[u][w] if u > 0 and w > 0 else -1
+        except IndexError:
+            r = -1
+        if r < 0:
+            raise KeyError((u, w))
+        return r
 
     def weight(self, mono: Mono) -> tuple[int, ...]:
         """Sum of the lattice points of the monomial's variables."""

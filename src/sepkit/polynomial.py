@@ -2,11 +2,12 @@
 conversions built on them.
 
 Everything here is exact and there is no floating point anywhere.  A `Poly`
-holds `fractions.Fraction` coefficients, but its products, divisions and
-gcds, and the Ehrhart-side conversions, run on lists of Python ints scaled
-by one common denominator: d! E has integer coefficients, so E is built as
-an integer vector and divided once at the end.  The roots layer shares the
-integer primitive remainder sequence kept here.  Degrees run to about 100
+holds `fractions.Fraction` coefficients, but its products and the
+Ehrhart-side conversions run on lists of Python ints scaled by one common
+denominator: d! E has integer coefficients, so E is built as an integer
+vector and divided once at the end.  Division and gcds exist only on those
+integer vectors (pseudo-division and the primitive remainder sequence),
+which the roots layer shares.  Degrees run to about 100
 (the Ehrhart polynomial of K_{50,50} has degree 99), and the coefficient
 vectors are dense.
 
@@ -172,22 +173,6 @@ class Poly:
             n >>= 1
         return result
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact polynomial division with remainder over the rationals, by
-        pseudo-division of the integer numerators."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Poly.zero(), self
-        a, da = _numerators(self)
-        b, db = _numerators(other)
-        q, r, scale = _pseudo_divmod(a, b)
-        # scale * a = q * b + r, so self = (q db / (scale da)) other + r / (scale da)
-        return _poly_over([c * db for c in q], scale * da), _poly_over(r, scale * da)
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
     # -- calculus / evaluation -------------------------------------------
 
     def derivative(self) -> "Poly":
@@ -212,10 +197,6 @@ class Poly:
         if self.is_zero():
             return self
         return self / self.coeffs[-1]
-
-    def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd, by the integer primitive remainder sequence."""
-        return _poly_over(_int_gcd(_numerators(self)[0], _numerators(other)[0]), 1).monic()
 
 
 ONE_PLUS_T = Poly((1, 1))

@@ -387,9 +387,15 @@ def _factor_at(factors: list[tuple[Poly, int, list[list[int]]]], iso: Isolation)
     decomposition factor whose root the isolating interval holds.
 
     The root lies in the open interval (lo, hi), and hi can be w = 0, a root
-    of the factor that holds the center, so a root at hi is not counted."""
+    of the factor that holds the center, so a root at hi is not counted.
+    The interval already holds the counts of its own chain, whose roots its
+    ends avoid."""
     for f, m, chain in factors:
-        if _variations(chain, iso.lo) - _variations(chain, iso.hi) - (_sign(chain[0], iso.hi) == 0) == 1:
+        if chain is iso.chain:
+            count = iso.v_lo - iso.v_hi
+        else:
+            count = _variations(chain, iso.lo) - _variations(chain, iso.hi) - (_sign(chain[0], iso.hi) == 0)
+        if count == 1:
             return m, (-f[0] / f[1] if f.degree == 1 else None)
     raise RootCheckFailed(f"isolated root in ({iso.lo}, {iso.hi}) is missing from the decomposition")
 

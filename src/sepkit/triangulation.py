@@ -11,24 +11,31 @@ ingoing when it points toward the component containing r.
 The standard trees are found by a depth-first search over the edge order
 that grows a directed forest one edge at a time.  Each edge is skipped or
 added in one of its two orientations; an addition must join two components
-(union-find by component labels) and must not complete a degree-2 or
-degree-3 leading monomial with the variables already chosen (the leading
-monomials are indexed once per call as bitmasks of partner variables), and
-a branch ends as soon as too few edges remain for a spanning tree.  Only
-partial trees that can still be standard are visited, so the work follows
-the number of standard trees instead of the C(|E|, n-1) 2^(n-1) oriented
-edge subsets; ``_treepure`` keeps that exhaustive test as the referee.  The
-search keeps its state on an explicit stack, so it leaves no reference
-cycles behind, and the found trees are sorted into the order of the
-exhaustive test: undirected trees by sorted edge list, then orientations
+(union-find by component labels, relabelled in one ``bytes.translate``) and
+must not complete a degree-2 or degree-3 leading monomial with the variables
+already chosen (the leading monomials are indexed once per call as bitmasks
+of partner variables).  A branch ends as soon as too few edges remain for a
+spanning tree, and an edge is never skipped when it is the last edge of a
+vertex that no chosen edge touches yet, since that vertex could not be
+reached any more.  Only partial trees that can still be standard are
+visited, so the work follows the number of standard trees instead of the
+C(|E|, n-1) 2^(n-1) oriented edge subsets; ``_treepure`` keeps that
+exhaustive test as the referee.  The search keeps its state on an explicit
+stack, so it leaves no reference cycles behind, and returns the leaves as
+variable tuples in the order it meets them.  Only
+``enumerate_standard_trees`` sorts them, into the order of the exhaustive
+test: undirected trees by sorted edge list, then orientations
 lexicographically.
 
-Each standard tree's simplex lies in exactly one facet: the labeling whose
+Each standard tree is read by one walk from vertex 1, through per-variable
+tail and head arrays.  The walk counts the inedges and labels each vertex by
+its signed distance from vertex 1, counting +1 along an edge's direction.
+That labeling is the facet of the tree's simplex: the unique labeling whose
 tight edges (those with label increasing by one along the edge) contain all
-tree edges.  A spanning tree of tight edges fixes that labeling up to a
-shift, so it is read off the tree and looked up.  Splitting the histogram by
-the facet's type reproduces the two summands of the closed tripartite
-formula.
+tree edges, fixed up to a shift by a spanning tree.  The h* functions fill
+their histograms from the walk without building tree objects, and splitting
+the histogram by the facet's type reproduces the two summands of the closed
+tripartite formula.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import comb
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .counting import SizeExceeded
 from .graphs import (
@@ -50,7 +57,7 @@ from .graphs import (
 from .grobner import VarTable, build_basis
 from .polynomial import HStar, Poly
 
-DEFAULT_TREE_MAX_TOTAL = 9
+DEFAULT_TREE_MAX_TOTAL = 10
 
 
 class AmbiguousFacet(RuntimeError):
@@ -64,7 +71,7 @@ class DirTree:
     edges: tuple[DirectedEdge, ...]
 
 
-def _lead_partners(sig: Signature, nvars: int) -> tuple[list[int], list[dict[int, int]]]:
+def _lead_partners(vt: VarTable) -> tuple[list[int], list[list[int]]]:
     """Leading monomials with all-distinct variables, indexed by variable.
 
     ``pair[v]`` is the bitmask of the variables w with v w a leading
@@ -72,9 +79,10 @@ def _lead_partners(sig: Signature, nvars: int) -> tuple[list[int], list[dict[int
     leading monomial.  Leads with a repeated variable can never divide a
     square-free tree monomial and are dropped.
     """
+    nvars = vt.nvars
     pair = [0] * nvars
-    triple: list[dict[int, int]] = [{} for _ in range(nvars)]
-    for e in build_basis(sig):
+    triple = [[0] * nvars for _ in range(nvars)]
+    for e in build_basis(vt.sig, vt):
         lead = e.lead
         if len(set(lead)) != len(lead):
             continue
@@ -84,7 +92,7 @@ def _lead_partners(sig: Signature, nvars: int) -> tuple[list[int], list[dict[int
             pair[b] |= 1 << a
         else:
             for v, w, x in permutations(lead):
-                triple[v][w] = triple[v].get(w, 0) | 1 << x
+                triple[v][w] |= 1 << x
     return pair, triple
 
 
@@ -92,46 +100,82 @@ def _standard_tree_monomials(
     n: int,
     edges: list[tuple[int, int]],
     pair: list[int],
-    triple: list[dict[int, int]],
+    triple: list[list[int]],
 ) -> list[tuple[int, ...]]:
     """Square-free monomials of directed spanning trees that no leading
-    monomial divides, as variable tuples in edge order, sorted by
-    (edge indices, orientation bits).
+    monomial divides, as variable tuples in edge order, unsorted.
 
     Depth-first over the edge order with an explicit stack.  Each frame is
     (next edge index, bitmask of the variables that would complete a leading
-    monomial, vertex component labels, chosen variables).  Edge i is either
-    skipped or added in one of its two orientations, variable 1 + 2i
-    (forward) or 2 + 2i (reverse), when it joins two components and its
-    variable is not blocked.  A frame is only pushed when enough edges
-    remain to reach n - 1 of them.
+    monomial, bitmask of the vertices chosen edges touch, vertex component
+    labels as bytes, chosen variables).  Edge i is either skipped or added
+    in one of its two orientations, variable 1 + 2i (forward) or 2 + 2i
+    (reverse), when it joins two components and its variable is not
+    blocked.  A frame is only pushed when enough edges remain to reach
+    n - 1 of them, and the skip is not pushed when edge i is the last edge
+    of an untouched vertex.  An addition that completes a tree is a leaf
+    and pushes no frame.
     """
     need = n - 1
     m = len(edges)
+    # ends[i]: the endpoints of edge i; last[i]: the vertices whose last edge it is
+    ends = [1 << u | 1 << w for u, w in edges]
+    last = [0] * m
+    seen = 0
+    for i in range(m - 1, -1, -1):
+        last[i] = ends[i] & ~seen
+        seen |= ends[i]
+    # merge[cu][cw] relabels component cw as cu
+    merge = [[bytes.maketrans(bytes((cw,)), bytes((cu,))) for cw in range(n + 1)] for cu in range(n + 1)]
     leaves: list[tuple[int, ...]] = []
-    stack = [(0, 0, tuple(range(n + 1)), ())]
+    stack = [(0, 0, 0, bytes(range(n + 1)), ())]
     while stack:
-        i, blocked, comp, path = stack.pop()
-        if len(path) == need:
-            leaves.append(path)
-            continue
-        if need - len(path) < m - i:
-            stack.append((i + 1, blocked, comp, path))
+        i, blocked, touched, comp, path = stack.pop()
+        left = need - len(path)
+        if left < m - i and not last[i] & ~touched:
+            stack.append((i + 1, blocked, touched, comp, path))
         u, w = edges[i]
         cu, cw = comp[u], comp[w]
         if cu == cw:
             continue
-        merged = tuple(cu if c == cw else c for c in comp)
+        if left == 1:
+            for var in (2 * i + 1, 2 * i + 2):
+                if not blocked >> var & 1:
+                    leaves.append(path + (var,))
+            continue
+        merged = comp.translate(merge[cu][cw])
+        now_touched = touched | ends[i]
         for var in (2 * i + 1, 2 * i + 2):
             if blocked >> var & 1:
                 continue
             partners = triple[var]
             now_blocked = blocked | pair[var]
             for chosen in path:
-                now_blocked |= partners.get(chosen, 0)
-            stack.append((i + 1, now_blocked, merged, path + (var,)))
-    leaves.sort(key=lambda p: (tuple((v - 1) >> 1 for v in p), tuple((v - 1) & 1 for v in p)))
+                now_blocked |= partners[chosen]
+            stack.append((i + 1, now_blocked, now_touched, merged, path + (var,)))
     return leaves
+
+
+def _search(
+    sig: Signature, max_total: Optional[int]
+) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
+    """Tail and head of each directed-edge variable as 0-based vertices (0
+    for z), and the unsorted standard-tree monomials."""
+    bound = DEFAULT_TREE_MAX_TOTAL if max_total is None else max_total
+    if sig.total > bound:
+        raise SizeExceeded(f"signature total {sig.total} exceeds bound {bound}")
+    if sig.k < 2:
+        raise ValueError("need at least two classes")
+    vt = VarTable(sig)
+    dirs = [vt.dir_of(v) for v in range(1, vt.nvars)]
+    tail = [0] + [t - 1 for t, _ in dirs]
+    head = [0] + [h - 1 for _, h in dirs]
+    pair, triple = _lead_partners(vt)
+    return tail, head, _standard_tree_monomials(sig.total, vt.edges, pair, triple)
+
+
+def _tree(tail: list[int], head: list[int], mono: tuple[int, ...]) -> DirTree:
+    return DirTree(tuple(DirectedEdge(tail[v] + 1, head[v] + 1) for v in mono))
 
 
 def enumerate_standard_trees(
@@ -143,57 +187,77 @@ def enumerate_standard_trees(
     adds an edge only when it joins two components, adds a variable only
     when it completes no degree-2 or degree-3 leading monomial with those
     already chosen, and stops as soon as too few edges remain for a
-    spanning tree, so the work follows the number of standard trees rather
-    than the number of edge subsets.
+    spanning tree or a vertex loses its last edge, so the work follows the
+    number of standard trees rather than the number of edge subsets.
 
     Deterministic order: undirected trees by sorted edge list, then
     orientations lexicographically (forward before reverse on each edge).
     """
-    bound = DEFAULT_TREE_MAX_TOTAL if max_total is None else max_total
-    if sig.total > bound:
-        raise SizeExceeded(f"signature total {sig.total} exceeds bound {bound}")
-    if sig.k < 2:
-        raise ValueError("need at least two classes")
-    vt = VarTable(sig)
-    pair, triple = _lead_partners(sig, vt.nvars)
-    for mono in _standard_tree_monomials(sig.total, vt.edges, pair, triple):
-        yield DirTree(tuple(DirectedEdge(*vt.dir_of(v)) for v in mono))
+    tail, head, leaves = _search(sig, max_total)
+    leaves.sort(key=lambda p: (tuple((v - 1) >> 1 for v in p), tuple((v - 1) & 1 for v in p)))
+    for mono in leaves:
+        yield _tree(tail, head, mono)
+
+
+def _walk(
+    tree: Sequence[int], tail: Sequence[int], head: Sequence[int], n: int, root: int
+) -> tuple[int, list[Optional[int]]]:
+    """One walk of a directed tree from its root: (inedge count, labels).
+
+    The tree is a sequence of edge ids e, each directed tail[e] -> head[e],
+    over the vertices 0..n-1.  The unique path from an edge's tail to the
+    root uses the edge itself exactly when the head lies on the root side,
+    so an edge is ingoing when the walk reaches its tail from its head.  The
+    label of a vertex is the number of edges the path from the root follows
+    forward minus those it follows backward; it stays None for a vertex the
+    tree does not reach.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for e in tree:
+        t = tail[e]
+        h = head[e]
+        adj[t].append(h)
+        adj[h].append(~t)
+    lam: list[Optional[int]] = [None] * n
+    lam[root] = 0
+    stack = [root]
+    ins = 0
+    while stack:
+        u = stack.pop()
+        x = lam[u]
+        for w in adj[u]:
+            if w >= 0:
+                if lam[w] is None:
+                    lam[w] = x + 1
+                    stack.append(w)
+            elif lam[~w] is None:
+                lam[~w] = x - 1
+                stack.append(~w)
+                ins += 1
+    return ins, lam
+
+
+def _tree_walk(tree: DirTree, root: int, n: int) -> tuple[int, list[Optional[int]]]:
+    """``_walk`` of a tree over the vertices 1..n."""
+    tail = [e.tail - 1 for e in tree.edges]
+    head = [e.head - 1 for e in tree.edges]
+    return _walk(range(len(tree.edges)), tail, head, n, root - 1)
 
 
 def inedge(tree: DirTree, root: int) -> int:
-    """Number of tree edges directed toward the side containing the root.
-
-    The unique path from an edge's tail to the root uses the edge itself
-    exactly when the head lies on the root side, so orient the underlying
-    tree at the root and count edges pointing from child to parent.
-    """
-    adj: dict[int, list[int]] = {}
-    for e in tree.edges:
-        adj.setdefault(e.tail, []).append(e.head)
-        adj.setdefault(e.head, []).append(e.tail)
-    parent = {root: root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in adj.get(u, ()):
-            if w not in parent:
-                parent[w] = u
-                stack.append(w)
-    count = 0
-    for e in tree.edges:
-        if parent.get(e.tail) == e.head:
-            count += 1
-    return count
+    """Number of tree edges directed toward the side containing the root."""
+    n = max([root, *(v for e in tree.edges for v in e)])
+    return _tree_walk(tree, root, n)[0]
 
 
 def hstar_triangulation(sig: Signature, max_total: Optional[int] = None) -> HStar:
     """h* as the inedge histogram over all standard trees."""
-    d = sig.dim
-    root = 1
-    hist = [0] * (d + 1)
-    for tree in enumerate_standard_trees(sig, max_total=max_total):
-        hist[inedge(tree, root)] += 1
-    return HStar(Poly(hist), d)
+    tail, head, leaves = _search(sig, max_total)
+    n = sig.total
+    hist = [0] * (sig.dim + 1)
+    for mono in leaves:
+        hist[_walk(mono, tail, head, n, 0)[0]] += 1
+    return HStar(Poly(hist), sig.dim)
 
 
 def facet_of_tree(
@@ -203,27 +267,16 @@ def facet_of_tree(
 
     Directed edge (u, v) carries e_v - e_u, so it is tight for lambda when
     lambda(v) = lambda(u) + 1.  Along a spanning tree this fixes lambda up
-    to a shift: walk the tree from vertex 1, normalize to min 0 and look the
-    labeling up in ``facets``, the facet labelings keyed by their values.
+    to a shift: the walk from vertex 1 gives it, normalized to min 0 and
+    looked up in ``facets``, the facet labelings keyed by their values.
     """
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for e in tree.edges:
-        adj.setdefault(e.tail, []).append((e.head, 1))
-        adj.setdefault(e.head, []).append((e.tail, -1))
-    lam = {1: 0}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for w, step in adj.get(u, ()):
-            if w not in lam:
-                lam[w] = lam[u] + step
-                stack.append(w)
+    lam = _tree_walk(tree, 1, sig.total)[1]
     match = None
-    if len(lam) == sig.total:
-        lo = min(lam.values())
-        match = facets.get(tuple(lam[v] - lo for v in sig.vertices()))
+    if None not in lam:
+        lo = min(lam)
+        match = facets.get(tuple(x - lo for x in lam))
     if match is None:
-        raise AmbiguousFacet(f"tree {tree.edges} lies in no facet, expected 1")
+        raise AmbiguousFacet(f"tree {tree_dump(tree)} lies in no facet, expected 1")
     return match
 
 
@@ -234,16 +287,22 @@ def hstar_split_by_facet_type(
     each standard tree's simplex.  Requires k >= 3."""
     if sig.k < 3:
         raise ValueError("facet-type split needs k >= 3")
-    d = sig.dim
-    root = 1
-    facets = {lam.values: lam for lam in enumerate_facet_labelings(sig)}
-    hist_i = [0] * (d + 1)
-    hist_ii = [0] * (d + 1)
-    for tree in enumerate_standard_trees(sig, max_total=max_total):
-        lam = facet_of_tree(sig, tree, facets)
-        kind = classify_labeling(sig, lam)
-        target = hist_i if kind is FacetType.TYPE_I else hist_ii
-        target[inedge(tree, root)] += 1
+    tail, head, leaves = _search(sig, max_total)
+    n = sig.total
+    # whether each facet is of type (i), keyed by its labels minus that of
+    # vertex 1, which is how the walk from vertex 1 labels a tree
+    type_i = {
+        tuple(x - lam.values[0] for x in lam.values): classify_labeling(sig, lam) is FacetType.TYPE_I
+        for lam in enumerate_facet_labelings(sig)
+    }
+    hist_i = [0] * (sig.dim + 1)
+    hist_ii = [0] * (sig.dim + 1)
+    for mono in leaves:
+        ins, lam = _walk(mono, tail, head, n, 0)
+        kind = type_i.get(tuple(lam))
+        if kind is None:
+            raise AmbiguousFacet(f"tree {tree_dump(_tree(tail, head, mono))} lies in no facet, expected 1")
+        (hist_i if kind else hist_ii)[ins] += 1
     return Poly(hist_i), Poly(hist_ii)
 
 

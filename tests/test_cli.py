@@ -56,7 +56,7 @@ class TestHstar:
         code, out = run(capsys, "hstar", "--signature", "4,4,4", "--method", "all")
         result = json.loads(out)["result"]
         assert code == EXIT_OK
-        assert result["rows"][1] == {"method": "triangulation", "skipped": "signature total 12 exceeds bound 9"}
+        assert result["rows"][1] == {"method": "triangulation", "skipped": "signature total 12 exceeds bound 10"}
         assert result["methods_compared"] == 2 and result["agreement"] is True
 
     def test_all_skipped_is_no_agreement(self, capsys):
@@ -134,6 +134,21 @@ class TestHstar:
         code, out = run(capsys, "hstar", "--signature", "2,2", "--method", "oracle", "--max-dilation", "0")
         assert code == EXIT_OK
         assert json.loads(out)["result"]["dilation_counts"] == [{"k": 0, "count": 1}]
+
+    def test_skipped_oracle_reports_dropped_dilation_counts(self, capsys):
+        """With the oracle skipped by its bound, its reason stands in for
+        the counts; with the oracle run, the counts are there and no reason."""
+        code, out = run(capsys, "hstar", "--signature", "13,12", "--method", "all", "--max-dilation", "2")
+        result = json.loads(out)["result"]
+        assert code == EXIT_OK
+        assert "dilation_counts" not in result
+        assert result["dilation_counts_skipped"].startswith("signature total 25 exceeds bound 24")
+        assert result["rows"][-1] == {"method": "oracle", "skipped": result["dilation_counts_skipped"]}
+        code, out = run(capsys, "hstar", "--signature", "1,2", "--method", "all", "--max-dilation", "1")
+        result = json.loads(out)["result"]
+        assert code == EXIT_OK
+        assert "dilation_counts_skipped" not in result
+        assert result["dilation_counts"] == [{"k": 0, "count": 1}, {"k": 1, "count": 5}]
 
 
 class TestRootsAndInterlace:

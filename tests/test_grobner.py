@@ -80,6 +80,23 @@ class TestMonomials:
         assert not drl_greater((1, 2), (1, 2))
 
 
+class TestVarTable:
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_edge_rank(self, canonical):
+        """Either orientation of an edge gives its position in the table's
+        edge order; a pair that is no edge raises."""
+        sig = Signature((2, 1, 3))
+        edges = grobner.edge_order(sig)
+        if not canonical:
+            edges = edges[::-1]
+        vt = VarTable(sig) if canonical else VarTable(sig, ordered_edges=edges)
+        for r, (u, w) in enumerate(edges):
+            assert vt.edge_rank(u, w) == vt.edge_rank(w, u) == r
+        for u, w in [(1, 2), (4, 6), (3, 3), (0, 3), (3, 0), (-1, 3), (3, 7)]:
+            with pytest.raises(KeyError):
+                vt.edge_rank(u, w)
+
+
 class TestBuildBasis:
     def test_single_edge(self):
         basis = build_basis(Signature((1, 1)))

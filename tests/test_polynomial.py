@@ -18,6 +18,9 @@ from sepkit.polynomial import (
     ONE_PLUS_T,
     Poly,
     TWO_X_PLUS_1,
+    _numerators,
+    _pseudo_divmod,
+    _sturm_prs,
     binom_poly,
     cross_coefficients,
     cross_polynomial,
@@ -48,10 +51,12 @@ class TestPolyCore:
         assert Poly((2, 4)) / 2 == Poly((1, 2))
 
     def test_divmod_and_gcd(self):
-        a = Poly((1, 1)) * Poly((2, 1)) * Poly((0, 1))
-        q, r = a.divmod(Poly((1, 1)))
-        assert r.is_zero() and q == Poly((2, 1)) * Poly((0, 1))
-        assert a.gcd(Poly((1, 1)) * Poly((5, 1))) == Poly((1, 1))
+        """Division and gcds run on integer vectors: pseudo-division, and the
+        primitive remainder sequence, which ends in the gcd up to a constant."""
+        a = [0, 2, 3, 1]  # x (x + 1) (x + 2)
+        assert _pseudo_divmod(a, [1, 1]) == ([0, 2, 1], [], 1)
+        assert _pseudo_divmod(a, [2, 3]) == ([4, 21, 9], [-8], 27)  # 27 a = (9x^2 + 21x + 4)(3x + 2) - 8
+        assert _sturm_prs(a, [5, 6, 1])[-1] == [-1, -1]  # against (x + 1)(x + 5)
 
     def test_compose_and_eval(self):
         p = Poly((1, 0, 1))  # 1 + x^2
@@ -337,12 +342,15 @@ class TestIntegerReferees:
             b = random_rational_poly(rnd, rnd.randint(0, 6))
             c = random_rational_poly(rnd, rnd.randint(1, 4))
             assert list((a * b).coeffs) == fr.mul(list(a.coeffs), list(b.coeffs))
-            q, r = a.divmod(b)
-            assert (list(q.coeffs), list(r.coeffs)) == fr.divmod_(list(a.coeffs), list(b.coeffs))
+            # division and gcds on the integer numerators, the larger degree first
+            ai, bi = sorted((_numerators(a)[0], _numerators(b)[0]), key=len, reverse=True)
+            q, r, scale = _pseudo_divmod(ai, bi)
+            quo, rem = fr.divmod_(fr.strip(ai), fr.strip(bi))
+            assert (fr.strip(q), fr.strip(r)) == ([x * scale for x in quo], [x * scale for x in rem])
             # a common factor c, so the gcd is not always 1
-            ac, bc = a * c, b * c
-            assert list(ac.gcd(bc).coeffs) == fr.gcd_(list(ac.coeffs), list(bc.coeffs))
-            assert list(a.gcd(Poly.zero()).coeffs) == fr.monic(list(a.coeffs))
+            ac, bc = sorted((_numerators(a * c)[0], _numerators(b * c)[0]), key=len, reverse=True)
+            assert fr.monic(fr.strip(_sturm_prs(ac, bc)[-1])) == fr.gcd_(fr.strip(ac), fr.strip(bc))
+            assert fr.monic(fr.strip(_sturm_prs(ai, [])[-1])) == fr.monic(fr.strip(ai))
 
     def test_symmetry_against_reflection(self):
         rnd = random.Random(5)

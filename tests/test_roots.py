@@ -110,6 +110,20 @@ class TestSturm:
             assert points == [(lo + hi) / 2]
         assert iso.lo ** 2 < 2 < iso.hi ** 2
 
+    def test_factor_lookup_reads_the_held_counts(self, monkeypatch):
+        """A factor whose chain is the interval's own is found from the
+        interval's end counts; another factor's chain is evaluated at both ends."""
+        chain = roots._chain([-2, 0, 1])
+        iso = roots._isolate(chain)[1]
+        other = roots._chain([1, 1])
+        points = []
+        real = roots._variations
+        monkeypatch.setattr(roots, "_variations", lambda *a, **k: points.append(a[1]) or real(*a, **k))
+        assert roots._factor_at([(Poly((-2, 0, 1)), 3, chain)], iso) == (3, None)
+        assert points == []
+        assert roots._factor_at([(Poly((1, 1)), 1, other), (Poly((-2, 0, 1)), 3, chain)], iso) == (3, None)
+        assert points == [iso.lo, iso.hi]
+
     def test_squarefree_decomposition(self):
         p = Poly((1, 1)) ** 2 * Poly((3, 1)) ** 3 * Poly((0, 1))
         decomp = squarefree_decomposition(p)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sepkit import _treepure
+from sepkit import _treepure, triangulation
 from sepkit.counting import SizeExceeded, hstar_oracle
 from sepkit.formulas import closed_form_hstar, hstar_type_i
 from sepkit.graphs import DirectedEdge, Signature, enumerate_facet_labelings
@@ -45,10 +45,10 @@ class TestStandardTrees:
         assert [t.edges for t in enumerate_standard_trees(sig)] == _treepure.standard_trees(sig)
 
     def test_size_bound(self):
-        with pytest.raises(SizeExceeded, match="exceeds bound 9"):
-            list(enumerate_standard_trees(Signature((2, 3, 5))))
+        with pytest.raises(SizeExceeded, match="exceeds bound 10"):
+            list(enumerate_standard_trees(Signature((2, 3, 6))))
         with pytest.raises(SizeExceeded):
-            hstar_triangulation(Signature((1,) * 10))
+            hstar_triangulation(Signature((1,) * 11))
 
     def test_deterministic_order(self):
         a = [tree_dump(t) for t in enumerate_standard_trees(Signature((1, 2, 2)))]
@@ -93,8 +93,20 @@ class TestHStarTriangulation:
         assert h.is_palindromic()
         assert h.poly.degree == sig.dim
 
+    @pytest.mark.parametrize("sig", signatures_with_total(2, 7), ids=str)
+    def test_histogram_of_the_enumerated_trees(self, sig):
+        """The histogram filled from the search's leaves is the inedge
+        histogram over the trees ``enumerate_standard_trees`` yields."""
+        hist = [0] * sig.total
+        for tree in enumerate_standard_trees(sig):
+            hist[inedge(tree, 1)] += 1
+        assert hstar_triangulation(sig).poly == Poly(hist)
+
     @pytest.mark.parametrize(
-        "sig", signatures_with_total(8, 8) + [Signature((1,) * 9), Signature((2, 2, 2, 3))], ids=str
+        "sig",
+        signatures_with_total(8, 8)
+        + [Signature((1,) * 9), Signature((2, 2, 2, 3)), Signature((2,) * 5), Signature((1,) * 10)],
+        ids=str,
     )
     def test_three_way_past_seven_vertices(self, sig):
         h = hstar_triangulation(sig).poly
@@ -140,6 +152,16 @@ class TestFacetSplit:
             assert tight == [facet_of_tree(sig, tree, facets)]
             with pytest.raises(AmbiguousFacet):
                 facet_of_tree(sig, tree, {})
+
+    def test_split_raises_on_a_missing_facet(self, monkeypatch):
+        """A tree whose facet the lookup lacks raises, on the split's own
+        walk as on ``facet_of_tree``."""
+        sig = Signature((1, 1, 2, 2))
+        labelings = enumerate_facet_labelings(sig)
+        assert sum(hstar_split_by_facet_type(sig), Poly.zero()) == hstar_triangulation(sig).poly
+        monkeypatch.setattr(triangulation, "enumerate_facet_labelings", lambda s: labelings[1:])
+        with pytest.raises(AmbiguousFacet, match="lies in no facet"):
+            hstar_split_by_facet_type(sig)
 
 
 class TestPlanarTrees:
