@@ -6,45 +6,72 @@ triangulation, and lattice-point counting by a class-wise transfer), gamma
 vectors and cross-polynomial expansions, recursive relations among Ehrhart
 polynomials, and certified statements about roots on the canonical line
 Re(z) = -1/2.  All arithmetic is exact.
+
+The public names below resolve on first use: ``import sepkit`` loads no
+layer, and ``sepkit.hstar_oracle`` imports only the counting layer and what
+it needs.
 """
 
-from .counting import (
-    DilationCount,
-    SizeExceeded,
-    count_lattice_points,
-    ehrhart_interpolate,
-    hstar_oracle,
-)
-from .formulas import (
-    closed_form_hstar,
-    contraction_identity_check,
-    hstar_111n,
-    hstar_1mn,
-    hstar_22n,
-    hstar_bipartite,
-    hstar_tripartite,
-)
-from .graphs import FacetLabeling, FacetType, Signature, edge_order, enumerate_facet_labelings
-from .grobner import build_basis, buchberger_verify, k222_order_scan, reducedness_check
-from .polynomial import (
-    HStar,
-    Poly,
-    cross_coefficients,
-    cross_polynomial,
-    ehrhart_from_hstar,
-    gamma_vector,
-    hstar_from_ehrhart,
-    is_symmetric_about_cl,
-)
-from .recursion import (
-    conjecture_scan,
-    corollary_scan,
-    reproduce_known_relations,
-    solve_recursion,
-    solve_recursion_cross,
-)
-from .roots import interlaces_on_cl, is_cl, sturm_count
-from .triangulation import enumerate_standard_trees, hstar_split_by_facet_type, hstar_triangulation
+import importlib
+
+# public name -> defining module; each module is imported on first access
+# (PEP 562), so a caller pays only for the layers it uses
+_MODULE_OF = {
+    "DilationCount": "counting",
+    "count_lattice_points": "counting",
+    "ehrhart_interpolate": "counting",
+    "hstar_oracle": "counting",
+    "closed_form_hstar": "formulas",
+    "contraction_identity_check": "formulas",
+    "hstar_111n": "formulas",
+    "hstar_1mn": "formulas",
+    "hstar_22n": "formulas",
+    "hstar_bipartite": "formulas",
+    "hstar_tripartite": "formulas",
+    "FacetLabeling": "graphs",
+    "FacetType": "graphs",
+    "Signature": "graphs",
+    "SizeExceeded": "graphs",
+    "edge_order": "graphs",
+    "enumerate_facet_labelings": "graphs",
+    "build_basis": "grobner",
+    "buchberger_verify": "grobner",
+    "k222_order_scan": "grobner",
+    "reducedness_check": "grobner",
+    "HStar": "polynomial",
+    "Poly": "polynomial",
+    "cross_coefficients": "polynomial",
+    "cross_polynomial": "polynomial",
+    "ehrhart_from_hstar": "polynomial",
+    "gamma_vector": "polynomial",
+    "hstar_from_ehrhart": "polynomial",
+    "is_symmetric_about_cl": "polynomial",
+    "conjecture_scan": "recursion",
+    "corollary_scan": "recursion",
+    "reproduce_known_relations": "recursion",
+    "solve_recursion": "recursion",
+    "solve_recursion_cross": "recursion",
+    "interlaces_on_cl": "roots",
+    "is_cl": "roots",
+    "sturm_count": "roots",
+    "enumerate_standard_trees": "triangulation",
+    "hstar_split_by_facet_type": "triangulation",
+    "hstar_triangulation": "triangulation",
+}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))
+
 
 __version__ = "0.1.0"
 

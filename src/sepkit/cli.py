@@ -14,40 +14,12 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .counting import InterpolationGuardFailed, SizeExceeded, hstar_oracle
-from .formulas import IdentityFailed, closed_form_hstar
-from .graphs import Signature
-from .grobner import (
-    basis_to_text,
-    build_basis,
-    buchberger_verify,
-    k222_order_scan,
-    leading_term_consistency,
-    max_degree,
-    reducedness_check,
-    toric_membership_check,
-)
-from .polynomial import (
-    HStar,
-    NegativeHStar,
-    NonIntegerCount,
-    Poly,
-    RecombinationFailed,
-    ehrhart_from_hstar,
-    fraction_str,
-    poly_str,
-)
-from .recursion import (
-    ExactSolveFailed,
-    RelationFailed,
-    conjecture_scan,
-    corollary_scan,
-    reproduce_known_relations,
-)
-from .roots import NotCL, RootCheckFailed, imaginary_bounds, interlaces_on_cl, is_cl
-from .triangulation import hstar_triangulation
+from .graphs import Signature, SizeExceeded
+
+if TYPE_CHECKING:
+    from .polynomial import HStar, Poly
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,13 +62,19 @@ class _NoClosedForm(ValueError):
 
 def _hstar_by_method(sig: Signature, method: str, bound: int):
     if method == "formula":
+        from .formulas import closed_form_hstar
+
         h = closed_form_hstar(sig)
         if h is None:
             raise _NoClosedForm(f"no closed form covers signature {sig}")
         return h
     if method == "triangulation":
+        from .triangulation import hstar_triangulation
+
         return hstar_triangulation(sig, max_total=bound)
     if method == "oracle":
+        from .counting import hstar_oracle
+
         return hstar_oracle(sig, max_total=bound)
     raise AssertionError(method)
 
@@ -152,13 +130,23 @@ def cmd_hstar(args) -> int:
 def _ehrhart_of_signature(sig: Signature, bound: int) -> Poly:
     """E from the closed form, and otherwise from the counting oracle, the
     method with the largest size bound."""
+    from .formulas import closed_form_hstar
+    from .polynomial import ehrhart_from_hstar
+
     h = closed_form_hstar(sig)
     if h is None:
+        from .counting import hstar_oracle
+
         h = hstar_oracle(sig, max_total=bound)
     return ehrhart_from_hstar(h)
 
 
 def cmd_roots(args) -> int:
+    from fractions import Fraction
+
+    from .polynomial import fraction_str, poly_str
+    from .roots import imaginary_bounds, is_cl
+
     started = time.monotonic()
     sig = Signature.parse(args.signature)
     e = _ehrhart_of_signature(sig, args.bound)
@@ -188,6 +176,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_interlace(args) -> int:
+    from .roots import NotCL, interlaces_on_cl
+
     started = time.monotonic()
     sig_a = Signature.parse(args.a)
     sig_b = Signature.parse(args.b)
@@ -204,6 +194,8 @@ def cmd_interlace(args) -> int:
 
 
 def cmd_recursion(args) -> int:
+    from .recursion import reproduce_known_relations
+
     started = time.monotonic()
     report = reproduce_known_relations(args.n, strict=False)
     if args.relation != "all":
@@ -217,10 +209,23 @@ def cmd_recursion(args) -> int:
 
 
 def cmd_gb(args) -> int:
+    from .grobner import (
+        VarTable,
+        basis_to_text,
+        build_basis,
+        buchberger_verify,
+        k222_order_scan,
+        leading_term_consistency,
+        max_degree,
+        reducedness_check,
+        toric_membership_check,
+    )
+
     started = time.monotonic()
     sig = Signature.parse(args.signature)
     checks = args.checks.split(",") if args.checks else ["reduced", "lead", "degree", "membership"]
-    basis = build_basis(sig)
+    vt = VarTable(sig)
+    basis = build_basis(sig, vt)
     result: dict = {"signature": str(sig), "size": len(basis)}
     ok = True
     for check in checks:
@@ -235,7 +240,7 @@ def cmd_gb(args) -> int:
             result["at_most_cubic"] = result["max_degree"] <= 3
             ok &= result["at_most_cubic"]
         elif check == "membership":
-            result["toric_membership"] = all(toric_membership_check(sig, e) for e in basis)
+            result["toric_membership"] = all(toric_membership_check(sig, e, vt) for e in basis)
             ok &= result["toric_membership"]
         elif check == "buchberger":
             result["buchberger"] = buchberger_verify(sig)
@@ -260,14 +265,20 @@ def cmd_gb(args) -> int:
 def cmd_scan(args) -> int:
     started = time.monotonic()
     if args.kind == "conjecture":
+        from .recursion import conjecture_scan
+
         report = conjecture_scan(args.max_total, args.max_n)
         ok = report["violations"] == 0
     elif args.kind == "corollary":
+        from .recursion import corollary_scan
+
         report = corollary_scan(args.m, args.max_n)
         ok = all(r["status"] == "unique" for r in report["rows"])
         if "alpha2_matches" in report:
             ok &= report["alpha2_matches"]
     elif args.kind == "k222":
+        from .grobner import k222_order_scan
+
         report = k222_order_scan(args.orders, args.seed)
         ok = report["all_orders_obstructed"]
     else:
@@ -337,6 +348,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (layer, exception class, exit code, stderr label), first match wins; any
+# other ValueError is a usage error
+_FAILURES = [
+    ("graphs", "SizeExceeded", EXIT_BOUND, "size bound exceeded"),
+    ("polynomial", "NegativeHStar", EXIT_VERIFICATION, "verification failed"),
+    ("polynomial", "NonIntegerCount", EXIT_VERIFICATION, "verification failed"),
+    ("counting", "InterpolationGuardFailed", EXIT_VERIFICATION, "verification failed"),
+    ("formulas", "IdentityFailed", EXIT_VERIFICATION, "verification failed"),
+    ("polynomial", "RecombinationFailed", EXIT_VERIFICATION, "verification failed"),
+    ("recursion", "ExactSolveFailed", EXIT_VERIFICATION, "verification failed"),
+    ("roots", "RootCheckFailed", EXIT_VERIFICATION, "verification failed"),
+    ("recursion", "RelationFailed", EXIT_VERIFICATION, "error"),
+]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -345,23 +371,18 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SizeExceeded as exc:
-        print(f"size bound exceeded: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except (
-        NegativeHStar,
-        NonIntegerCount,
-        InterpolationGuardFailed,
-        IdentityFailed,
-        RecombinationFailed,
-        ExactSolveFailed,
-        RootCheckFailed,
-    ) as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except (ValueError, NotCL, RelationFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_VERIFICATION
+    except (ArithmeticError, AssertionError, ValueError) as exc:
+        for module, name, code, label in _FAILURES:
+            # a layer that was never imported raised none of its exceptions
+            layer = sys.modules.get(f"{__package__}.{module}")
+            if layer is not None and isinstance(exc, getattr(layer, name)):
+                break
+        else:
+            if not isinstance(exc, ValueError):
+                raise
+            code, label = EXIT_USAGE, "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -26,15 +26,10 @@ from dataclasses import dataclass
 from math import comb, lcm, prod
 from typing import Optional
 
-from .graphs import Signature, enumerate_facet_labelings
+from .graphs import Signature, SizeExceeded, enumerate_facet_labelings
 from .polynomial import Poly, HStar, _div_linear, _poly_over, _times_linear, hstar_from_ehrhart
-from . import _countpure
 
 DEFAULT_MAX_TOTAL = 24
-
-
-class SizeExceeded(ValueError):
-    """The requested computation is beyond the configured size bound."""
 
 
 @dataclass(frozen=True)
@@ -164,5 +159,7 @@ def hstar_oracle(sig: Signature, max_total: Optional[int] = None) -> HStar:
 def enumerate_dilate_points(sig: Signature, k: int) -> list[tuple[int, ...]]:
     """Explicit point list for small inputs (used by symmetry checks), by
     brute force against the full facet list."""
+    from . import _countpure
+
     facets = [list(lam.values) for lam in enumerate_facet_labelings(sig)]
     return _countpure.enumerate_points(k, sig.total, facets)

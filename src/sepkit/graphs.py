@@ -30,6 +30,10 @@ class DirectedEdge(NamedTuple):
     head: int
 
 
+class SizeExceeded(ValueError):
+    """The requested computation is beyond the configured size bound."""
+
+
 class Unclassifiable(ValueError):
     """A labeling matched none of the facet normal forms (enumeration bug)."""
 

@@ -33,13 +33,11 @@ suite uses as an independent referee for ``build_basis``.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 from typing import Iterable, Optional, Sequence
 
-from .counting import SizeExceeded
-from .graphs import Signature, edge_order
+from .graphs import Signature, SizeExceeded, edge_count, edge_order
 
 Mono = tuple[int, ...]  # sorted variable indices, with multiplicity
 
@@ -130,36 +128,55 @@ def mono_mul(m1: Mono, m2: Mono) -> Mono:
 
 
 def mono_divides(m1: Mono, m2: Mono) -> bool:
-    c = Counter(m2)
-    c.subtract(Counter(m1))
-    return all(v >= 0 for v in c.values())
+    """Does m1 divide m2, i.e. is every index of m1 matched by one of m2?"""
+    n = len(m2)
+    if len(m1) > n:
+        return False
+    j = 0
+    for v in m1:
+        while j < n and m2[j] < v:
+            j += 1
+        if j == n or m2[j] != v:
+            return False
+        j += 1
+    return True
 
 
 def mono_div(m1: Mono, m2: Mono) -> Mono:
-    c = Counter(m1)
-    c.subtract(Counter(m2))
-    if any(v < 0 for v in c.values()):
+    """The quotient m1 / m2; ValueError unless m2 divides m1."""
+    out = []
+    j, n = 0, len(m2)
+    for v in m1:
+        if j < n and m2[j] == v:
+            j += 1
+        elif j < n and m2[j] < v:
+            break  # m2[j] is missing from m1
+        else:
+            out.append(v)
+    if j < n:
         raise ValueError("not divisible")
-    return tuple(sorted(c.elements()))
+    return tuple(out)
 
 
 def mono_lcm(m1: Mono, m2: Mono) -> Mono:
-    c1, c2 = Counter(m1), Counter(m2)
-    return tuple(sorted(Counter({v: max(c1[v], c2[v]) for v in set(c1) | set(c2)}).elements()))
+    """Merge of m1 and m2 keeping each index at its larger multiplicity."""
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        a, b = m1[i], m2[j]
+        out.append(a if a < b else b)
+        if a <= b:
+            i += 1
+        if b <= a:
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def drl_greater(m1: Mono, m2: Mono) -> bool:
     """Graded reverse lexicographic: higher total degree wins; on a tie the
     monomial with the smaller exponent at the smallest differing variable is
-    the larger one."""
-    if len(m1) != len(m2):
-        return len(m1) > len(m2)
-    c1, c2 = Counter(m1), Counter(m2)
-    diff = [v for v in set(c1) | set(c2) if c1[v] != c2[v]]
-    if not diff:
-        return False
-    v = min(diff)
-    return c1[v] < c2[v]
+    the larger one, which on sorted index tuples is the larger tuple."""
+    return len(m1) > len(m2) or (len(m1) == len(m2) and m1 > m2)
 
 
 def drl_max(monos: Iterable[Mono]) -> Mono:
@@ -194,12 +211,8 @@ def _crossing_is_lead(vt: VarTable, d1: tuple[int, int], d2: tuple[int, int]) ->
     four undirected edges lies on the partner's side.
     """
     (s1, t1), (s2, t2) = d1, d2
-    sig = vt.sig
-    if not sig.adjacent(s1, t2) or not sig.adjacent(s2, t1):
-        return False
-    ranks_own = (vt.edge_rank(s1, t1), vt.edge_rank(s2, t2))
-    ranks_partner = (vt.edge_rank(s1, t2), vt.edge_rank(s2, t1))
-    return min(ranks_partner) < min(ranks_own)
+    partner = min(vt._rank[s1][t2], vt._rank[s2][t1])  # -1 for a non-edge
+    return 0 <= partner < min(vt.edge_rank(s1, t1), vt.edge_rank(s2, t2))
 
 
 def build_basis(sig: Signature, vt: Optional[VarTable] = None) -> list[GBElement]:
@@ -403,10 +416,8 @@ def _reduces_to_zero(p: dict[Mono, int], basis: Sequence[GBElement]) -> bool:
     return True
 
 
-def buchberger_verify(sig: Signature, max_edges: int = 9) -> bool:
+def buchberger_verify(sig: Signature, max_edges: int = 13) -> bool:
     """Every S-polynomial of basis pairs reduces to zero modulo the basis."""
-    from .graphs import edge_count
-
     if edge_count(sig) > max_edges:
         raise SizeExceeded(
             f"{edge_count(sig)} edges exceed the S-pair bound {max_edges}"
@@ -493,18 +504,17 @@ def basis_matches_ground_truth(sig: Signature) -> bool:
 
 
 def _deg2_standard_map(vt: VarTable) -> set[Mono]:
-    """Degree-2 monomials that are the minimum of their weight class."""
-    groups: dict[tuple[int, ...], list[Mono]] = {}
-    for mono in combinations_with_replacement(range(vt.nvars), 2):
-        groups.setdefault(vt.weight(mono), []).append(mono)
-    standard: set[Mono] = set()
-    for group in groups.values():
-        mn = group[0]
-        for m in group[1:]:
-            if drl_greater(mn, m):
-                mn = m
-        standard.add(mn)
-    return standard
+    """Degree-2 monomials that are the minimum of their weight class.
+
+    Monomials of one degree come in increasing tuple order, so the first
+    one met in each weight class is its degrevlex minimum.  The weight
+    e_h - e_t of x(t,h) is keyed as the integer 8^h - 8^t; a sum of two
+    such keys has digits in -2..2 in base 8, so it determines the weight."""
+    key = [0] + [(1 << 3 * h) - (1 << 3 * t) for t, h in vt._dir_of[1:]]
+    first: dict[int, Mono] = {}
+    for a, b in combinations_with_replacement(range(vt.nvars), 2):
+        first.setdefault(key[a] + key[b], (a, b))
+    return set(first.values())
 
 
 def _k222_obstruction(vt: VarTable) -> Optional[dict]:

@@ -45,12 +45,12 @@ from itertools import permutations
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .counting import SizeExceeded
 from .graphs import (
     DirectedEdge,
     FacetLabeling,
     FacetType,
     Signature,
+    SizeExceeded,
     classify_labeling,
     enumerate_facet_labelings,
 )

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,8 @@ from sepkit.polynomial import NegativeHStar, NonIntegerCount, Poly, Recombinatio
 from sepkit.recursion import ExactSolveFailed
 from sepkit.roots import RootCheckFailed
 from sepkit.triangulation import hstar_triangulation
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -106,7 +111,7 @@ class TestHstar:
         def fail(sig, max_total=None):
             raise exc("injected")
 
-        monkeypatch.setattr("sepkit.cli.hstar_oracle", fail)
+        monkeypatch.setattr("sepkit.counting.hstar_oracle", fail)
         code = main(["hstar", "--signature", "1,1", "--method", "oracle"])
         assert code == EXIT_VERIFICATION
         assert capsys.readouterr().err == "verification failed: injected\n"
@@ -199,7 +204,7 @@ class TestRootsAndInterlace:
         """Byte-identical to the output of the triangulation route."""
         args = ["roots", "--signature", "1,1,2,2,2"]
         _, by_oracle = run(capsys, *args)
-        monkeypatch.setattr("sepkit.cli.hstar_oracle", hstar_triangulation)
+        monkeypatch.setattr("sepkit.counting.hstar_oracle", hstar_triangulation)
         _, by_triangulation = run(capsys, *args)
         assert by_oracle == by_triangulation
 
@@ -310,3 +315,39 @@ class TestDeterminism:
         _, out = run(capsys, "scan", "--kind", "conjecture", "--max-total", "4", "--max-n", "2")
         payload = json.loads(out)
         assert json.loads(json.dumps(payload)) == payload
+
+
+class TestImportFootprint:
+    """A call imports only the layers its subcommand runs."""
+
+    @staticmethod
+    def loaded_layers(*argv):
+        # -X importtime lists every module the call imports on stderr
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "sepkit.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        return {name.split(".", 1)[1] for name in names if name.startswith("sepkit.")}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gb", "--signature", "2,2", "--checks", "reduced,lead,degree,membership,buchberger,k222,export",
+             "--orders", "2"],
+            ["scan", "--kind", "k222", "--orders", "2"],
+        ],
+        ids=["gb", "scan-k222"],
+    )
+    def test_groebner_calls(self, argv):
+        layers = self.loaded_layers(*argv)
+        assert "grobner" in layers
+        assert not layers & {"counting", "polynomial", "roots", "recursion", "triangulation", "_countpure"}
+
+    def test_formula_call(self):
+        layers = self.loaded_layers("hstar", "--signature", "2,3", "--method", "formula")
+        assert "formulas" in layers
+        assert not layers & {"grobner", "triangulation", "roots"}

@@ -1,6 +1,7 @@
 """Groebner basis construction, verification, and the K_{2,2,2} obstruction."""
 
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -29,8 +30,47 @@ from sepkit.grobner import (
 from test_graphs import signatures_with_total
 
 BUCHBERGER_SIGNATURES = [
-    (1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 1, 1, 1),
+    (1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 1, 1, 1), (2, 2, 2),
 ]
+
+
+# -- exponent-vector referee for the monomial operations -----------------------
+
+
+def counter_divides(m1, m2):
+    c = Counter(m2)
+    c.subtract(Counter(m1))
+    return all(v >= 0 for v in c.values())
+
+
+def counter_div(m1, m2):
+    c = Counter(m1)
+    c.subtract(Counter(m2))
+    if any(v < 0 for v in c.values()):
+        raise ValueError("not divisible")
+    return tuple(sorted(c.elements()))
+
+
+def counter_lcm(m1, m2):
+    c1, c2 = Counter(m1), Counter(m2)
+    return tuple(sorted(Counter({v: max(c1[v], c2[v]) for v in set(c1) | set(c2)}).elements()))
+
+
+def counter_drl_greater(m1, m2):
+    """Degrevlex on exponent vectors: higher degree wins; on a tie the
+    smaller exponent at the smallest differing variable wins."""
+    if len(m1) != len(m2):
+        return len(m1) > len(m2)
+    c1, c2 = Counter(m1), Counter(m2)
+    diff = [v for v in set(c1) | set(c2) if c1[v] != c2[v]]
+    if not diff:
+        return False
+    v = min(diff)
+    return c1[v] < c2[v]
+
+
+# every sorted monomial of degree 0..3 in 6 variables: 84 of them
+SMALL_MONOMIALS = [m for d in range(4) for m in combinations_with_replacement(range(6), d)]
 
 
 def union_min_build_basis(sig, vt=None):
@@ -78,6 +118,21 @@ class TestMonomials:
         assert drl_greater((1, 2), (0, 0))  # z^2 is the smallest degree-2 monomial
         assert drl_greater((2, 3), (0, 1))
         assert not drl_greater((1, 2), (1, 2))
+
+    def test_against_exponent_vectors(self):
+        """On every pair of small monomials the tuple merges and the tuple
+        comparison agree with the exponent-vector definitions."""
+        assert len(SMALL_MONOMIALS) == 84
+        for m1 in SMALL_MONOMIALS:
+            for m2 in SMALL_MONOMIALS:
+                assert mono_divides(m1, m2) == counter_divides(m1, m2), (m1, m2)
+                assert mono_lcm(m1, m2) == counter_lcm(m1, m2), (m1, m2)
+                assert drl_greater(m1, m2) == counter_drl_greater(m1, m2), (m1, m2)
+                if counter_divides(m2, m1):
+                    assert mono_div(m1, m2) == counter_div(m1, m2), (m1, m2)
+                else:
+                    with pytest.raises(ValueError):
+                        mono_div(m1, m2)
 
 
 class TestVarTable:
@@ -170,8 +225,8 @@ class TestVerification:
         assert not basis_matches_ground_truth(sig)
 
     def test_buchberger_size_gate(self):
-        with pytest.raises(SizeExceeded):
-            buchberger_verify(Signature((2, 2, 2)))
+        with pytest.raises(SizeExceeded, match="15 edges exceed the S-pair bound 13"):
+            buchberger_verify(Signature((1,) * 6))
 
     def test_ground_truth_shape(self):
         deg2, deg3 = initial_ideal_ground_truth(Signature((1, 1, 1)))
