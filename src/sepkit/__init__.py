@@ -19,7 +19,6 @@ import importlib
 _MODULE_OF = {
     "DilationCount": "counting",
     "count_lattice_points": "counting",
-    "ehrhart_interpolate": "counting",
     "hstar_oracle": "counting",
     "closed_form_hstar": "formulas",
     "contraction_identity_check": "formulas",
@@ -94,7 +93,6 @@ __all__ = [
     "cross_polynomial",
     "edge_order",
     "ehrhart_from_hstar",
-    "ehrhart_interpolate",
     "enumerate_facet_labelings",
     "enumerate_standard_trees",
     "gamma_vector",

@@ -354,7 +354,7 @@ _FAILURES = [
     ("graphs", "SizeExceeded", EXIT_BOUND, "size bound exceeded"),
     ("polynomial", "NegativeHStar", EXIT_VERIFICATION, "verification failed"),
     ("polynomial", "NonIntegerCount", EXIT_VERIFICATION, "verification failed"),
-    ("counting", "InterpolationGuardFailed", EXIT_VERIFICATION, "verification failed"),
+    ("counting", "CountGuardFailed", EXIT_VERIFICATION, "verification failed"),
     ("formulas", "IdentityFailed", EXIT_VERIFICATION, "verification failed"),
     ("polynomial", "RecombinationFailed", EXIT_VERIFICATION, "verification failed"),
     ("recursion", "ExactSolveFailed", EXIT_VERIFICATION, "verification failed"),

@@ -1,5 +1,5 @@
-"""Lattice-point counting, Ehrhart interpolation and h* extraction for
-symmetric edge polytopes.
+"""Lattice-point counting and the counting oracle's h* for symmetric edge
+polytopes.
 
 The facets of P_G (see ``graphs``) come from {0,1} labelings and from
 labelings that are -1 and 1 on one class and 0 elsewhere.  Together they
@@ -13,7 +13,13 @@ So the count is a transfer over the classes.  A class of size a contributes
 c_a(P, N) vectors with positive mass P and negative mass N, where P + N <= k;
 convolving these tables class by class, keeping total masses up to k, and
 summing the entries with equal positive and negative mass gives
-|k P_G ∩ Z^n|.
+|k P_G ∩ Z^n|.  The table of a class size at a dilate k is a truncation of
+its table at any larger dilate, so a run of dilates builds one per size.
+
+``hstar_oracle`` reads h* straight off the counts: the Ehrhart series gives
+h*_j from L(0..j) alone, and h* is palindromic because P_G is reflexive, so
+the counts up to floor(d/2) + 1 fix it, with one coefficient to spare that
+guards the count.  No Ehrhart polynomial is interpolated.
 
 ``_countpure`` counts the same points by brute force against the full list
 of ``enumerate_facet_labelings``; the test suite holds this count to it on
@@ -23,13 +29,13 @@ every signature with at most 6 vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm, prod
+from math import comb
 from typing import Optional
 
 from .graphs import Signature, SizeExceeded, enumerate_facet_labelings
-from .polynomial import Poly, HStar, _div_linear, _poly_over, _times_linear, hstar_from_ehrhart
+from .polynomial import HStar, NegativeHStar, Poly
 
-DEFAULT_MAX_TOTAL = 24
+DEFAULT_MAX_TOTAL = 36
 
 
 @dataclass(frozen=True)
@@ -84,12 +90,20 @@ def _class_table(a: int, k: int) -> list[list[int]]:
     return table
 
 
-def _transfer_count(sig: Signature, k: int) -> int:
+def _class_tables(sig: Signature, top: int) -> dict[int, list[list[int]]]:
+    """One table per distinct class size, built at the largest dilate `top`."""
+    return {a: _class_table(a, top) for a in set(sig.parts)}
+
+
+def _transfer_count(sig: Signature, k: int, tables: dict[int, list[list[int]]]) -> int:
+    """|k P_G ∩ Z^n| from class tables built at some dilate >= k, each
+    truncated to P + N <= k."""
+    at_k = {a: [row[: k + 1 - p] for p, row in enumerate(table[: k + 1])] for a, table in tables.items()}
     # ways[P][N]: vectors on the classes so far with positive mass P and
     # negative mass N, each class within its bound
     ways = [[1] + [0] * k] + [[0] * (k + 1) for _ in range(k)]
     for a in sig.parts:
-        table = _class_table(a, k)
+        table = at_k[a]
         nxt = [[0] * (k + 1) for _ in range(k + 1)]
         for P, row in enumerate(ways):
             for N, w in enumerate(row):
@@ -108,52 +122,46 @@ def count_lattice_points(sig: Signature, k: int, max_total: Optional[int] = None
     if k < 0:
         raise ValueError("dilation must be nonnegative")
     _check_bound(sig, max_total)
-    return DilationCount(k, _transfer_count(sig, k))
+    return DilationCount(k, _transfer_count(sig, k, _class_tables(sig, k)))
 
 
 def dilation_counts(sig: Signature, up_to: int, max_total: Optional[int] = None) -> list[DilationCount]:
-    return [count_lattice_points(sig, k, max_total=max_total) for k in range(up_to + 1)]
-
-
-class InterpolationGuardFailed(ArithmeticError):
-    """The degree-d interpolant missed the count at d+1 (counting bug)."""
-
-
-def _lagrange(points: list[tuple[int, int]]) -> Poly:
-    """Exact Lagrange interpolation through integer points, on integers:
-    with W = prod_j (x - x_j) and D_i = prod_(j != i) (x_i - x_j), the sum
-    of y_i (L / D_i) W / (x - x_i) over L = lcm |D_i|, divided once by L."""
-    w = [1]
-    for xj, _ in points:
-        w = _times_linear(w, -xj)
-    denoms = [prod(xi - xj for j, (xj, _) in enumerate(points) if j != i) for i, (xi, _) in enumerate(points)]
-    den = lcm(*denoms)
-    total = [0] * len(points)
-    for (xi, yi), di in zip(points, denoms):
-        if yi:
-            scale = yi * (den // di)
-            total = [t + scale * c for t, c in zip(total, _div_linear(w, -xi))]
-    return _poly_over(total, den)
-
-
-def ehrhart_interpolate(sig: Signature, max_total: Optional[int] = None) -> Poly:
-    """Unique degree-d interpolant through the counts at k = 0..d, with an
-    integrality-and-value guard at k = d + 1."""
+    """|k P_G ∩ Z^n| for k = 0..up_to, with one class table per class size."""
     _check_bound(sig, max_total)
-    d = sig.dim
-    counts = [count_lattice_points(sig, k, max_total=max_total).count for k in range(d + 2)]
-    poly = _lagrange([(k, counts[k]) for k in range(d + 1)])
-    guard = poly(d + 1)
-    if guard.denominator != 1 or int(guard) != counts[d + 1]:
-        raise InterpolationGuardFailed(
-            f"interpolant gives E({d + 1}) = {guard}, the count gives {counts[d + 1]}"
-        )
-    return poly
+    tables = _class_tables(sig, up_to)
+    return [DilationCount(k, _transfer_count(sig, k, tables)) for k in range(up_to + 1)]
+
+
+class CountGuardFailed(ArithmeticError):
+    """The h* read off the counts is not palindromic, or h*_0 != 1 (a
+    counting bug)."""
 
 
 def hstar_oracle(sig: Signature, max_total: Optional[int] = None) -> HStar:
-    """Ground-truth h*: interpolate the Ehrhart polynomial, then convert."""
-    return hstar_from_ehrhart(ehrhart_interpolate(sig, max_total=max_total), sig.dim)
+    """Ground-truth h* from the counts L(0..top), top = floor(d/2) + 1.
+
+    sum_k L(k) t^k = h*(t) / (1-t)^(d+1) (Stanley, 1980), so
+    h*_j = sum_i (-1)^i C(d+1, i) L(j-i) needs only L(0..j).  P_G is
+    reflexive, so h* is palindromic (Hibi, 1992): the lower half fixes the
+    rest.  Every computed coefficient whose mirror is also computed must
+    equal it, and h*_0 = L(0) must be 1; otherwise CountGuardFailed.
+    """
+    d = sig.dim
+    top = d // 2 + 1  # <= d, since d >= 1
+    counts = [dc.count for dc in dilation_counts(sig, top, max_total=max_total)]
+    alternating = [(-1) ** i * comb(d + 1, i) for i in range(top + 1)]
+    lower = [sum(alternating[i] * counts[j - i] for i in range(j + 1)) for j in range(top + 1)]
+    if lower[0] != 1:
+        raise CountGuardFailed(f"h*_0 = L(0) = {lower[0]}, not 1")
+    for j in range(d - top, (d + 1) // 2):  # j < d - j <= top
+        if lower[j] != lower[d - j]:
+            raise CountGuardFailed(
+                f"h* from the counts is not palindromic: h*_{j} = {lower[j]}, h*_{d - j} = {lower[d - j]}"
+            )
+    for j, c in enumerate(lower):
+        if c < 0:
+            raise NegativeHStar(f"h*_{j} = {c} < 0")
+    return HStar(Poly(lower + [lower[d - j] for j in range(top + 1, d + 1)]), d)
 
 
 def enumerate_dilate_points(sig: Signature, k: int) -> list[tuple[int, ...]]:

@@ -111,18 +111,6 @@ def series_numerator(e, d):
     )
 
 
-def lagrange(points):
-    total = []
-    for i, (xi, yi) in enumerate(points):
-        term, denom = [Fraction(1)], Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                term = mul(term, [Fraction(-xj), Fraction(1)])
-                denom *= xi - xj
-        total = add(total, [c * yi / denom for c in term])
-    return total
-
-
 def is_symmetric(e):
     """(-1)^d E(x) == E(-1-x), by composing with -1 - x."""
     return compose(e, [Fraction(-1), Fraction(-1)]) == [(-1) ** (len(e) - 1) * c for c in e]

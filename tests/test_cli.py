@@ -39,7 +39,7 @@ class TestHstar:
         assert out.splitlines()[1] == "formula,1,5,5,1"
 
     def test_size_bound_exit(self, capsys):
-        code, _ = run(capsys, "hstar", "--signature", "13,12", "--method", "oracle")
+        code, _ = run(capsys, "hstar", "--signature", "19,18", "--method", "oracle")
         assert code == EXIT_BOUND
 
     def test_all_reports_formula_skip(self, capsys):
@@ -65,7 +65,7 @@ class TestHstar:
         assert result["methods_compared"] == 2 and result["agreement"] is True
 
     def test_all_skipped_is_no_agreement(self, capsys):
-        ones = ",".join(["1"] * 25)
+        ones = ",".join(["1"] * 37)
         code, out = run(capsys, "hstar", "--signature", ones, "--method", "all")
         result = json.loads(out)["result"]
         assert code == EXIT_BOUND
@@ -90,17 +90,19 @@ class TestHstar:
     def test_interpolation_guard_exits_verification(self, capsys, monkeypatch):
         import sepkit.counting as counting
 
-        true_count = counting.count_lattice_points
+        true_counts = counting.dilation_counts
 
-        def off_by_two_at_k2(sig, k, max_total=None):
-            dc = true_count(sig, k, max_total=max_total)
-            return counting.DilationCount(k, dc.count + 2) if k == 2 else dc
+        def off_by_two_at_k2(sig, up_to, max_total=None):
+            return [
+                counting.DilationCount(dc.k, dc.count + 2) if dc.k == 2 else dc
+                for dc in true_counts(sig, up_to, max_total=max_total)
+            ]
 
-        monkeypatch.setattr(counting, "count_lattice_points", off_by_two_at_k2)
+        monkeypatch.setattr(counting, "dilation_counts", off_by_two_at_k2)
         code = main(["hstar", "--signature", "1,2", "--method", "oracle"])
         err = capsys.readouterr().err
         assert code == EXIT_VERIFICATION
-        assert err.startswith("verification failed: interpolant gives E(3)")
+        assert err == "verification failed: h* from the counts is not palindromic: h*_0 = 1, h*_2 = 3\n"
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -143,11 +145,11 @@ class TestHstar:
     def test_skipped_oracle_reports_dropped_dilation_counts(self, capsys):
         """With the oracle skipped by its bound, its reason stands in for
         the counts; with the oracle run, the counts are there and no reason."""
-        code, out = run(capsys, "hstar", "--signature", "13,12", "--method", "all", "--max-dilation", "2")
+        code, out = run(capsys, "hstar", "--signature", "19,18", "--method", "all", "--max-dilation", "2")
         result = json.loads(out)["result"]
         assert code == EXIT_OK
         assert "dilation_counts" not in result
-        assert result["dilation_counts_skipped"].startswith("signature total 25 exceeds bound 24")
+        assert result["dilation_counts_skipped"].startswith("signature total 37 exceeds bound 36")
         assert result["rows"][-1] == {"method": "oracle", "skipped": result["dilation_counts_skipped"]}
         code, out = run(capsys, "hstar", "--signature", "1,2", "--method", "all", "--max-dilation", "1")
         result = json.loads(out)["result"]

@@ -1,24 +1,23 @@
-"""The counting oracle: transfer count, interpolation, h* extraction."""
+"""The counting oracle: transfer count and h* read off half the dilates."""
 
-import random
 from math import comb
 
 import pytest
 
-import fraction_routes as fr
+import sepkit.counting as counting
 from sepkit import _countpure
 from sepkit.counting import (
+    CountGuardFailed,
     DilationCount,
     SizeExceeded,
-    _lagrange,
     count_lattice_points,
-    ehrhart_interpolate,
+    dilation_counts,
     enumerate_dilate_points,
     hstar_oracle,
 )
 from sepkit.formulas import closed_form_hstar
 from sepkit.graphs import Signature, edge_count, enumerate_facet_labelings
-from sepkit.polynomial import Poly
+from sepkit.polynomial import Poly, ehrhart_from_hstar
 
 from test_graphs import signatures_with_total
 
@@ -52,9 +51,9 @@ class TestCounts:
 
     def test_size_bound(self):
         with pytest.raises(SizeExceeded):
-            count_lattice_points(Signature((13, 12)), 1)
+            count_lattice_points(Signature((19, 18)), 1)
         # an explicit bound admits it
-        assert count_lattice_points(Signature((13, 12)), 1, max_total=25).count == 2 * 13 * 12 + 1
+        assert count_lattice_points(Signature((19, 18)), 1, max_total=37).count == 2 * 19 * 18 + 1
 
     @pytest.mark.parametrize(
         "sig", signatures_with_total(2, 6) + [Signature((2, 1)), Signature((3, 1, 2))], ids=str
@@ -66,34 +65,60 @@ class TestCounts:
         for k in range(sig.dim + 2):
             assert count_lattice_points(sig, k).count == _countpure.count_range(k, sig.total, facets, -k, k)
 
+    @pytest.mark.parametrize(
+        "sig", [Signature(p) for p in [(1, 1), (1, 2, 3), (4, 5), (1, 1, 1, 1, 3), (2, 2, 2, 2)]], ids=str
+    )
+    def test_dilation_counts_truncate_one_table(self, sig):
+        """The run of dilates, from one table per class size built at the
+        last dilate, equals counting each dilate on its own tables."""
+        assert dilation_counts(sig, sig.dim + 1) == [count_lattice_points(sig, k) for k in range(sig.dim + 2)]
 
-class TestInterpolation:
-    def test_examples(self):
-        assert ehrhart_interpolate(Signature((1, 1))) == Poly((1, 2))
-        assert ehrhart_interpolate(Signature((1, 2))) == Poly((1, 2, 2))
-        assert ehrhart_interpolate(Signature((1, 1, 1))) == Poly((1, 3, 3))
 
-    @pytest.mark.parametrize("sig", signatures_with_total(2, 6), ids=str)
-    def test_reflexivity_functional_equation(self, sig):
-        """Ehrhart-Macdonald with a single interior point:
-        (-1)^d E(-k) = E(k-1)."""
-        e = ehrhart_interpolate(sig)
-        d = e.degree
-        for k in range(1, d + 1):
-            assert (-1) ** d * e(-k) == e(k - 1)
+class TestOracleAgainstCounts:
+    """The oracle reads L(k) only up to floor(d/2) + 1 and mirrors the rest
+    of h*; the Ehrhart polynomial of its h* must still give every count up
+    to d + 1."""
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_lagrange_against_fraction_route(self, seed):
-        """Referee: the integer interpolation against the Fraction products
-        it replaced, on distinct integer nodes in any order, and on the
-        counts of the 24-vertex bound's largest degree."""
-        rnd = random.Random(seed)
-        for n in range(1, 12):
-            xs = rnd.sample(range(-15, 16), n)
-            points = [(x, rnd.randint(-10**6, 10**6)) for x in xs]
-            assert list(_lagrange(points).coeffs) == fr.lagrange(points)
-        points = [(k, (2 * k + 1) ** 23 + k) for k in range(24)]
-        assert list(_lagrange(points).coeffs) == fr.lagrange(points)
+    def test_ehrhart_examples(self):
+        assert ehrhart_from_hstar(hstar_oracle(Signature((1, 1)))) == Poly((1, 2))
+        assert ehrhart_from_hstar(hstar_oracle(Signature((1, 2)))) == Poly((1, 2, 2))
+        assert ehrhart_from_hstar(hstar_oracle(Signature((1, 1, 1)))) == Poly((1, 3, 3))
+
+    @pytest.mark.parametrize(
+        "sig", signatures_with_total(2, 6) + [Signature((1,) * 7), Signature((2, 2, 3))], ids=str
+    )
+    def test_every_count_up_to_d_plus_1(self, sig):
+        e = ehrhart_from_hstar(hstar_oracle(sig))
+        for k in range(sig.dim + 2):
+            assert e(k) == count_lattice_points(sig, k).count
+
+
+class TestCountGuard:
+    @pytest.mark.parametrize(
+        "sig",
+        # d = total - 1 odd, then even
+        [Signature(p) for p in [(1, 1), (2, 2), (1, 2, 3), (1,) * 8, (1, 2), (1, 1, 1), (2, 3), (2, 2, 3), (1,) * 7]],
+        ids=str,
+    )
+    def test_every_read_count_is_guarded(self, monkeypatch, sig):
+        """A count off by 2 (still odd, so DilationCount accepts it) at any
+        dilate the oracle reads makes it raise."""
+        true_counts = counting.dilation_counts
+        top = sig.dim // 2 + 1
+        read = []
+        for bad in range(top + 1):
+
+            def off_by_two(sig, up_to, max_total=None):
+                read.append(up_to)
+                return [
+                    DilationCount(dc.k, dc.count + 2) if dc.k == bad else dc
+                    for dc in true_counts(sig, up_to, max_total=max_total)
+                ]
+
+            monkeypatch.setattr(counting, "dilation_counts", off_by_two)
+            with pytest.raises(CountGuardFailed):
+                hstar_oracle(sig)
+        assert read == [top] * (top + 1)
 
 
 class TestHStarOracle:
@@ -101,10 +126,6 @@ class TestHStarOracle:
         assert hstar_oracle(Signature((1, 1))).poly == Poly((1, 1))
         assert hstar_oracle(Signature((2, 2))).poly == Poly((1, 5, 5, 1))
         assert hstar_oracle(Signature((1, 1, 1))).poly == Poly((1, 4, 1))
-
-    def test_palindromic(self):
-        for sig in signatures_with_total(2, 5):
-            assert hstar_oracle(sig).is_palindromic()
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_complete_graph_root_polytope(self, n):
