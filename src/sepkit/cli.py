@@ -60,25 +60,6 @@ class _NoClosedForm(ValueError):
     """The formula method has no closed form for the signature."""
 
 
-def _hstar_by_method(sig: Signature, method: str, bound: int):
-    if method == "formula":
-        from .formulas import closed_form_hstar
-
-        h = closed_form_hstar(sig)
-        if h is None:
-            raise _NoClosedForm(f"no closed form covers signature {sig}")
-        return h
-    if method == "triangulation":
-        from .triangulation import hstar_triangulation
-
-        return hstar_triangulation(sig, max_total=bound)
-    if method == "oracle":
-        from .counting import hstar_oracle
-
-        return hstar_oracle(sig, max_total=bound)
-    raise AssertionError(method)
-
-
 def cmd_hstar(args) -> int:
     started = time.monotonic()
     sig = Signature.parse(args.signature)
@@ -93,7 +74,22 @@ def cmd_hstar(args) -> int:
     values: list[tuple[str, HStar]] = []
     for method in methods:
         try:
-            h = _hstar_by_method(sig, method, args.bound)
+            if method == "formula":
+                from .formulas import closed_form_hstar
+
+                h = closed_form_hstar(sig)
+                if h is None:
+                    raise _NoClosedForm(f"no closed form covers signature {sig}")
+            elif method == "triangulation":
+                from .triangulation import hstar_triangulation
+
+                h = hstar_triangulation(sig, max_total=args.bound)
+            else:
+                from .counting import dilation_counts, hstar_from_counts
+
+                # one run of dilates serves both the oracle's h* and --max-dilation
+                counts = dilation_counts(sig, max(sig.dim // 2 + 1, args.max_dilation or 0), max_total=args.bound)
+                h = hstar_from_counts(sig, counts)
         except (_NoClosedForm, SizeExceeded) as exc:
             if not compare:
                 raise
@@ -106,16 +102,11 @@ def cmd_hstar(args) -> int:
     if compare:
         result["methods_compared"] = len(values)
     if args.max_dilation is not None:
-        from .counting import dilation_counts
-
         oracle = rows[-1]  # the oracle's row comes last; run alone, it raises instead of skipping
         if "skipped" in oracle:
             result["dilation_counts_skipped"] = oracle["skipped"]
         else:
-            result["dilation_counts"] = [
-                {"k": dc.k, "count": dc.count}
-                for dc in dilation_counts(sig, args.max_dilation, max_total=args.bound)
-            ]
+            result["dilation_counts"] = [{"k": dc.k, "count": dc.count} for dc in counts[: args.max_dilation + 1]]
     if args.format == "csv":
         print("method," + ",".join(f"h{i}" for i in range(sig.dim + 1)))
         for method, h in values:
@@ -354,6 +345,10 @@ _FAILURES = [
     ("graphs", "SizeExceeded", EXIT_BOUND, "size bound exceeded"),
     ("polynomial", "NegativeHStar", EXIT_VERIFICATION, "verification failed"),
     ("polynomial", "NonIntegerCount", EXIT_VERIFICATION, "verification failed"),
+    ("polynomial", "InvalidHStar", EXIT_VERIFICATION, "verification failed"),
+    ("polynomial", "NotPalindromic", EXIT_VERIFICATION, "verification failed"),
+    ("polynomial", "InexactDivision", EXIT_VERIFICATION, "verification failed"),
+    ("counting", "InvalidCount", EXIT_VERIFICATION, "verification failed"),
     ("counting", "CountGuardFailed", EXIT_VERIFICATION, "verification failed"),
     ("formulas", "IdentityFailed", EXIT_VERIFICATION, "verification failed"),
     ("polynomial", "RecombinationFailed", EXIT_VERIFICATION, "verification failed"),

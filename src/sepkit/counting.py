@@ -16,10 +16,11 @@ summing the entries with equal positive and negative mass gives
 |k P_G ∩ Z^n|.  The table of a class size at a dilate k is a truncation of
 its table at any larger dilate, so a run of dilates builds one per size.
 
-``hstar_oracle`` reads h* straight off the counts: the Ehrhart series gives
-h*_j from L(0..j) alone, and h* is palindromic because P_G is reflexive, so
-the counts up to floor(d/2) + 1 fix it, with one coefficient to spare that
-guards the count.  No Ehrhart polynomial is interpolated.
+``hstar_oracle`` reads h* straight off the counts (``hstar_from_counts``):
+the Ehrhart series gives h*_j from L(0..j) alone, and h* is palindromic
+because P_G is reflexive, so the counts up to floor(d/2) + 1 fix it, with
+one coefficient to spare that guards the count.  No Ehrhart polynomial is
+interpolated.
 
 ``_countpure`` counts the same points by brute force against the full list
 of ``enumerate_facet_labelings``; the test suite holds this count to it on
@@ -38,6 +39,10 @@ from .polynomial import HStar, NegativeHStar, Poly
 DEFAULT_MAX_TOTAL = 36
 
 
+class InvalidCount(ValueError):
+    """A dilate's count misses the origin or is even (a counting bug)."""
+
+
 @dataclass(frozen=True)
 class DilationCount:
     """Number of lattice points in the k-th dilate."""
@@ -47,9 +52,9 @@ class DilationCount:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ValueError("every dilate contains the origin")
+            raise InvalidCount("every dilate contains the origin")
         if self.count % 2 == 0:
-            raise ValueError("central symmetry forces an odd count")
+            raise InvalidCount("central symmetry forces an odd count")
 
 
 def _check_bound(sig: Signature, max_total: Optional[int]) -> None:
@@ -138,7 +143,12 @@ class CountGuardFailed(ArithmeticError):
 
 
 def hstar_oracle(sig: Signature, max_total: Optional[int] = None) -> HStar:
-    """Ground-truth h* from the counts L(0..top), top = floor(d/2) + 1.
+    """Ground-truth h*: `hstar_from_counts` of L(0..floor(d/2) + 1)."""
+    return hstar_from_counts(sig, dilation_counts(sig, sig.dim // 2 + 1, max_total=max_total))
+
+
+def hstar_from_counts(sig: Signature, counts: list[DilationCount]) -> HStar:
+    """h* from the counts L(0..top), top = floor(d/2) + 1, of a run that may go on.
 
     sum_k L(k) t^k = h*(t) / (1-t)^(d+1) (Stanley, 1980), so
     h*_j = sum_i (-1)^i C(d+1, i) L(j-i) needs only L(0..j).  P_G is
@@ -148,9 +158,8 @@ def hstar_oracle(sig: Signature, max_total: Optional[int] = None) -> HStar:
     """
     d = sig.dim
     top = d // 2 + 1  # <= d, since d >= 1
-    counts = [dc.count for dc in dilation_counts(sig, top, max_total=max_total)]
     alternating = [(-1) ** i * comb(d + 1, i) for i in range(top + 1)]
-    lower = [sum(alternating[i] * counts[j - i] for i in range(j + 1)) for j in range(top + 1)]
+    lower = [sum(alternating[i] * counts[j - i].count for i in range(j + 1)) for j in range(top + 1)]
     if lower[0] != 1:
         raise CountGuardFailed(f"h*_0 = L(0) = {lower[0]}, not 1")
     for j in range(d - top, (d + 1) // 2):  # j < d - j <= top

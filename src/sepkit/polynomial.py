@@ -48,6 +48,14 @@ class RecombinationFailed(ArithmeticError):
     """A gamma vector did not recombine to the polynomial it came from."""
 
 
+class InvalidHStar(ValueError):
+    """An h*-polynomial broke one of the invariants `HStar` checks."""
+
+
+class InexactDivision(ArithmeticError):
+    """An integer polynomial division that must be exact left a remainder."""
+
+
 def _frac(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
@@ -293,7 +301,7 @@ def _exact_quo(a: list[int], b: list[int]) -> list[int]:
     primitive a and a primitive divisor b of it (Gauss's lemma)."""
     q, r, scale = _pseudo_divmod(a, b)
     if r or any(c % scale for c in q):
-        raise ArithmeticError(f"{b} does not divide {a} over the integers")
+        raise InexactDivision(f"{b} does not divide {a} over the integers")
     return [c // scale for c in q]
 
 
@@ -371,12 +379,12 @@ class HStar:
 
     def __post_init__(self):
         if self.poly.degree > self.dim:
-            raise ValueError(f"h* degree {self.poly.degree} exceeds dim {self.dim}")
+            raise InvalidHStar(f"h* degree {self.poly.degree} exceeds dim {self.dim}")
         for c in self.poly.coeffs:
             if c.denominator != 1 or c < 0:
-                raise ValueError(f"h* coefficient {c} is not a nonnegative integer")
+                raise InvalidHStar(f"h* coefficient {c} is not a nonnegative integer")
         if self.poly[0] != 1:
-            raise ValueError("h* constant term must be 1")
+            raise InvalidHStar("h* constant term must be 1")
 
     @property
     def coefficients(self) -> tuple[int, ...]:

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .formulas import (
     closed_form_hstar,
@@ -313,71 +312,57 @@ def _signs(cs: Sequence[Fraction]) -> list[str]:
     return ["+" if c > 0 else ("0" if c == 0 else "-") for c in cs]
 
 
-def _E(kind: str, *args: int) -> Poly:
-    if kind == "bip":
-        return ehrhart_bipartite(*args)
-    if kind == "1mn":
-        return ehrhart_1mn(*args)
-    if kind == "111n":
-        return ehrhart_111n(*args)
-    if kind == "22n":
-        return ehrhart_22n(*args)
-    raise ValueError(kind)
-
-
 def _relation_instances(n: int) -> list[dict]:
     """The ten recursions (a)-(j) at parameter n, as solver inputs."""
-    E = _E
     return [
-        dict(relation="a", f=E("1mn", 1, n), g=E("bip", 1, n), hs=[E("bip", 1, n - 1)],
+        dict(relation="a", f=ehrhart_1mn(1, n), g=ehrhart_bipartite(1, n), hs=[ehrhart_bipartite(1, n - 1)],
              expected=[Fraction(n + 2, 2 * (n + 1)), Fraction(n, 2 * (n + 1))]),
-        dict(relation="b", f=E("1mn", 1, n + 1), g=E("1mn", 1, n),
-             hs=[E("1mn", 1, n - 1), E("bip", 1, n)]),
-        dict(relation="c", f=E("1mn", 2, n), g=E("1mn", 1, n),
-             hs=[E("1mn", 1, n - 1), E("bip", 1, n)]),
-        dict(relation="d", f=E("1mn", 2, n + 1), g=E("1mn", 2, n),
-             hs=[E("1mn", 2, n - 1), E("1mn", 1, n), E("bip", 1, n + 1)]),
-        dict(relation="e", f=E("111n", n), g=E("1mn", 1, n),
-             hs=[E("1mn", 1, n - 1), E("bip", 1, n)]),
-        dict(relation="f", f=E("bip", 4, n), g=E("bip", 3, n),
-             hs=[E("bip", 3, n - 1), E("bip", 2, n), E("bip", 1, n + 1)]),
-        dict(relation="g", f=E("bip", 3, n + 1), g=E("bip", 3, n),
-             hs=[E("bip", 3, n - 1), E("bip", 2, n), E("bip", 1, n + 1)]),
-        dict(relation="h", f=E("22n", n), g=E("1mn", 2, n),
-             hs=[E("1mn", 2, n - 1), E("1mn", 1, n), E("bip", 1, n + 1)]),
-        dict(relation="i", f=E("1mn", 3, n), g=E("1mn", 2, n),
-             hs=[E("1mn", 2, n - 1), E("1mn", 1, n), E("bip", 1, n + 1)]),
-        dict(relation="j", f=E("111n", n + 1), g=E("111n", n),
-             hs=[E("111n", n - 1), E("1mn", 1, n), E("bip", 1, n + 1)]),
+        dict(relation="b", f=ehrhart_1mn(1, n + 1), g=ehrhart_1mn(1, n),
+             hs=[ehrhart_1mn(1, n - 1), ehrhart_bipartite(1, n)]),
+        dict(relation="c", f=ehrhart_1mn(2, n), g=ehrhart_1mn(1, n),
+             hs=[ehrhart_1mn(1, n - 1), ehrhart_bipartite(1, n)]),
+        dict(relation="d", f=ehrhart_1mn(2, n + 1), g=ehrhart_1mn(2, n),
+             hs=[ehrhart_1mn(2, n - 1), ehrhart_1mn(1, n), ehrhart_bipartite(1, n + 1)]),
+        dict(relation="e", f=ehrhart_111n(n), g=ehrhart_1mn(1, n),
+             hs=[ehrhart_1mn(1, n - 1), ehrhart_bipartite(1, n)]),
+        dict(relation="f", f=ehrhart_bipartite(4, n), g=ehrhart_bipartite(3, n),
+             hs=[ehrhart_bipartite(3, n - 1), ehrhart_bipartite(2, n), ehrhart_bipartite(1, n + 1)]),
+        dict(relation="g", f=ehrhart_bipartite(3, n + 1), g=ehrhart_bipartite(3, n),
+             hs=[ehrhart_bipartite(3, n - 1), ehrhart_bipartite(2, n), ehrhart_bipartite(1, n + 1)]),
+        dict(relation="h", f=ehrhart_22n(n), g=ehrhart_1mn(2, n),
+             hs=[ehrhart_1mn(2, n - 1), ehrhart_1mn(1, n), ehrhart_bipartite(1, n + 1)]),
+        dict(relation="i", f=ehrhart_1mn(3, n), g=ehrhart_1mn(2, n),
+             hs=[ehrhart_1mn(2, n - 1), ehrhart_1mn(1, n), ehrhart_bipartite(1, n + 1)]),
+        dict(relation="j", f=ehrhart_111n(n + 1), g=ehrhart_111n(n),
+             hs=[ehrhart_111n(n - 1), ehrhart_1mn(1, n), ehrhart_bipartite(1, n + 1)]),
     ]
 
 
 def _bipartite_chain_rows(n: int) -> list[dict]:
     """The two fully-displayed bipartite relations plus the third one whose
     printed middle coefficient is garbled in the source (flagged as such)."""
-    E = _E
     rows = []
-    sol = solve_recursion(E("bip", 2, n), E("bip", 1, n), [E("bip", 1, n - 1)])
+    sol = solve_recursion(ehrhart_bipartite(2, n), ehrhart_bipartite(1, n), [ehrhart_bipartite(1, n - 1)])
     rows.append(
         dict(relation="bipartite-1", solution=sol,
              expected=[Fraction(1, 2), Fraction(1, 2)], note="")
     )
     # second relation: E_{2,n} = (1/n)(2x+1)E_{2,n-1} + (1/2)E_{1,n-1}
     #                            + ((n-2)/(2n))(2x+1)E_{1,n-2}
-    cols = [TWO_X_PLUS_1 * E("bip", 2, n - 1), E("bip", 1, n - 1)]
+    cols = [TWO_X_PLUS_1 * ehrhart_bipartite(2, n - 1), ehrhart_bipartite(1, n - 1)]
     expected = [Fraction(1, n), Fraction(1, 2)]
     if n > 2:
-        cols.append(TWO_X_PLUS_1 * E("bip", 1, n - 2))
+        cols.append(TWO_X_PLUS_1 * ehrhart_bipartite(1, n - 2))
         expected.append(Fraction(n - 2, 2 * n))
-    sol = _solve_exact(cols, E("bip", 2, n))
+    sol = _solve_exact(cols, ehrhart_bipartite(2, n))
     rows.append(
         dict(relation="bipartite-2", solution=sol, expected=expected,
              note="" if n > 2 else "third term vanishes at n=2 and is dropped")
     )
     # third relation: the middle coefficient is ambiguous in the source
     sol = _solve_exact(
-        [TWO_X_PLUS_1 * E("bip", 2, n + 1), E("bip", 2, n), E("bip", 1, n + 1)],
-        E("bip", 3, n + 1),
+        [TWO_X_PLUS_1 * ehrhart_bipartite(2, n + 1), ehrhart_bipartite(2, n), ehrhart_bipartite(1, n + 1)],
+        ehrhart_bipartite(3, n + 1),
     )
     expected3 = [
         Fraction(3 * n * n + 13 * n + 16, 8 * (n * n + 5 * n + 6)),
@@ -481,10 +466,10 @@ def reproduce_known_relations(n: int, strict: bool = True) -> dict:
 
     interlacings = []
     statements = [
-        ("E(1,n) interlaces E(1,1,n)", _E("bip", 1, n), _E("1mn", 1, n)),
-        ("E(1,1,n) interlaces E(1,1,n+1)", _E("1mn", 1, n), _E("1mn", 1, n + 1)),
-        ("E(1,1,n) interlaces E(1,2,n)", _E("1mn", 1, n), _E("1mn", 2, n)),
-        ("E(1,1,n) interlaces E(1,1,1,n)", _E("1mn", 1, n), _E("111n", n)),
+        ("E(1,n) interlaces E(1,1,n)", ehrhart_bipartite(1, n), ehrhart_1mn(1, n)),
+        ("E(1,1,n) interlaces E(1,1,n+1)", ehrhart_1mn(1, n), ehrhart_1mn(1, n + 1)),
+        ("E(1,1,n) interlaces E(1,2,n)", ehrhart_1mn(1, n), ehrhart_1mn(2, n)),
+        ("E(1,1,n) interlaces E(1,1,1,n)", ehrhart_1mn(1, n), ehrhart_111n(n)),
     ]
     for label, g, f in statements:
         cert = interlaces_on_cl(g, f)
@@ -543,27 +528,31 @@ def corollary_scan(m: int, n: int) -> dict:
 
 def cross_degree_of_signature(sig: Signature, max_total: Optional[int] = None) -> int:
     """Gamma-degree of the h*-polynomial: closed form where available,
-    otherwise the enumerated triangulation."""
+    otherwise the counting oracle."""
     h = closed_form_hstar(sig)
     if h is None:
-        from .triangulation import hstar_triangulation
+        from .counting import hstar_oracle
 
-        h = hstar_triangulation(sig, max_total=max_total)
+        h = hstar_oracle(sig, max_total=max_total)
     return gamma_vector(h).degree
 
 
-def _signatures_up_to(total: int) -> list[Signature]:
-    """All multipartite signatures (sorted parts, k >= 2) with sum <= total."""
-    out = []
-    for s in range(2, total + 1):
-        for k in range(2, s + 1):
-            for parts in combinations_with_replacement(range(1, s), k):
-                if sum(parts) == s:
-                    out.append(Signature(parts))
-    return out
+def _partitions(total: int, parts: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing `parts`-tuples of integers >= least that sum to
+    `total`, in lexicographic order; the caller keeps parts * least <= total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(least, total // parts + 1):
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first, *rest)
 
 
-def conjecture_scan(max_total: int, max_n: int, formula_total: int = 12) -> dict:
+# the closed-form families extend the conjecture scan up to this total
+FORMULA_TOTAL = 12
+
+
+def conjecture_scan(max_total: int, max_n: int) -> dict:
     """Scan the cross-degree inequalities floor(s/2) <= m+1 <= s.
 
     The conjecture bounds the cross-degree of K_{a_1,...,a_k,n} in terms of
@@ -571,54 +560,43 @@ def conjecture_scan(max_total: int, max_n: int, formula_total: int = 12) -> dict
     excludes the largest class.  (Including it, as a literal reading of the
     display might suggest, is falsified already by the cross-polytopes
     K_{1,n}; the report carries that reading as `full_sum_ok` for
-    reference.)  Enumerated signatures up to `max_total` use the
-    triangulation-or-formula h*; the closed-form families (bipartite,
-    tripartite, K_{1,1,1,n}) extend the scan to `formula_total`.  The
+    reference.)  The rows run over every signature with k >= 2 classes by
+    total, then k, then lexicographically.  Each takes its closed form
+    (bipartite, tripartite, K_{1,1,1,n}) where one exists; the others up to
+    `max_total` take the counting oracle's h*, and past it are left out, so
+    the closed forms alone extend the scan to FORMULA_TOTAL.  The
     ones-family interlacing conjecture is certified for K_{1^k,n} against
     K_{1^(k+1),n}, k = 1, 2, n <= max_n.
     """
+    from .counting import hstar_oracle
+
     rows = []
     violations = 0
-
-    def check(sig: Signature, m: int) -> None:
-        nonlocal violations
-        s = sig.total - max(sig.parts)
-        lower, upper = s // 2, s
-        ok = lower <= m + 1 <= upper
-        if not ok:
-            violations += 1
-        rows.append(
-            {
-                "signature": str(sig),
-                "total": sig.total,
-                "cross_degree": m,
-                "bounds": [lower, upper],
-                "ok": ok,
-                "full_sum_ok": sig.total // 2 <= m + 1 <= sig.total,
-            }
-        )
-
-    seen = set()
-    for sig in _signatures_up_to(max_total):
-        seen.add(sig.parts)
-        check(sig, cross_degree_of_signature(sig, max_total=max_total))
-    for total in range(max_total + 1, formula_total + 1):
-        for k in (2, 3):
-            for parts in combinations_with_replacement(range(1, total), k):
-                if sum(parts) != total or parts in seen:
-                    continue
+    for total in range(2, max(max_total, FORMULA_TOTAL) + 1):
+        for k in range(2, total + 1):
+            for parts in _partitions(total, k):
                 sig = Signature(parts)
                 h = closed_form_hstar(sig)
-                if h is not None:
-                    seen.add(parts)
-                    check(sig, gamma_vector(h).degree)
-        ones = (1, 1, 1, total - 3)
-        if total >= 4 and ones not in seen and sorted(ones)[3] >= 1:
-            sig = Signature(ones)
-            h = closed_form_hstar(sig)
-            if h is not None:
-                seen.add(ones)
-                check(sig, gamma_vector(h).degree)
+                if h is None and total <= max_total:
+                    h = hstar_oracle(sig, max_total=max_total)
+                if h is None:
+                    continue
+                m = gamma_vector(h).degree
+                s = total - parts[-1]
+                lower, upper = s // 2, s
+                ok = lower <= m + 1 <= upper
+                if not ok:
+                    violations += 1
+                rows.append(
+                    {
+                        "signature": str(sig),
+                        "total": total,
+                        "cross_degree": m,
+                        "bounds": [lower, upper],
+                        "ok": ok,
+                        "full_sum_ok": total // 2 <= m + 1 <= total,
+                    }
+                )
 
     interlacings = []
     for k in (1, 2):
@@ -636,7 +614,7 @@ def conjecture_scan(max_total: int, max_n: int, formula_total: int = 12) -> dict
                 violations += 1
     return {
         "max_total": max_total,
-        "formula_total": formula_total,
+        "formula_total": FORMULA_TOTAL,
         "violations": violations,
         "rows": rows,
         "interlacings": interlacings,

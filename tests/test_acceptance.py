@@ -390,6 +390,6 @@ class TestAcceptance:
         _report(8, True, "round trips, recursion, lemma grid, planar counts, oracle vs counts, contraction, gamma degrees")
 
     def test_09_conjecture_scan(self):
-        rep = conjecture_scan(6, 6, formula_total=12)
+        rep = conjecture_scan(6, 6)
         ok = rep["violations"] == 0 and all(i["certified"] for i in rep["interlacings"])
         _report(9, ok, f"{len(rep['rows'])} signatures scanned, {rep['violations']} violations")

@@ -10,6 +10,7 @@ import pytest
 
 from sepkit.cli import EXIT_BOUND, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from sepkit.formulas import IdentityFailed
+from sepkit.graphs import Signature
 from sepkit.polynomial import NegativeHStar, NonIntegerCount, Poly, RecombinationFailed, fraction_str
 from sepkit.recursion import ExactSolveFailed
 from sepkit.roots import RootCheckFailed
@@ -110,13 +111,56 @@ class TestHstar:
         [NegativeHStar, NonIntegerCount, IdentityFailed, RecombinationFailed, ExactSolveFailed, RootCheckFailed],
     )
     def test_verification_failures_exit_3(self, capsys, monkeypatch, exc):
-        def fail(sig, max_total=None):
+        def fail(sig, counts):
             raise exc("injected")
 
-        monkeypatch.setattr("sepkit.counting.hstar_oracle", fail)
+        monkeypatch.setattr("sepkit.counting.hstar_from_counts", fail)
         code = main(["hstar", "--signature", "1,1", "--method", "oracle"])
         assert code == EXIT_VERIFICATION
         assert capsys.readouterr().err == "verification failed: injected\n"
+
+    def test_odd_count_check_exits_3(self, capsys, monkeypatch):
+        import sepkit.counting as counting
+
+        true_count = counting._transfer_count
+        monkeypatch.setattr(counting, "_transfer_count", lambda sig, k, tables: true_count(sig, k, tables) + 1)
+        code = main(["hstar", "--signature", "1,2,2", "--method", "oracle"])
+        assert code == EXIT_VERIFICATION
+        assert capsys.readouterr().err == "verification failed: central symmetry forces an odd count\n"
+
+    def test_hstar_invariant_check_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr("sepkit.formulas.gamma_expand", lambda gamma, d: [2] + [0] * d)
+        code = main(["hstar", "--signature", "2,3", "--method", "formula"])
+        assert code == EXIT_VERIFICATION
+        assert capsys.readouterr().err == "verification failed: h* constant term must be 1\n"
+
+    def test_max_dilation_counts_each_dilate_once(self, capsys, monkeypatch):
+        """The oracle's h* and the reported counts come from one run of
+        dilates, up to the larger of floor(d/2) + 1 and --max-dilation."""
+        import sepkit.counting as counting
+
+        true_count = counting._transfer_count
+        calls = []
+
+        def counted(sig, k, tables):
+            calls.append(k)
+            return true_count(sig, k, tables)
+
+        monkeypatch.setattr(counting, "_transfer_count", counted)
+        # 2,2,2 has d = 5, so the oracle reads k = 0..3
+        for method in ("oracle", "all"):
+            for max_dilation, counted_up_to in ((6, 6), (1, 3)):
+                calls.clear()
+                argv = ["hstar", "--signature", "2,2,2", "--method", method, "--max-dilation", str(max_dilation)]
+                code, out = run(capsys, *argv)
+                result = json.loads(out)["result"]
+                assert code == EXIT_OK and result["agreement"] is True
+                assert calls == list(range(counted_up_to + 1))
+                assert result["rows"][-1] == {"method": "oracle", "coefficients": [1, 19, 82, 82, 19, 1]}
+                assert result["dilation_counts"] == [
+                    {"k": k, "count": counting.count_lattice_points(Signature((2, 2, 2)), k).count}
+                    for k in range(max_dilation + 1)
+                ]
 
     def test_bound_takes_effect(self, capsys):
         code, _ = run(capsys, "hstar", "--signature", "2,2,2,2,2", "--method", "oracle", "--bound", "9")
@@ -210,6 +254,17 @@ class TestRootsAndInterlace:
         _, by_triangulation = run(capsys, *args)
         assert by_oracle == by_triangulation
 
+    def test_inexact_division_exits_3(self, capsys, monkeypatch):
+        from sepkit.polynomial import _exact_quo
+
+        # the polynomials divided are primitive, so 2 never divides them
+        monkeypatch.setattr("sepkit.roots._exact_quo", lambda a, b: _exact_quo(a, [2]))
+        code = main(["roots", "--signature", "2,2,2"])
+        err = capsys.readouterr().err
+        assert code == EXIT_VERIFICATION
+        assert err.startswith("verification failed: [2] does not divide [")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_roots_verification_failure_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr("sepkit.roots._factor_chains", lambda decomp: [])
         code = main(["roots", "--signature", "3,3"])
@@ -281,6 +336,16 @@ class TestScan:
         assert code == EXIT_OK
         assert json.loads(out)["result"]["violations"] == 0
 
+    def test_not_palindromic_exits_3(self, capsys, monkeypatch):
+        from sepkit.polynomial import HStar
+
+        # 1 + t is palindromic for 1,1 (d = 1) and not for 1,2 (d = 2)
+        monkeypatch.setattr("sepkit.recursion.closed_form_hstar", lambda sig: HStar(Poly((1, 1)), sig.dim))
+        code = main(["scan", "--kind", "conjecture", "--max-total", "4"])
+        err = capsys.readouterr().err
+        assert code == EXIT_VERIFICATION
+        assert err.startswith("verification failed: h* = ") and err.endswith(" is not palindromic of degree 2\n")
+
     def test_corollary(self, capsys):
         code, out = run(capsys, "scan", "--kind", "corollary", "--m", "4", "--max-n", "5")
         assert code == EXIT_OK
@@ -348,6 +413,11 @@ class TestImportFootprint:
         layers = self.loaded_layers(*argv)
         assert "grobner" in layers
         assert not layers & {"counting", "polynomial", "roots", "recursion", "triangulation", "_countpure"}
+
+    def test_conjecture_scan(self):
+        layers = self.loaded_layers("scan", "--kind", "conjecture", "--max-total", "5", "--max-n", "2")
+        assert {"recursion", "counting"} <= layers
+        assert not layers & {"triangulation", "grobner"}
 
     def test_formula_call(self):
         layers = self.loaded_layers("hstar", "--signature", "2,3", "--method", "formula")

@@ -26,6 +26,10 @@ INJECTED = [
     "tests/test_cli.py::TestHstar::test_interpolation_guard_exits_verification",
     "tests/test_counting.py::TestCountGuard::test_every_read_count_is_guarded",
     "tests/test_cli.py::TestRootsAndInterlace::test_roots_verification_failure_exits_3",
+    "tests/test_cli.py::TestHstar::test_odd_count_check_exits_3",
+    "tests/test_cli.py::TestHstar::test_hstar_invariant_check_exits_3",
+    "tests/test_cli.py::TestRootsAndInterlace::test_inexact_division_exits_3",
+    "tests/test_cli.py::TestScan::test_not_palindromic_exits_3",
 ]
 
 # exits with pytest's code; pytest exits 4 on an unknown node id and 5 when

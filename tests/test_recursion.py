@@ -1,11 +1,12 @@
 """Recursion solving, the relation catalogue, and the two scans."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
-from sepkit.formulas import ehrhart_1mn, ehrhart_bipartite
-from sepkit.polynomial import Poly, cross_polynomial
+from sepkit.formulas import closed_form_hstar, ehrhart_1mn, ehrhart_bipartite
+from sepkit.polynomial import Poly, cross_polynomial, gamma_vector
 import sepkit.recursion as recursion
 from sepkit.recursion import (
     CrossDegreeMismatch,
@@ -22,8 +23,22 @@ from sepkit.recursion import (
     solve_recursion_cross,
 )
 from sepkit.graphs import Signature
+from sepkit.triangulation import hstar_triangulation
 
 F = Fraction
+
+
+def _filtered_multisets(total):
+    """Sorted partitions of `total` into at least two parts, by drawing
+    every multiset of k parts and keeping those with the right sum.  No
+    part of such a partition exceeds total - k + 1, so the draw stops
+    there; drawing up to total - 1 gives the same tuples, only slower."""
+    return [
+        parts
+        for k in range(2, total + 1)
+        for parts in combinations_with_replacement(range(1, total - k + 2), k)
+        if sum(parts) == total
+    ]
 
 
 class TestSolver:
@@ -247,6 +262,46 @@ class TestConjectureScan:
         rep = conjecture_scan(6, 6)
         assert rep["violations"] == 0
         assert all(i["certified"] for i in rep["interlacings"])
+
+    @pytest.mark.parametrize("total", range(2, 15))
+    def test_partitions_match_the_multiset_filter(self, total):
+        got = [parts for k in range(2, total + 1) for parts in recursion._partitions(total, k)]
+        assert got == _filtered_multisets(total)
+
+    def test_rows_match_closed_forms_and_triangulation(self):
+        """Up to 8 vertices, every row equals one built from the multiset
+        filter, with h* from the closed form or else the triangulation, an
+        independent route to the oracle's."""
+        hstars = {}
+        for total in range(2, recursion.FORMULA_TOTAL + 1):
+            for parts in _filtered_multisets(total):
+                h = closed_form_hstar(Signature(parts))
+                if h is None and total <= 8:
+                    h = hstar_triangulation(Signature(parts))
+                hstars[parts] = h
+        for max_total in range(9):
+            want = []
+            for parts, h in hstars.items():
+                total = sum(parts)
+                if h is None or (total > max_total and closed_form_hstar(Signature(parts)) is None):
+                    continue
+                m, s = gamma_vector(h).degree, total - parts[-1]
+                want.append(
+                    {
+                        "signature": ",".join(map(str, parts)),
+                        "total": total,
+                        "cross_degree": m,
+                        "bounds": [s // 2, s],
+                        "ok": s // 2 <= m + 1 <= s,
+                        "full_sum_ok": total // 2 <= m + 1 <= total,
+                    }
+                )
+            assert conjecture_scan(max_total, 1)["rows"] == want, max_total
+
+    def test_twelve_vertices(self):
+        rep = conjecture_scan(12, 2)
+        assert len(rep["rows"]) == 259
+        assert rep["violations"] == 0 and all(row["ok"] for row in rep["rows"])
 
     def test_spec_examples(self):
         assert cross_degree_of_signature(Signature((2, 2, 1))) == 2
