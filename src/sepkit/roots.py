@@ -173,34 +173,40 @@ def cauchy_bound(a: list[int]) -> Fraction:
 
 def _split_point(chain: list[list[int]], lo: Fraction, hi: Fraction) -> tuple[Fraction, int]:
     """The first of lo + (hi - lo)/k, k = 2, 3, 5, 7, 11, 13, that is not a
-    root of the chain's polynomial, and V there."""
+    root of the chain's polynomial, and the sign of the polynomial there."""
     span = hi - lo
     for k in (2, 3, 5, 7, 11, 13):
         mid = lo + span / k
-        if _sign(chain[0], mid) != 0:
-            return mid, _variations(chain, mid)
+        s = _sign(chain[0], mid)
+        if s:
+            return mid, s
     raise RootCheckFailed(f"no split point of ({lo}, {hi}) avoids the roots of {chain[0]}")
 
 
 @dataclass
 class Isolation:
     """Exactly one root of the chain's polynomial in the open interval
-    (lo, hi); v_lo and v_hi are the chain's variation counts at the ends."""
+    (lo, hi); v_lo and v_hi are the chain's variation counts at the ends,
+    and sign_lo is the sign of the polynomial at lo (at hi it is the
+    opposite)."""
 
     lo: Fraction
     hi: Fraction
     v_lo: int
     v_hi: int
+    sign_lo: int
     chain: list[list[int]] = field(repr=False)
 
     def bisect(self) -> None:
-        """Halve the interval, keeping the root and non-root endpoints; the
-        split point is the one new point the chain is evaluated at."""
-        mid, v = _split_point(self.chain, self.lo, self.hi)
-        if self.v_lo - v == 1:
-            self.hi, self.v_hi = mid, v
+        """Split the interval and keep the part that holds the root.  The
+        polynomial is squarefree and nonzero at both ends, so its sign at
+        the split point alone decides the side, and the count there is one
+        more than at hi or one less than at lo."""
+        mid, s = _split_point(self.chain, self.lo, self.hi)
+        if s == self.sign_lo:
+            self.lo, self.v_lo = mid, self.v_hi + 1
         else:
-            self.lo, self.v_lo = mid, v
+            self.hi, self.v_hi = mid, self.v_lo - 1
 
     def refine_below(self, bound: Fraction) -> None:
         while self.hi > bound:
@@ -216,22 +222,26 @@ class Isolation:
 
 def _isolate(chain: list[list[int]]) -> list[Isolation]:
     """Disjoint isolating intervals for all real roots of the chain's
-    squarefree polynomial, sorted left to right."""
+    squarefree polynomial, sorted left to right.  The chain is evaluated
+    in full only where an interval holds more than one root."""
     p = chain[0]
     if len(p) < 2:
         return []
     hi = cauchy_bound(p)
     lo = -hi
     out: list[Isolation] = []
-    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi), _sign(p, lo), _sign(p, hi))]
     while stack:
-        a, b, va, vb = stack.pop()
+        a, b, va, vb, sa, sb = stack.pop()
         if va - vb == 1:
-            out.append(Isolation(a, b, va, vb, chain))
+            if sa * sb >= 0:
+                raise RootCheckFailed(f"{p} has signs {sa} and {sb} at the ends of its isolating interval ({a}, {b})")
+            out.append(Isolation(a, b, va, vb, sa, chain))
         elif va - vb > 1:
-            mid, vm = _split_point(chain, a, b)
-            stack.append((a, mid, va, vm))
-            stack.append((mid, b, vm, vb))
+            mid, sm = _split_point(chain, a, b)
+            vm = _variations(chain, mid)
+            stack.append((a, mid, va, vm, sa, sm))
+            stack.append((mid, b, vm, vb, sm, sb))
     out.sort(key=lambda iv: iv.lo)
     return out
 

@@ -96,18 +96,21 @@ class TestSturm:
         spans = [(iso.lo, iso.hi) for iso in isos]
         assert spans == sorted(spans)
 
-    def test_bisect_evaluates_the_chain_once(self, monkeypatch):
-        """A bisection evaluates the chain only at its split point: the
-        count at lo is kept from the step before."""
-        iso = isolate_real_roots(Poly((-2, 0, 1)))[1]  # sqrt(2) in (0, 3); no midpoint is a root
-        points = []
-        real = roots._variations
-        monkeypatch.setattr(roots, "_variations", lambda *a, **k: points.append(a[1]) or real(*a, **k))
-        for _ in range(3):
+    def test_refinement_evaluates_one_sign(self, monkeypatch):
+        """A refinement step evaluates only the polynomial, at its split
+        point, and the counts it keeps at the new ends are the chain's."""
+        chain = roots._chain([-2, 0, 1])
+        iso = roots._isolate(chain)[1]  # sqrt(2); no split point is a root
+        real_sign, real_variations = roots._sign, roots._variations
+        calls = []
+        monkeypatch.setattr(roots, "_sign", lambda q, x: calls.append((q, x)) or real_sign(q, x))
+        for _ in range(20):
             lo, hi = iso.lo, iso.hi
-            del points[:]
+            del calls[:]
             iso.bisect()
-            assert points == [(lo + hi) / 2]
+            assert calls == [(chain[0], (lo + hi) / 2)]
+            assert (iso.lo, iso.hi) in ((lo, (lo + hi) / 2), ((lo + hi) / 2, hi))
+            assert iso.v_lo == real_variations(chain, iso.lo) and iso.v_hi == real_variations(chain, iso.hi)
         assert iso.lo ** 2 < 2 < iso.hi ** 2
 
     def test_factor_lookup_reads_the_held_counts(self, monkeypatch):
@@ -418,16 +421,22 @@ class TestInvariantChecks:
         for k in (2, 3, 5, 7, 11, 13):
             p = p * Poly((-F(1, k), 1))
         chain = roots._chain(roots._ints(p))
-        iso = roots.Isolation(F(0), F(1), roots._variations(chain, F(0)), roots._variations(chain, F(1)), chain)
+        iso = roots.Isolation(F(0), F(1), roots._variations(chain, F(0)), roots._variations(chain, F(1)), 1, chain)
         with pytest.raises(RootCheckFailed, match="no split point"):
             iso.bisect()
+
+    def test_isolation_end_signs(self):
+        # (x - 1)^2 is not squarefree: its chain counts one distinct root in
+        # (-3, 3), but the polynomial is positive at both ends
+        with pytest.raises(RootCheckFailed, match="signs 1 and 1 at the ends"):
+            roots._isolate(roots._chain([1, -2, 1]))
 
     def test_factor_lookup(self):
         decomp = squarefree_decomposition(Poly((2, 1)) * Poly((3, 1)) ** 2)  # roots -2, -3
         factors = [(f, m, roots._chain(roots._ints(f))) for f, m in decomp]
         lookup = [roots._factor_at(factors, iso) for iso in isolate_real_roots(Poly((6, 5, 1)))]
         assert lookup == [(2, F(-3)), (1, F(-2))]
-        other = roots.Isolation(F(-3, 2), F(-1, 2), 1, 0, roots._chain([1, 1]))  # the root -1
+        other = roots.Isolation(F(-3, 2), F(-1, 2), 1, 0, -1, roots._chain([1, 1]))  # the root -1
         with pytest.raises(RootCheckFailed, match="missing from the decomposition"):
             roots._factor_at(factors, other)
 
