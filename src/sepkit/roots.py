@@ -14,13 +14,20 @@ is even or odd.  The unit of work is a chain: the integer vectors of the
 primitive remainder sequence of a polynomial q and q' (Collins, 1967), q
 first.  Its members have the signs of the rational Sturm chain's, and the
 last is gcd(q, q'), so the chain of H also tells whether H is squarefree
-and, when it is, counts, isolates and looks up every root of H.  The sign
-at a rational a/b is that of the integer b^deg q(a/b), by homogeneous
-Horner.  An isolating interval keeps the variation counts at its ends, so
-each bisection evaluates the chain once, at its split point.  Integer gcds
-give the squarefree decomposition and the shared factor of an
+and, when it is, counts, isolates and looks up every root of H.
+
+Every point the chain is evaluated at is dyadic, a/2^k held as the
+integers (a, k): the isolation starts at +-2^e, the least power of two at
+least the Cauchy bound, and splits intervals at dyadic points.  The sign
+of q at a/2^k is that of the integer 2^(k deg q) q(a/2^k), by homogeneous
+Horner with shifts, after a/2^k is put in lowest terms.  The chain is
+evaluated in full only while an interval holds more than one root.  Once
+it holds exactly one, the polynomial is squarefree and nonzero at both
+ends, so one sign of the polynomial at the split point decides the half
+that keeps the root, and the variation count at the new end follows.
+Integer gcds give the squarefree decomposition and the shared factor of an
 interlacing; fractions appear only in what a certificate reports: H, the
-brackets and the monic factors.
+brackets (whose denominators are powers of two) and the monic factors.
 
 Roots on the line are ordered by imaginary part.  A root of E at
 -1/2 + i s corresponds to w = u^2 = -4 s^2, so comparisons of imaginary
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt, lcm
 from typing import NamedTuple, Optional
 
 from .polynomial import (
@@ -123,14 +130,19 @@ def sturm_chain(p: Poly) -> list[Poly]:
     return [Poly(q) for q in _chain(_ints(p))]
 
 
-def _sign(q: list[int], x: Fraction) -> int:
-    """Sign of q(x): with x = a/b, b > 0, the sign of the integer
-    b^deg(q) q(a/b), by homogeneous Horner."""
-    a, b = x.numerator, x.denominator
-    acc, scale = 0, 1
+def _sign(q: list[int], a: int, k: int) -> int:
+    """Sign of q(a / 2^k), k >= 0: that of the integer 2^(k deg q) q(a / 2^k),
+    by homogeneous Horner with the powers of 2^k as shifts.  a / 2^k is
+    first put in lowest terms, which keeps the shifts short."""
+    if a:
+        z = min(k, (a & -a).bit_length() - 1)
+        a, k = a >> z, k - z
+    else:
+        k = 0
+    acc, shift = 0, 0
     for c in reversed(q):
-        acc = acc * a + c * scale
-        scale *= b
+        acc = acc * a + (c << shift)
+        shift += k
     return (acc > 0) - (acc < 0)
 
 
@@ -140,9 +152,9 @@ def _changes(values: list[int]) -> int:
     return sum((a < 0) != (b < 0) for a, b in zip(nonzero, nonzero[1:]))
 
 
-def _variations(chain: list[list[int]], x: Fraction) -> int:
-    """V(x): the sign variations of the chain at the rational x."""
-    return _changes([_sign(q, x) for q in chain])
+def _variations(chain: list[list[int]], a: int, k: int) -> int:
+    """V(a / 2^k): the sign variations of the chain there."""
+    return _changes([_sign(q, a, k) for q in chain])
 
 
 def _variations_at_inf(chain: list[list[int]], positive: bool) -> int:
@@ -156,13 +168,17 @@ def sturm_count(p: Poly, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
     with None meaning the corresponding infinity.
 
     With zeros skipped in the sign sequences, the variation count V satisfies
-    V(a) - V(b) = #roots in (a, b] even when a or b is itself a root.
+    V(a) - V(b) = #roots in (a, b] even when a or b is itself a root.  The
+    count runs on the chain of den^deg p(x / den), whose roots are den times
+    those of p, with den the common denominator of the ends, so that the
+    ends become integers.
     """
     if p.degree <= 0:
         return 0
-    chain = _chain(_ints(p))
-    va = _variations_at_inf(chain, False) if lo is None else _variations(chain, lo)
-    vb = _variations_at_inf(chain, True) if hi is None else _variations(chain, hi)
+    den = lcm(*(x.denominator for x in (lo, hi) if x is not None))
+    chain = _chain(_ints(Poly([c * den ** (p.degree - i) for i, c in enumerate(p.coeffs)])))
+    va = _variations_at_inf(chain, False) if lo is None else _variations(chain, int(lo * den), 0)
+    vb = _variations_at_inf(chain, True) if hi is None else _variations(chain, int(hi * den), 0)
     return va - vb
 
 
@@ -171,77 +187,93 @@ def cauchy_bound(a: list[int]) -> Fraction:
     return 1 + Fraction(max(abs(c) for c in a[:-1]), abs(a[-1]))
 
 
-def _split_point(chain: list[list[int]], lo: Fraction, hi: Fraction) -> tuple[Fraction, int]:
-    """The first of lo + (hi - lo)/k, k = 2, 3, 5, 7, 11, 13, that is not a
-    root of the chain's polynomial, and the sign of the polynomial there."""
-    span = hi - lo
-    for k in (2, 3, 5, 7, 11, 13):
-        mid = lo + span / k
-        s = _sign(chain[0], mid)
+def _split_point(p: list[int], a: int, b: int, k: int) -> tuple[int, int, int]:
+    """(m, j, s): m / 2^(k+j) is the first of lo + (hi - lo) / 2^j,
+    j = 1..6, on (lo, hi) = (a / 2^k, b / 2^k) that is not a root of p, and
+    s is the sign of p there."""
+    for j in range(1, 7):
+        m = (a << j) + b - a
+        s = _sign(p, m, k + j)
         if s:
-            return mid, s
-    raise RootCheckFailed(f"no split point of ({lo}, {hi}) avoids the roots of {chain[0]}")
+            return m, j, s
+    raise RootCheckFailed(
+        f"no split point of ({Fraction(a, 1 << k)}, {Fraction(b, 1 << k)}) avoids the roots of {p}"
+    )
 
 
 @dataclass
 class Isolation:
     """Exactly one root of the chain's polynomial in the open interval
-    (lo, hi); v_lo and v_hi are the chain's variation counts at the ends,
-    and sign_lo is the sign of the polynomial at lo (at hi it is the
-    opposite)."""
+    (lo, hi) = (a / 2^k, b / 2^k); v_lo and v_hi are the chain's variation
+    counts at the ends, and sign_lo is the sign of the polynomial at lo (at
+    hi it is the opposite).  Every end is dyadic: the isolation starts at a
+    power of two and splits at dyadic points."""
 
-    lo: Fraction
-    hi: Fraction
+    a: int
+    b: int
+    k: int
     v_lo: int
     v_hi: int
     sign_lo: int
     chain: list[list[int]] = field(repr=False)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.a, 1 << self.k)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.b, 1 << self.k)
 
     def bisect(self) -> None:
         """Split the interval and keep the part that holds the root.  The
         polynomial is squarefree and nonzero at both ends, so its sign at
         the split point alone decides the side, and the count there is one
         more than at hi or one less than at lo."""
-        mid, s = _split_point(self.chain, self.lo, self.hi)
+        m, j, s = _split_point(self.chain[0], self.a, self.b, self.k)
+        self.a, self.b, self.k = self.a << j, self.b << j, self.k + j
         if s == self.sign_lo:
-            self.lo, self.v_lo = mid, self.v_hi + 1
+            self.a, self.v_lo = m, self.v_hi + 1
         else:
-            self.hi, self.v_hi = mid, self.v_lo - 1
+            self.b, self.v_hi = m, self.v_lo - 1
 
-    def refine_below(self, bound: Fraction) -> None:
-        while self.hi > bound:
+    def refine_below_zero(self) -> None:
+        while self.b > 0:
             self.bisect()
 
-    def refine_to_width(self, width: Fraction) -> None:
-        while self.hi - self.lo > width:
+    def refine_to_width(self, e: int) -> None:
+        """Bisect until the interval is at most 2^-e wide."""
+        while (self.b - self.a) << e > 1 << self.k:
             self.bisect()
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 def _isolate(chain: list[list[int]]) -> list[Isolation]:
     """Disjoint isolating intervals for all real roots of the chain's
-    squarefree polynomial, sorted left to right.  The chain is evaluated
-    in full only where an interval holds more than one root."""
+    squarefree polynomial, sorted left to right.  The search starts at
+    +-2^e, the least power of two at least the Cauchy bound, and evaluates
+    the chain in full only where an interval holds more than one root."""
     p = chain[0]
     if len(p) < 2:
         return []
-    hi = cauchy_bound(p)
-    lo = -hi
+    e = (ceil(cauchy_bound(p)) - 1).bit_length()
     out: list[Isolation] = []
-    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi), _sign(p, lo), _sign(p, hi))]
+    lo, hi = -1 << e, 1 << e
+    stack = [(lo, hi, 0, _variations(chain, lo, 0), _variations(chain, hi, 0), _sign(p, lo, 0), _sign(p, hi, 0))]
     while stack:
-        a, b, va, vb, sa, sb = stack.pop()
+        a, b, k, va, vb, sa, sb = stack.pop()
         if va - vb == 1:
             if sa * sb >= 0:
-                raise RootCheckFailed(f"{p} has signs {sa} and {sb} at the ends of its isolating interval ({a}, {b})")
-            out.append(Isolation(a, b, va, vb, sa, chain))
+                raise RootCheckFailed(
+                    f"signs {sa} and {sb} at the ends of the isolating interval "
+                    f"({Fraction(a, 1 << k)}, {Fraction(b, 1 << k)}) of {p}"
+                )
+            out.append(Isolation(a, b, k, va, vb, sa, chain))
         elif va - vb > 1:
-            mid, sm = _split_point(chain, a, b)
-            vm = _variations(chain, mid)
-            stack.append((a, mid, va, vm, sa, sm))
-            stack.append((mid, b, vm, vb, sm, sb))
+            m, j, sm = _split_point(p, a, b, k)
+            a, b, k = a << j, b << j, k + j
+            vm = _variations(chain, m, k)
+            stack.append((a, m, k, va, vm, sa, sm))
+            stack.append((m, b, k, vm, vb, sm, sb))
     out.sort(key=lambda iv: iv.lo)
     return out
 
@@ -254,15 +286,16 @@ def isolate_real_roots(p: Poly) -> list[Isolation]:
 
 def refine_pairwise_disjoint(isos: list[Isolation]) -> None:
     """Bisect overlapping isolating intervals (of polynomials with pairwise
-    distinct roots) until no two intervals intersect."""
+    distinct roots) until no two intervals intersect.  The ends are
+    compared as integers: x / 2^k < y / 2^l exactly when x 2^l < y 2^k."""
     changed = True
     while changed:
         changed = False
         for i in range(len(isos)):
             for j in range(i + 1, len(isos)):
-                a, b = isos[i], isos[j]
-                if a.lo < b.hi and b.lo < a.hi:  # overlap
-                    (a if a.width() >= b.width() else b).bisect()
+                x, y = isos[i], isos[j]
+                if (x.a << y.k) < (y.b << x.k) and (y.a << x.k) < (x.b << y.k):  # overlap
+                    (x if (x.b - x.a) << y.k >= (y.b - y.a) << x.k else y).bisect()
                     changed = True
 
 
@@ -371,7 +404,7 @@ def _w_data(e: Poly) -> Optional[_WData]:
     decomp = _decompose(chain[0], chain[-1])
     if len(chain[-1]) > 1:
         chain = _chain(_exact_quo(chain[0], chain[-1]))
-    return _WData(t, decomp, chain, _variations_at_inf(chain, False) - _variations(chain, Fraction(0)))
+    return _WData(t, decomp, chain, _variations_at_inf(chain, False) - _variations(chain, 0, 0))
 
 
 def _split_zero(w: _WData) -> tuple[list[list[int]], int]:
@@ -404,7 +437,8 @@ def _factor_at(factors: list[tuple[Poly, int, list[list[int]]]], iso: Isolation)
         if chain is iso.chain:
             count = iso.v_lo - iso.v_hi
         else:
-            count = _variations(chain, iso.lo) - _variations(chain, iso.hi) - (_sign(chain[0], iso.hi) == 0)
+            count = _variations(chain, iso.a, iso.k) - _variations(chain, iso.b, iso.k)
+            count -= _sign(chain[0], iso.b, iso.k) == 0
         if count == 1:
             return m, (-f[0] / f[1] if f.degree == 1 else None)
     raise RootCheckFailed(f"isolated root in ({iso.lo}, {iso.hi}) is missing from the decomposition")
@@ -428,8 +462,8 @@ def is_cl(e: Poly) -> RootCertificate:
         chain, zero_mult = _split_zero(w)
         factors = _factor_chains(w)
         for iso in _isolate(chain):
-            iso.refine_below(Fraction(0))
-            iso.refine_to_width(Fraction(1, 64))
+            iso.refine_below_zero()
+            iso.refine_to_width(6)
             mult, exact = _factor_at(factors, iso)
             if exact is not None:
                 roots.append(WRoot(exact, exact, mult, exact=exact))
@@ -495,7 +529,7 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
     isos = [(tag, iso) for tag, chain in parts for iso in _isolate(chain)]
     refine_pairwise_disjoint([iso for _, iso in isos])
     for _, iso in isos:
-        iso.refine_below(Fraction(0))
+        iso.refine_below_zero()
     isos.sort(key=lambda pair: pair[1].lo)
 
     # multiplicities per source polynomial for each distinct negative w-root

@@ -160,3 +160,23 @@ def squarefree_decomposition(p):
         g = divmod_(g, y)[0]
         i += 1
     return out
+
+
+def value(p, x):
+    """p(x) by Horner over Q."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def roots_between(chain, lo, hi):
+    """Distinct real roots of chain[0] in the open interval (lo, hi), from
+    the sign variations of the chain's values at both ends (zeros skipped)
+    less one when hi is itself a root."""
+
+    def variations(x):
+        signs = [v > 0 for v in (value(q, x) for q in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi) - (value(chain[0], hi) == 0)

@@ -82,9 +82,6 @@ class TestSturm:
             for i, lo in enumerate(points[:-1]):
                 for hi in points[i + 1:]:
                     want = sum(1 for r in known if (lo is None or lo < r) and (hi is None or r <= hi))
-                    va = roots._variations_at_inf(chain, False) if lo is None else roots._variations(chain, lo)
-                    vb = roots._variations_at_inf(chain, True) if hi is None else roots._variations(chain, hi)
-                    assert va - vb == want
                     assert sturm_count(p, lo, hi) == want
 
     def test_isolation(self):
@@ -103,14 +100,15 @@ class TestSturm:
         iso = roots._isolate(chain)[1]  # sqrt(2); no split point is a root
         real_sign, real_variations = roots._sign, roots._variations
         calls = []
-        monkeypatch.setattr(roots, "_sign", lambda q, x: calls.append((q, x)) or real_sign(q, x))
+        monkeypatch.setattr(roots, "_sign", lambda q, a, k: calls.append((q, F(a, 2**k))) or real_sign(q, a, k))
         for _ in range(20):
             lo, hi = iso.lo, iso.hi
             del calls[:]
             iso.bisect()
             assert calls == [(chain[0], (lo + hi) / 2)]
             assert (iso.lo, iso.hi) in ((lo, (lo + hi) / 2), ((lo + hi) / 2, hi))
-            assert iso.v_lo == real_variations(chain, iso.lo) and iso.v_hi == real_variations(chain, iso.hi)
+            assert iso.v_lo == real_variations(chain, iso.a, iso.k)
+            assert iso.v_hi == real_variations(chain, iso.b, iso.k)
         assert iso.lo ** 2 < 2 < iso.hi ** 2
 
     def test_factor_lookup_reads_the_held_counts(self, monkeypatch):
@@ -121,7 +119,7 @@ class TestSturm:
         other = roots._chain([1, 1])
         points = []
         real = roots._variations
-        monkeypatch.setattr(roots, "_variations", lambda *a, **k: points.append(a[1]) or real(*a, **k))
+        monkeypatch.setattr(roots, "_variations", lambda *a, **k: points.append(F(a[1], 2 ** a[2])) or real(*a, **k))
         assert roots._factor_at([(Poly((-2, 0, 1)), 3, chain)], iso) == (3, None)
         assert points == []
         assert roots._factor_at([(Poly((1, 1)), 1, other), (Poly((-2, 0, 1)), 3, chain)], iso) == (3, None)
@@ -253,10 +251,10 @@ class TestIsCL:
             "parity": 1,
             "half_square": ["245283/1120", "121229/504", "11909/240", "157/56", "79/2016"],
             "w_roots": [
-                {"lo": "-1971504675/41418752", "hi": "-61594365/1294336", "multiplicity": 1, "exact": None},
-                {"lo": "-21824775/1294336", "hi": "-697907805/41418752", "multiplicity": 1, "exact": None},
-                {"lo": "-122703735/20709376", "hi": "-244922475/41418752", "multiplicity": 1, "exact": None},
-                {"lo": "-48984495/41418752", "hi": "-12124875/10354688", "multiplicity": 1, "exact": None},
+                {"lo": "-3047/64", "hi": "-1523/32", "multiplicity": 1, "exact": None},
+                {"lo": "-1079/64", "hi": "-539/32", "multiplicity": 1, "exact": None},
+                {"lo": "-379/64", "hi": "-189/32", "multiplicity": 1, "exact": None},
+                {"lo": "-19/16", "hi": "-75/64", "multiplicity": 1, "exact": None},
             ],
             "reason": "",
         }
@@ -312,13 +310,13 @@ class TestInterlacing:
             return {"position": "negative-imaginary", "w_lo": w_lo, "w_hi": w_hi, "in_f": in_f, "in_g": in_g}
 
         brackets = [
-            ("-8099/160", "-24297/640", 1, 0),
-            ("-475/14", "-475/28", 0, 1),
-            ("-8099/640", "-24297/2560", 1, 0),
-            ("-475/56", "-1425/224", 0, 1),
-            ("-8099/1280", "-8099/2560", 1, 0),
-            ("-475/224", "-475/448", 0, 1),
-            ("-8099/10240", "0", 1, 0),
+            ("-64", "-32", 1, 0),
+            ("-32", "-16", 0, 1),
+            ("-16", "-8", 1, 0),
+            ("-8", "-4", 0, 1),
+            ("-4", "-2", 1, 0),
+            ("-2", "-1", 0, 1),
+            ("-1", "0", 1, 0),
         ]
         below = [neg(*b) for b in brackets]
         above = [dict(entry, position="positive-imaginary") for entry in reversed(below)]
@@ -346,39 +344,100 @@ class TestInterlacing:
         assert interlaces_on_cl(ehrhart_bipartite(1, n), ehrhart_1mn(1, n)).interlaces
 
 
+def sweep():
+    """is_cl inputs: closed-form families and three made-up polynomials (H
+    with a repeated root, with a root at the center, and with a double root
+    at w = -1/1000 next to it); interlaces_on_cl inputs: the four chains the
+    benchmark certifies, as (g, f) pairs."""
+    polys = [ehrhart_bipartite(m, n) for m in range(1, 11) for n in range(m, 21 - m)]
+    polys += [ehrhart_1mn(m, n) for m in range(1, 5) for n in range(m, 9)]
+    polys += [ehrhart_111n(n) for n in range(1, 9)] + [ehrhart_22n(n) for n in range(1, 9)]
+    polys += [
+        ehrhart_from_hstar(hstar_tripartite(a, b, c))
+        for a in range(1, 4)
+        for b in range(a, 5)
+        for c in range(b, 6)
+    ]
+    w, u2 = Poly((0, 1)), Poly((0, 0, 1)).compose(Poly((1, 2)))  # u^2 = (2x + 1)^2
+    for h in (Poly((1, 1)) ** 2 * Poly((3, 1)), w * Poly((4, 1)) ** 2, w * Poly((F(1, 1000), 1)) ** 2):
+        polys.append(h.compose(u2))  # E(x) = H((2x + 1)^2)
+    pairs = []
+    for n in range(1, 11):
+        pairs += [
+            (ehrhart_bipartite(1, n), ehrhart_1mn(1, n)),
+            (ehrhart_1mn(1, n), ehrhart_111n(n)),
+            (ehrhart_1mn(1, n), ehrhart_1mn(1, n + 1)),
+        ]
+    pairs += [(ehrhart_bipartite(n, n), ehrhart_bipartite(n, n + 1)) for n in range(1, 9)]
+    return polys, pairs
+
+
 class TestSweepDigest:
-    # sha256 of the certificates' JSON, taken when every count still
-    # evaluated the chain at both ends of its interval
-    DIGEST = "054dfb9cb7ef49d69dd1d475f59f519b2415bedfe5bb89e6859df5f36d8e14fe"
+    # sha256 of the certificates' JSON, taken when the brackets became
+    # dyadic; TestBracketReferee checks them independently
+    DIGEST = "51278746553e8b79e03eb30a2226131a890666198bd516d30aef7f83f062f72e"
 
     def test_certificates_unchanged(self):
-        """is_cl over closed-form families and three made-up polynomials
-        (H with a repeated root, with a root at the center, and with a
-        double root at w = -1/1000 next to it), and interlaces_on_cl over
-        the four chains the benchmark certifies, byte for byte."""
-        polys = [ehrhart_bipartite(m, n) for m in range(1, 11) for n in range(m, 21 - m)]
-        polys += [ehrhart_1mn(m, n) for m in range(1, 5) for n in range(m, 9)]
-        polys += [ehrhart_111n(n) for n in range(1, 9)] + [ehrhart_22n(n) for n in range(1, 9)]
-        polys += [
-            ehrhart_from_hstar(hstar_tripartite(a, b, c))
-            for a in range(1, 4)
-            for b in range(a, 5)
-            for c in range(b, 6)
-        ]
-        w, u2 = Poly((0, 1)), Poly((0, 0, 1)).compose(Poly((1, 2)))  # u^2 = (2x + 1)^2
-        for h in (Poly((1, 1)) ** 2 * Poly((3, 1)), w * Poly((4, 1)) ** 2, w * Poly((F(1, 1000), 1)) ** 2):
-            polys.append(h.compose(u2))  # E(x) = H((2x + 1)^2)
-        pairs = []
-        for n in range(1, 11):
-            pairs += [
-                (ehrhart_bipartite(1, n), ehrhart_1mn(1, n)),
-                (ehrhart_1mn(1, n), ehrhart_111n(n)),
-                (ehrhart_1mn(1, n), ehrhart_1mn(1, n + 1)),
-            ]
-        pairs += [(ehrhart_bipartite(n, n), ehrhart_bipartite(n, n + 1)) for n in range(1, 9)]
+        """is_cl and interlaces_on_cl over the sweep, byte for byte."""
+        polys, pairs = sweep()
         certs = [is_cl(e).as_dict() for e in polys] + [interlaces_on_cl(g, f).as_dict() for g, f in pairs]
         assert (len(polys), len(pairs)) == (173, 38)
         assert hashlib.sha256(json.dumps(certs).encode()).hexdigest() == self.DIGEST
+
+
+def squarefree_chain(h):
+    """The rational Sturm chain of the squarefree part of H, whose gcd with
+    H' is the last member of H's own chain."""
+    chain = fr.sturm_chain(h)
+    if len(chain[-1]) == 1:
+        return chain
+    part, rem = fr.divmod_(h, chain[-1])
+    assert rem == []
+    return fr.sturm_chain(part)
+
+
+def dyadic(x):
+    return x.denominator & (x.denominator - 1) == 0
+
+
+class TestBracketReferee:
+    """The brackets against the rational Sturm chain of tests/fraction_routes.py:
+    each holds exactly one root of the squarefree part of H, the brackets of
+    one certificate are pairwise disjoint, and every end is dyadic."""
+
+    def check_is_cl(self, e):
+        cert = is_cl(e)
+        if not cert.on_cl:
+            return 0
+        chain = squarefree_chain(list(cert.half_square.coeffs))
+        brackets = sorted((r.lo, r.hi) for r in cert.w_roots)
+        assert all(hi <= lo for (_, hi), (lo, _) in zip(brackets, brackets[1:]))
+        inexact = [(r.lo, r.hi) for r in cert.w_roots if r.exact is None]
+        for lo, hi in inexact:
+            assert lo < hi <= 0 and dyadic(lo) and dyadic(hi)
+            assert fr.roots_between(chain, lo, hi) == 1
+        return len(inexact)
+
+    def check_interlacing(self, g, f):
+        chains = [squarefree_chain(list(is_cl(e).half_square.coeffs)) for e in (f, g)]
+        brackets = [
+            (F(entry["w_lo"]), F(entry["w_hi"]), entry["in_f"], entry["in_g"])
+            for entry in interlaces_on_cl(g, f).as_dict()["order"]
+            if entry["position"] == "negative-imaginary"
+        ]
+        assert all(hi <= lo for (_, hi, *_), (lo, *_) in zip(brackets, brackets[1:]))
+        for lo, hi, *mults in brackets:
+            assert lo < hi <= 0 and dyadic(lo) and dyadic(hi)
+            assert [fr.roots_between(chain, lo, hi) for chain in chains] == [min(m, 1) for m in mults]
+        return len(brackets)
+
+    def test_sweep(self):
+        polys, pairs = sweep()
+        assert sum(self.check_is_cl(e) for e in polys) == 842
+        assert sum(self.check_interlacing(g, f) for g, f in pairs) == 249
+
+    def test_large_bipartite(self):
+        assert self.check_is_cl(ehrhart_bipartite(40, 40)) == 39
 
 
 class TestBounds:
@@ -408,20 +467,21 @@ class TestInvariantChecks:
             cl_transform(ehrhart_bipartite(2, 2))
 
     def test_isolation_split_point(self, monkeypatch):
+        # the search starts at (-1, 1); roots at -1 + 2/2^j, j = 1..6
         p = Poly.one()
-        for k in (2, 3, 5, 7, 11, 13):
-            p = p * Poly((1 - F(2, k), 1))
+        for j in range(1, 7):
+            p = p * Poly((1 - F(2, 2**j), 1))
         monkeypatch.setattr(roots, "cauchy_bound", lambda q: F(1))
         with pytest.raises(RootCheckFailed, match="no split point"):
             isolate_real_roots(p)
 
     def test_bisection_split_point(self):
-        # roots at every candidate split point of (0, 1)
+        # roots at every candidate split point 1/2^j, j = 1..6, of (0, 1)
         p = Poly.one()
-        for k in (2, 3, 5, 7, 11, 13):
-            p = p * Poly((-F(1, k), 1))
+        for j in range(1, 7):
+            p = p * Poly((-F(1, 2**j), 1))
         chain = roots._chain(roots._ints(p))
-        iso = roots.Isolation(F(0), F(1), roots._variations(chain, F(0)), roots._variations(chain, F(1)), 1, chain)
+        iso = roots.Isolation(0, 1, 0, roots._variations(chain, 0, 0), roots._variations(chain, 1, 0), 1, chain)
         with pytest.raises(RootCheckFailed, match="no split point"):
             iso.bisect()
 
@@ -436,7 +496,7 @@ class TestInvariantChecks:
         factors = [(f, m, roots._chain(roots._ints(f))) for f, m in decomp]
         lookup = [roots._factor_at(factors, iso) for iso in isolate_real_roots(Poly((6, 5, 1)))]
         assert lookup == [(2, F(-3)), (1, F(-2))]
-        other = roots.Isolation(F(-3, 2), F(-1, 2), 1, 0, -1, roots._chain([1, 1]))  # the root -1
+        other = roots.Isolation(-3, -1, 1, 1, 0, -1, roots._chain([1, 1]))  # (-3/2, -1/2) holds the root -1
         with pytest.raises(RootCheckFailed, match="missing from the decomposition"):
             roots._factor_at(factors, other)
 
