@@ -134,11 +134,8 @@ def _sign(q: list[int], a: int, k: int) -> int:
     """Sign of q(a / 2^k), k >= 0: that of the integer 2^(k deg q) q(a / 2^k),
     by homogeneous Horner with the powers of 2^k as shifts.  a / 2^k is
     first put in lowest terms, which keeps the shifts short."""
-    if a:
-        z = min(k, (a & -a).bit_length() - 1)
-        a, k = a >> z, k - z
-    else:
-        k = 0
+    z = min(k, (a & -a).bit_length() - 1) if a else k
+    a, k = a >> z, k - z
     acc, shift = 0, 0
     for c in reversed(q):
         acc = acc * a + (c << shift)
