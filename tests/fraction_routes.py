@@ -5,7 +5,8 @@ Each function works on lists of `Fraction`s, constant term first, with the
 schoolbook algorithms sepkit used before: Fraction products and sums, long
 division by the leading coefficient, the Euclidean gcd over Q, the compose
 route of the canonical-line transform, the rational-remainder Sturm chain
-and the gamma-basis sum as products of (1+t) powers.  Nothing here calls
+with its root count from values at rational points, and the gamma-basis
+sum as products of (1+t) powers.  Nothing here calls
 `Poly` arithmetic, so a fault in the integer path cannot hide in its own
 referee.
 """
