@@ -29,7 +29,6 @@ every signature with at most 6 vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
@@ -43,18 +42,29 @@ class InvalidCount(ValueError):
     """A dilate's count misses the origin or is even (a counting bug)."""
 
 
-@dataclass(frozen=True)
 class DilationCount:
     """Number of lattice points in the k-th dilate."""
 
-    k: int
-    count: int
+    __slots__ = ("k", "count")
 
-    def __post_init__(self):
-        if self.count < 1:
+    def __init__(self, k: int, count: int):
+        if count < 1:
             raise InvalidCount("every dilate contains the origin")
-        if self.count % 2 == 0:
+        if count % 2 == 0:
             raise InvalidCount("central symmetry forces an odd count")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "count", count)
+
+    def __setattr__(self, *a):  # immutability
+        raise AttributeError("DilationCount is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.count) == (other.k, other.count)
+
+    def __hash__(self):
+        return hash((self.k, self.count))
 
 
 def _check_bound(sig: Signature, max_total: Optional[int]) -> None:

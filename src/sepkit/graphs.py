@@ -17,7 +17,6 @@ the count against the closed facet-count formula in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from typing import NamedTuple
@@ -38,15 +37,26 @@ class Unclassifiable(ValueError):
     """A labeling matched none of the facet normal forms (enumeration bug)."""
 
 
-@dataclass(frozen=True)
 class Signature:
     """Ordered class sizes (a_1, ..., a_k) of a complete multipartite graph."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if not self.parts or any(a < 1 for a in self.parts):
-            raise ValueError(f"class sizes must be positive: {self.parts}")
+    def __init__(self, parts: tuple[int, ...]):
+        if not parts or any(a < 1 for a in parts):
+            raise ValueError(f"class sizes must be positive: {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, *a):  # immutability
+        raise AttributeError("Signature is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @staticmethod
     def parse(text: str) -> "Signature":
@@ -121,11 +131,24 @@ def edge_count(sig: Signature) -> int:
     return (n * n - sum(a * a for a in sig.parts)) // 2
 
 
-@dataclass(frozen=True)
 class FacetLabeling:
     """Integer vertex labeling normalized to min 0; supports <lambda,x> <= 1."""
 
-    values: tuple[int, ...]  # values[v-1] = label of vertex v
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]):
+        object.__setattr__(self, "values", values)  # values[v-1] = label of vertex v
+
+    def __setattr__(self, *a):  # immutability
+        raise AttributeError("FacetLabeling is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self):
+        return hash((self.values,))
 
     def __getitem__(self, v: int) -> int:
         return self.values[v - 1]

@@ -33,7 +33,6 @@ suite uses as an independent referee for ``build_basis``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 from typing import Iterable, Optional, Sequence
 
@@ -189,13 +188,26 @@ def drl_max(monos: Iterable[Mono]) -> Mono:
     return best
 
 
-@dataclass(frozen=True)
 class GBElement:
     """A binomial lead - tail, tagged with its structural kind."""
 
-    kind: str
-    lead: Mono
-    tail: Mono
+    __slots__ = ("kind", "lead", "tail")
+
+    def __init__(self, kind: str, lead: Mono, tail: Mono):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "tail", tail)
+
+    def __setattr__(self, *a):  # immutability
+        raise AttributeError("GBElement is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.lead, self.tail) == (other.kind, other.lead, other.tail)
+
+    def __hash__(self):
+        return hash((self.kind, self.lead, self.tail))
 
 
 # -- basis construction ------------------------------------------------------

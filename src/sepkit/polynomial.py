@@ -26,7 +26,6 @@ The domain-specific operations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence
@@ -366,7 +365,6 @@ def _ehrhart(h: list[int], d: int) -> Poly:
     return _poly_over(total, factorial(d))
 
 
-@dataclass(frozen=True)
 class HStar:
     """An h*-polynomial together with the intended polytope dimension.
 
@@ -374,17 +372,29 @@ class HStar:
     is 1 and the degree does not exceed `dim`.
     """
 
-    poly: Poly
-    dim: int
+    __slots__ = ("poly", "dim")
 
-    def __post_init__(self):
-        if self.poly.degree > self.dim:
-            raise InvalidHStar(f"h* degree {self.poly.degree} exceeds dim {self.dim}")
-        for c in self.poly.coeffs:
+    def __init__(self, poly: Poly, dim: int):
+        if poly.degree > dim:
+            raise InvalidHStar(f"h* degree {poly.degree} exceeds dim {dim}")
+        for c in poly.coeffs:
             if c.denominator != 1 or c < 0:
                 raise InvalidHStar(f"h* coefficient {c} is not a nonnegative integer")
-        if self.poly[0] != 1:
+        if poly[0] != 1:
             raise InvalidHStar("h* constant term must be 1")
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "dim", dim)
+
+    def __setattr__(self, *a):  # immutability
+        raise AttributeError("HStar is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.poly, self.dim) == (other.poly, other.dim)
+
+    def __hash__(self):
+        return hash((self.poly, self.dim))
 
     @property
     def coefficients(self) -> tuple[int, ...]:

@@ -14,7 +14,6 @@ interlace g on the canonical line, g interlaces f there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Optional, Sequence
@@ -53,18 +52,29 @@ class ExactSolveFailed(ArithmeticError):
     """The exact solver broke one of its own invariants."""
 
 
-@dataclass
 class RecursionSolution:
     """Outcome of solving f = alpha (2x+1) g + sum alpha_i h_i exactly."""
 
-    alpha: Optional[Fraction]
-    alphas: list[Fraction] = field(default_factory=list)
-    status: str = "unique"  # unique | none | underdetermined
-    kernel_dim: int = 0
-    # for underdetermined systems: one solution plus a kernel basis, so that
-    # callers can reason about the whole solution set exactly
-    particular: Optional[list[Fraction]] = None
-    kernel: Optional[list[list[Fraction]]] = None
+    __slots__ = ("alpha", "alphas", "status", "kernel_dim", "particular", "kernel")
+    __hash__ = None  # mutable
+
+    def __init__(
+        self,
+        alpha: Optional[Fraction],
+        alphas: Optional[list[Fraction]] = None,  # a fresh empty list when None
+        status: str = "unique",  # unique | none | underdetermined
+        kernel_dim: int = 0,
+        # for underdetermined systems: one solution plus a kernel basis, so
+        # that callers can reason about the whole solution set exactly
+        particular: Optional[list[Fraction]] = None,
+        kernel: Optional[list[list[Fraction]]] = None,
+    ):
+        self.alpha = alpha
+        self.alphas = [] if alphas is None else alphas
+        self.status = status
+        self.kernel_dim = kernel_dim
+        self.particular = particular
+        self.kernel = kernel
 
     @property
     def coefficients(self) -> list[Fraction]:

@@ -39,7 +39,6 @@ disjoint (shared roots are split off through a gcd first).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, isqrt, lcm
 from typing import NamedTuple, Optional
@@ -69,13 +68,26 @@ class RootCheckFailed(ArithmeticError):
     interlacing certificate failed."""
 
 
-@dataclass(frozen=True)
 class CLTransform:
     """E repackaged as u^parity * H(u^2) in the variable u = 2x + 1."""
 
-    source: Poly
-    parity: int
-    half_square: Poly  # H
+    __slots__ = ("source", "parity", "half_square")
+
+    def __init__(self, source: Poly, parity: int, half_square: Poly):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "half_square", half_square)  # H
+
+    def __setattr__(self, *a):  # immutability
+        raise AttributeError("CLTransform is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.parity, self.half_square) == (other.source, other.parity, other.half_square)
+
+    def __hash__(self):
+        return hash((self.source, self.parity, self.half_square))
 
     @property
     def degree(self) -> int:
@@ -149,9 +161,11 @@ def _changes(values: list[int]) -> int:
     return sum((a < 0) != (b < 0) for a, b in zip(nonzero, nonzero[1:]))
 
 
-def _variations(chain: list[list[int]], a: int, k: int) -> int:
-    """V(a / 2^k): the sign variations of the chain there."""
-    return _changes([_sign(q, a, k) for q in chain])
+def _variations(chain: list[list[int]], a: int, k: int, s: Optional[int] = None) -> int:
+    """V(a / 2^k): the sign variations of the chain there; s is the sign of
+    chain[0] there when the caller already has it."""
+    first = _sign(chain[0], a, k) if s is None else s
+    return _changes([first] + [_sign(q, a, k) for q in chain[1:]])
 
 
 def _variations_at_inf(chain: list[list[int]], positive: bool) -> int:
@@ -198,21 +212,25 @@ def _split_point(p: list[int], a: int, b: int, k: int) -> tuple[int, int, int]:
     )
 
 
-@dataclass
 class Isolation:
     """Exactly one root of the chain's polynomial in the open interval
     (lo, hi) = (a / 2^k, b / 2^k); v_lo and v_hi are the chain's variation
     counts at the ends, and sign_lo is the sign of the polynomial at lo (at
     hi it is the opposite).  Every end is dyadic: the isolation starts at a
-    power of two and splits at dyadic points."""
+    power of two and splits at dyadic points.  Bisection narrows it in
+    place."""
 
-    a: int
-    b: int
-    k: int
-    v_lo: int
-    v_hi: int
-    sign_lo: int
-    chain: list[list[int]] = field(repr=False)
+    __slots__ = ("a", "b", "k", "v_lo", "v_hi", "sign_lo", "chain")
+    __hash__ = None  # mutable
+
+    def __init__(self, a: int, b: int, k: int, v_lo: int, v_hi: int, sign_lo: int, chain: list[list[int]]):
+        self.a = a
+        self.b = b
+        self.k = k
+        self.v_lo = v_lo
+        self.v_hi = v_hi
+        self.sign_lo = sign_lo
+        self.chain = chain
 
     @property
     def lo(self) -> Fraction:
@@ -255,7 +273,8 @@ def _isolate(chain: list[list[int]]) -> list[Isolation]:
     e = (ceil(cauchy_bound(p)) - 1).bit_length()
     out: list[Isolation] = []
     lo, hi = -1 << e, 1 << e
-    stack = [(lo, hi, 0, _variations(chain, lo, 0), _variations(chain, hi, 0), _sign(p, lo, 0), _sign(p, hi, 0))]
+    sa, sb = _sign(p, lo, 0), _sign(p, hi, 0)
+    stack = [(lo, hi, 0, _variations(chain, lo, 0, sa), _variations(chain, hi, 0, sb), sa, sb)]
     while stack:
         a, b, k, va, vb, sa, sb = stack.pop()
         if va - vb == 1:
@@ -268,7 +287,7 @@ def _isolate(chain: list[list[int]]) -> list[Isolation]:
         elif va - vb > 1:
             m, j, sm = _split_point(p, a, b, k)
             a, b, k = a << j, b << j, k + j
-            vm = _variations(chain, m, k)
+            vm = _variations(chain, m, k, sm)
             stack.append((a, m, k, va, vm, sa, sm))
             stack.append((m, b, k, vm, vb, sm, sb))
     out.sort(key=lambda iv: iv.lo)
@@ -327,15 +346,18 @@ def _decompose(a: list[int], g: list[int]) -> list[tuple[Poly, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class WRoot:
     """A distinct root of the transformed polynomial H, with exact rational
     bracketing and its multiplicity in H."""
 
-    lo: Fraction
-    hi: Fraction
-    multiplicity: int
-    exact: Optional[Fraction] = None  # set when the root is rational
+    __slots__ = ("lo", "hi", "multiplicity", "exact")
+    __hash__ = None  # mutable
+
+    def __init__(self, lo: Fraction, hi: Fraction, multiplicity: int, exact: Optional[Fraction] = None):
+        self.lo = lo
+        self.hi = hi
+        self.multiplicity = multiplicity
+        self.exact = exact  # set when the root is rational
 
     def as_dict(self) -> dict:
         return {
@@ -346,18 +368,33 @@ class WRoot:
         }
 
 
-@dataclass
 class RootCertificate:
     """Verdict on canonical-line membership plus exact isolation data."""
 
-    source: Poly
-    symmetric: bool
-    on_cl: bool
-    parity: int
-    half_square: Optional[Poly]
-    w_roots: list[WRoot]
-    distinct_real_in_range: int
-    reason: str = ""
+    __slots__ = (
+        "source", "symmetric", "on_cl", "parity", "half_square", "w_roots", "distinct_real_in_range", "reason"
+    )
+    __hash__ = None  # mutable
+
+    def __init__(
+        self,
+        source: Poly,
+        symmetric: bool,
+        on_cl: bool,
+        parity: int,
+        half_square: Optional[Poly],
+        w_roots: list[WRoot],
+        distinct_real_in_range: int,
+        reason: str = "",
+    ):
+        self.source = source
+        self.symmetric = symmetric
+        self.on_cl = on_cl
+        self.parity = parity
+        self.half_square = half_square
+        self.w_roots = w_roots
+        self.distinct_real_in_range = distinct_real_in_range
+        self.reason = reason
 
     def as_dict(self) -> dict:
         from .polynomial import poly_str
@@ -434,8 +471,8 @@ def _factor_at(factors: list[tuple[Poly, int, list[list[int]]]], iso: Isolation)
         if chain is iso.chain:
             count = iso.v_lo - iso.v_hi
         else:
-            count = _variations(chain, iso.a, iso.k) - _variations(chain, iso.b, iso.k)
-            count -= _sign(chain[0], iso.b, iso.k) == 0
+            s = _sign(chain[0], iso.b, iso.k)
+            count = _variations(chain, iso.a, iso.k) - _variations(chain, iso.b, iso.k, s) - (s == 0)
         if count == 1:
             return m, (-f[0] / f[1] if f.degree == 1 else None)
     raise RootCheckFailed(f"isolated root in ({iso.lo}, {iso.hi}) is missing from the decomposition")
@@ -478,14 +515,17 @@ def is_cl(e: Poly) -> RootCertificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class InterlaceCertificate:
     """Witness of the weak alternation of two CL root sequences."""
 
-    interlaces: bool
-    shared_factor: Poly
-    order: list[dict]  # merged root symbols bottom-to-top along the line
-    reason: str = ""
+    __slots__ = ("interlaces", "shared_factor", "order", "reason")
+    __hash__ = None  # mutable
+
+    def __init__(self, interlaces: bool, shared_factor: Poly, order: list[dict], reason: str = ""):
+        self.interlaces = interlaces
+        self.shared_factor = shared_factor
+        self.order = order  # merged root symbols bottom-to-top along the line
+        self.reason = reason
 
     def as_dict(self) -> dict:
         from .polynomial import poly_str

@@ -40,7 +40,6 @@ tripartite formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from math import comb
 from typing import Iterator, Optional, Sequence
@@ -64,11 +63,24 @@ class AmbiguousFacet(RuntimeError):
     """A boundary simplex matched an unexpected number of facets."""
 
 
-@dataclass(frozen=True)
 class DirTree:
     """A directed spanning tree, i.e. a boundary simplex of the triangulation."""
 
-    edges: tuple[DirectedEdge, ...]
+    __slots__ = ("edges",)
+
+    def __init__(self, edges: tuple[DirectedEdge, ...]):
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, *a):  # immutability
+        raise AttributeError("DirTree is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.edges,))
 
 
 def _lead_partners(vt: VarTable) -> tuple[list[int], list[list[int]]]:

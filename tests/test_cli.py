@@ -388,7 +388,8 @@ class TestImportFootprint:
     """A call imports only the layers its subcommand runs."""
 
     @staticmethod
-    def loaded_layers(*argv):
+    def loaded_modules(*argv):
+        """Every module the call imports, the interpreter's start-up included."""
         # -X importtime lists every module the call imports on stderr
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -397,8 +398,30 @@ class TestImportFootprint:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
-        names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-        return {name.split(".", 1)[1] for name in names if name.startswith("sepkit.")}
+        return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+    @classmethod
+    def loaded_layers(cls, *argv):
+        return {name.split(".", 1)[1] for name in cls.loaded_modules(*argv) if name.startswith("sepkit.")}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hstar", "--signature", "1,2,2", "--method", "all"],
+            ["roots", "--signature", "3,4"],
+            ["interlace", "--a", "1,4", "--b", "1,1,4"],
+            ["recursion", "--relation", "a", "--n", "4"],
+            ["gb", "--signature", "2,2", "--checks", "reduced,membership,buchberger,export"],
+            ["scan", "--kind", "corollary", "--m", "3", "--max-n", "6"],
+        ],
+        ids=["hstar-all", "roots", "interlace", "recursion", "gb", "scan"],
+    )
+    def test_no_code_generation_machinery(self, argv):
+        """The result types are plain slotted classes, so no call loads
+        dataclasses or the inspect module it pulls in."""
+        modules = self.loaded_modules(*argv)
+        assert "sepkit.graphs" in modules
+        assert not modules & {"dataclasses", "inspect"}
 
     @pytest.mark.parametrize(
         "argv",

@@ -2,7 +2,7 @@
 
 ``python -O`` strips every assert statement, so a check written as one
 would let its failure through.  This runs the injected-failure tests of
-the counting, roots, polynomial, formulas, recursion and triangulation
+the graphs, counting, roots, polynomial, formulas, recursion and triangulation
 layers, and the CLI tests that such a failure exits 3, again in a
 ``python -O`` subprocess."""
 
@@ -30,6 +30,8 @@ INJECTED = [
     "tests/test_cli.py::TestHstar::test_hstar_invariant_check_exits_3",
     "tests/test_cli.py::TestRootsAndInterlace::test_inexact_division_exits_3",
     "tests/test_cli.py::TestScan::test_not_palindromic_exits_3",
+    "tests/test_counting.py::TestCounts::test_dilation_count_invariants",
+    "tests/test_graphs.py::TestSignature::test_parse",
 ]
 
 # exits with pytest's code; pytest exits 4 on an unknown node id and 5 when

@@ -111,6 +111,20 @@ class TestSturm:
             assert iso.v_hi == real_variations(chain, iso.b, iso.k)
         assert iso.lo ** 2 < 2 < iso.hi ** 2
 
+    def test_isolation_evaluates_each_sign_once(self, monkeypatch):
+        """The isolation tree reuses the sign of the polynomial that it
+        already has at the start and at every split point: no chain member
+        is evaluated twice at one point."""
+        p = Poly((-5, 1)) * Poly((1, 1)) * Poly((-1, 3)) * Poly((-2, 1)) * Poly((-9, 4)) * Poly((1, 0, 1))
+        chain = roots._chain(roots._ints(p))
+        real_sign = roots._sign
+        calls = []
+        monkeypatch.setattr(roots, "_sign", lambda q, a, k: calls.append((tuple(q), F(a, 2**k))) or real_sign(q, a, k))
+        isos = roots._isolate(chain)
+        assert [iso.lo < r < iso.hi for iso, r in zip(isos, (-1, F(1, 3), 2, F(9, 4), 5))] == [True] * 5
+        assert len(calls) > 5 * len(chain)  # the tree split several times
+        assert len(calls) == len(set(calls))
+
     def test_factor_lookup_reads_the_held_counts(self, monkeypatch):
         """A factor whose chain is the interval's own is found from the
         interval's end counts; another factor's chain is evaluated at both ends."""
