@@ -44,7 +44,6 @@ _MODULE_OF = {
     "ehrhart_from_hstar": "polynomial",
     "gamma_vector": "polynomial",
     "hstar_from_ehrhart": "polynomial",
-    "is_symmetric_about_cl": "polynomial",
     "conjecture_scan": "recursion",
     "corollary_scan": "recursion",
     "reproduce_known_relations": "recursion",
@@ -52,7 +51,6 @@ _MODULE_OF = {
     "solve_recursion_cross": "recursion",
     "interlaces_on_cl": "roots",
     "is_cl": "roots",
-    "sturm_count": "roots",
     "enumerate_standard_trees": "triangulation",
     "hstar_split_by_facet_type": "triangulation",
     "hstar_triangulation": "triangulation",
@@ -107,11 +105,9 @@ __all__ = [
     "hstar_tripartite",
     "interlaces_on_cl",
     "is_cl",
-    "is_symmetric_about_cl",
     "k222_order_scan",
     "reducedness_check",
     "reproduce_known_relations",
     "solve_recursion",
     "solve_recursion_cross",
-    "sturm_count",
 ]

@@ -16,7 +16,8 @@ The domain-specific operations:
   * h* -> Ehrhart polynomial via the binomial-coefficient basis
         E(x) = sum_i h_i * binom(d + x - i, d)
   * Ehrhart polynomial -> h* via truncating (1-t)^(d+1) * sum_k E(k) t^k
-  * symmetry about the canonical line Re(z) = -1/2,
+  * the substitution u = 2x + 1 that centers the canonical line
+    Re(z) = -1/2, on which the roots layer tests the symmetry
         (-1)^deg(E) * E(x) == E(-1-x)
   * gamma vector of a palindromic polynomial in the basis (1+t)^(d-2i) t^i,
     and its expansion back into coefficients
@@ -207,7 +208,6 @@ class Poly:
 
 
 ONE_PLUS_T = Poly((1, 1))
-ONE_MINUS_T = Poly((1, -1))
 TWO_X_PLUS_1 = Poly((1, 2))
 
 
@@ -342,13 +342,6 @@ def _falling(shift: int, d: int) -> list[int]:
     return a
 
 
-def binom_poly(shift: int, d: int) -> Poly:
-    """binom(x + shift, d) as a polynomial in x, expanded exactly."""
-    if d < 0:
-        raise ValueError("binomial order must be nonnegative")
-    return _poly_over(_falling(shift, d), factorial(d))
-
-
 def _ehrhart(h: list[int], d: int) -> Poly:
     """sum_i h_i binom(x + d - i, d), built as the integer vector of d! E.
 
@@ -462,19 +455,6 @@ def hstar_from_ehrhart(e: Poly, d: int) -> HStar:
     return HStar(h, d)
 
 
-def is_symmetric_about_cl(e: Poly) -> bool:
-    """Does (-1)^deg(E) * E(x) = E(-1-x) hold identically?
-
-    This is the functional equation satisfied by Ehrhart polynomials of
-    reflexive polytopes; its roots then come in pairs mirrored across the
-    canonical line Re(z) = -1/2.
-    """
-    if e.is_zero():
-        return True
-    f, _ = _centered(e)
-    return not any(f[1 - (e.degree & 1) :: 2])
-
-
 def _centered(e: Poly) -> tuple[list[int], int]:
     """(f, den) with 2^d E((u-1)/2) = f(u) / den, d = deg E, for nonzero E.
 
@@ -581,28 +561,6 @@ def cross_recombine(cross: Poly, d: int) -> Poly:
         if cross[i]:
             total = total + cross[i] * cross_polynomial(d - 2 * i)
     return total
-
-
-def cross_degree(e: Poly, d: int) -> int:
-    """Degree of the cross-polynomial expansion of E (the cross-degree)."""
-    return cross_coefficients(e, d).degree
-
-
-# ---------------------------------------------------------------------------
-# Series gymnastics used by the recursion machinery
-# ---------------------------------------------------------------------------
-
-
-def mul_2x_plus_1_series(h: HStar) -> Poly:
-    """Numerator N(t) with sum_k (2k+1) E(k) t^k = N(t) / (1-t)^(d+2).
-
-    Multiplying an Ehrhart polynomial by x corresponds to differentiating its
-    generating series and multiplying by t, whence
-        N = (1-t) h + 2 t (1-t) h' + 2 (d+1) t h.
-    """
-    d = h.dim
-    hp = h.poly
-    return ONE_MINUS_T * hp + 2 * Poly.x() * ONE_MINUS_T * hp.derivative() + 2 * (d + 1) * Poly.x() * hp
 
 
 def geometric_series_coeffs(power: int, order: int) -> list[Fraction]:

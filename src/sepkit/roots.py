@@ -14,7 +14,9 @@ is even or odd.  The unit of work is a chain: the integer vectors of the
 primitive remainder sequence of a polynomial q and q' (Collins, 1967), q
 first.  Its members have the signs of the rational Sturm chain's, and the
 last is gcd(q, q'), so the chain of H also tells whether H is squarefree
-and, when it is, counts, isolates and looks up every root of H.
+and, when it is, counts and isolates every root of H.  Which squarefree
+factor of H owns an isolated root is read off a sign change of the factor
+across the interval, with no chain of its own.
 
 Every point the chain is evaluated at is dyadic, a/2^k held as the
 integers (a, k): the isolation starts at +-2^e, the least power of two at
@@ -40,7 +42,7 @@ disjoint (shared roots are split off through a gcd first).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, isqrt, lcm
+from math import ceil, isqrt
 from typing import NamedTuple, Optional
 
 from .polynomial import (
@@ -134,14 +136,6 @@ def _chain(a: list[int]) -> list[list[int]]:
     return _sturm_prs(a, [i * c for i, c in enumerate(a)][1:])
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain p, p', -rem(...), ... of p over the integers, as the
-    primitive remainder sequence of p and p'.  A positive scale keeps every
-    sign, so the variation counts are those of the rational chain; for p
-    with repeated roots the chain ends in gcd(p, p') up to a constant."""
-    return [Poly(q) for q in _chain(_ints(p))]
-
-
 def _sign(q: list[int], a: int, k: int) -> int:
     """Sign of q(a / 2^k), k >= 0: that of the integer 2^(k deg q) q(a / 2^k),
     by homogeneous Horner with the powers of 2^k as shifts.  a / 2^k is
@@ -174,25 +168,6 @@ def _variations_at_inf(chain: list[list[int]], positive: bool) -> int:
     return _changes([q[-1] if positive or len(q) % 2 else -q[-1] for q in chain])
 
 
-def sturm_count(p: Poly, lo: Optional[Fraction], hi: Optional[Fraction]) -> int:
-    """Distinct real roots of squarefree p in the half-open interval (lo, hi],
-    with None meaning the corresponding infinity.
-
-    With zeros skipped in the sign sequences, the variation count V satisfies
-    V(a) - V(b) = #roots in (a, b] even when a or b is itself a root.  The
-    count runs on the chain of den^deg p(x / den), whose roots are den times
-    those of p, with den the common denominator of the ends, so that the
-    ends become integers.
-    """
-    if p.degree <= 0:
-        return 0
-    den = lcm(*(x.denominator for x in (lo, hi) if x is not None))
-    chain = _chain(_ints(Poly([c * den ** (p.degree - i) for i, c in enumerate(p.coeffs)])))
-    va = _variations_at_inf(chain, False) if lo is None else _variations(chain, int(lo * den), 0)
-    vb = _variations_at_inf(chain, True) if hi is None else _variations(chain, int(hi * den), 0)
-    return va - vb
-
-
 def cauchy_bound(a: list[int]) -> Fraction:
     """Strict bound on the absolute value of every root of a, deg a >= 1."""
     return 1 + Fraction(max(abs(c) for c in a[:-1]), abs(a[-1]))
@@ -213,24 +188,21 @@ def _split_point(p: list[int], a: int, b: int, k: int) -> tuple[int, int, int]:
 
 
 class Isolation:
-    """Exactly one root of the chain's polynomial in the open interval
-    (lo, hi) = (a / 2^k, b / 2^k); v_lo and v_hi are the chain's variation
-    counts at the ends, and sign_lo is the sign of the polynomial at lo (at
-    hi it is the opposite).  Every end is dyadic: the isolation starts at a
-    power of two and splits at dyadic points.  Bisection narrows it in
+    """Exactly one root of the squarefree integer vector p in the open
+    interval (lo, hi) = (a / 2^k, b / 2^k); sign_lo is the sign of p at lo
+    (at hi it is the opposite).  Every end is dyadic: the isolation starts
+    at a power of two and splits at dyadic points.  Bisection narrows it in
     place."""
 
-    __slots__ = ("a", "b", "k", "v_lo", "v_hi", "sign_lo", "chain")
+    __slots__ = ("a", "b", "k", "sign_lo", "p")
     __hash__ = None  # mutable
 
-    def __init__(self, a: int, b: int, k: int, v_lo: int, v_hi: int, sign_lo: int, chain: list[list[int]]):
+    def __init__(self, a: int, b: int, k: int, sign_lo: int, p: list[int]):
         self.a = a
         self.b = b
         self.k = k
-        self.v_lo = v_lo
-        self.v_hi = v_hi
         self.sign_lo = sign_lo
-        self.chain = chain
+        self.p = p
 
     @property
     def lo(self) -> Fraction:
@@ -243,14 +215,13 @@ class Isolation:
     def bisect(self) -> None:
         """Split the interval and keep the part that holds the root.  The
         polynomial is squarefree and nonzero at both ends, so its sign at
-        the split point alone decides the side, and the count there is one
-        more than at hi or one less than at lo."""
-        m, j, s = _split_point(self.chain[0], self.a, self.b, self.k)
+        the split point alone decides the side."""
+        m, j, s = _split_point(self.p, self.a, self.b, self.k)
         self.a, self.b, self.k = self.a << j, self.b << j, self.k + j
         if s == self.sign_lo:
-            self.a, self.v_lo = m, self.v_hi + 1
+            self.a = m
         else:
-            self.b, self.v_hi = m, self.v_lo - 1
+            self.b = m
 
     def refine_below_zero(self) -> None:
         while self.b > 0:
@@ -283,7 +254,7 @@ def _isolate(chain: list[list[int]]) -> list[Isolation]:
                     f"signs {sa} and {sb} at the ends of the isolating interval "
                     f"({Fraction(a, 1 << k)}, {Fraction(b, 1 << k)}) of {p}"
                 )
-            out.append(Isolation(a, b, k, va, vb, sa, chain))
+            out.append(Isolation(a, b, k, sa, p))
         elif va - vb > 1:
             m, j, sm = _split_point(p, a, b, k)
             a, b, k = a << j, b << j, k + j
@@ -292,12 +263,6 @@ def _isolate(chain: list[list[int]]) -> list[Isolation]:
             stack.append((m, b, k, vm, vb, sm, sb))
     out.sort(key=lambda iv: iv.lo)
     return out
-
-
-def isolate_real_roots(p: Poly) -> list[Isolation]:
-    """Disjoint isolating intervals for all real roots of squarefree p,
-    sorted left to right."""
-    return _isolate(_chain(_ints(p)))
 
 
 def refine_pairwise_disjoint(isos: list[Isolation]) -> None:
@@ -315,17 +280,11 @@ def refine_pairwise_disjoint(isos: list[Isolation]) -> None:
                     changed = True
 
 
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """[(f_i, i)] with p = c * prod f_i^i, the f_i squarefree, coprime and
-    monic."""
-    a = _ints(p)
-    return _decompose(a, _int_gcd(a, [i * c for i, c in enumerate(a)][1:]))
-
-
-def _decompose(a: list[int], g: list[int]) -> list[tuple[Poly, int]]:
-    """The squarefree decomposition of a primitive integer vector a, given
-    g = gcd(a, a') up to a constant.  Every quotient is exact and integral,
-    since the divisors are primitive (Gauss's lemma)."""
+def _decompose(a: list[int], g: list[int]) -> list[tuple[list[int], int]]:
+    """The squarefree decomposition [(f_i, i)] of a primitive integer vector
+    a = c * prod f_i^i, given g = gcd(a, a') up to a constant; the f_i are
+    squarefree, coprime integer vectors.  Every quotient is exact and
+    integral, since the divisors are primitive (Gauss's lemma)."""
     out = []
     i = 1
     g = _primitive(g)
@@ -334,7 +293,7 @@ def _decompose(a: list[int], g: list[int]) -> list[tuple[Poly, int]]:
         y = _int_gcd(w, g)
         fi = _exact_quo(w, y)
         if len(fi) > 1:
-            out.append((Poly(fi).monic(), i))
+            out.append((fi, i))
         w = y
         g = _exact_quo(g, y)
         i += 1
@@ -414,7 +373,7 @@ class _WData(NamedTuple):
     """What both certificates need of one polynomial E."""
 
     transform: CLTransform
-    decomp: list[tuple[Poly, int]]  # squarefree decomposition of H
+    decomp: list[tuple[list[int], int]]  # squarefree decomposition of H
     chain: list[list[int]]  # of the product of its factors, up to sign
     in_range: int  # distinct roots of H in (-inf, 0]
 
@@ -450,31 +409,21 @@ def _split_zero(w: _WData) -> tuple[list[list[int]], int]:
     return _chain(s[1:]), next(m for f, m in w.decomp if f[0] == 0)
 
 
-def _factor_chains(w: _WData) -> list[tuple[Poly, int, list[list[int]]]]:
-    """The factors of the decomposition with their multiplicities and
-    chains; a single factor is the squarefree part, whose chain is known."""
-    if len(w.decomp) == 1:
-        f, m = w.decomp[0]
-        return [(f, m, w.chain)]
-    return [(f, m, _chain(_ints(f))) for f, m in w.decomp]
-
-
-def _factor_at(factors: list[tuple[Poly, int, list[list[int]]]], iso: Isolation) -> tuple[int, Optional[Fraction]]:
+def _factor_at(factors: list[tuple[list[int], int]], iso: Isolation) -> tuple[int, Optional[Fraction]]:
     """(multiplicity, exact rational value when the factor is linear) of the
     decomposition factor whose root the isolating interval holds.
 
-    The root lies in the open interval (lo, hi), and hi can be w = 0, a root
-    of the factor that holds the center, so a root at hi is not counted.
-    The interval already holds the counts of its own chain, whose roots its
-    ends avoid."""
-    for f, m, chain in factors:
-        if chain is iso.chain:
-            count = iso.v_lo - iso.v_hi
-        else:
-            s = _sign(chain[0], iso.b, iso.k)
-            count = _variations(chain, iso.a, iso.k) - _variations(chain, iso.b, iso.k, s) - (s == 0)
-        if count == 1:
-            return m, (-f[0] / f[1] if f.degree == 1 else None)
+    The open interval (lo, hi) holds exactly one root of the product of the
+    factors, so a lone factor owns it, and otherwise the one factor that
+    changes sign across it.  lo is no root of any factor, but hi can be
+    w = 0, a simple root of the factor that holds the center; just left of
+    0 a factor has the sign of f(0), or of -f'(0) when f(0) = 0."""
+    for f, m in factors:
+        if len(factors) > 1:
+            hi = _sign(f, iso.b, iso.k) if iso.b else f[0] or -f[1]
+            if (hi > 0) == (_sign(f, iso.a, iso.k) > 0):
+                continue
+        return m, (Fraction(-f[0], f[1]) if len(f) == 2 else None)
     raise RootCheckFailed(f"isolated root in ({iso.lo}, {iso.hi}) is missing from the decomposition")
 
 
@@ -494,11 +443,10 @@ def is_cl(e: Poly) -> RootCertificate:
     roots: list[WRoot] = []
     if w.on_cl:
         chain, zero_mult = _split_zero(w)
-        factors = _factor_chains(w)
         for iso in _isolate(chain):
             iso.refine_below_zero()
             iso.refine_to_width(6)
-            mult, exact = _factor_at(factors, iso)
+            mult, exact = _factor_at(w.decomp, iso)
             if exact is not None:
                 roots.append(WRoot(exact, exact, mult, exact=exact))
             else:
@@ -551,7 +499,6 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
 
     cf, zf = _split_zero(wf)
     cg, zg = _split_zero(wg)
-    ff, fg = _factor_chains(wf), _factor_chains(wg)
 
     shared = _int_gcd(cf[0], cg[0])
     if len(shared) > 1:
@@ -572,9 +519,9 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
     # multiplicities per source polynomial for each distinct negative w-root
     entries = []
     for tag, iso in isos:
-        mf = _factor_at(ff, iso)[0] if tag in ("shared", "f") else 0
-        mg = _factor_at(fg, iso)[0] if tag in ("shared", "g") else 0
-        entries.append({"lo": iso.lo, "hi": iso.hi, "mf": mf, "mg": mg, "tag": tag})
+        mf = _factor_at(wf.decomp, iso)[0] if tag in ("shared", "f") else 0
+        mg = _factor_at(wg.decomp, iso)[0] if tag in ("shared", "g") else 0
+        entries.append({"lo": iso.lo, "hi": iso.hi, "mf": mf, "mg": mg})
 
     m = len(entries)
     center_f = 2 * zf + wf.transform.parity

@@ -266,7 +266,7 @@ class TestRootsAndInterlace:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_roots_verification_failure_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr("sepkit.roots._factor_chains", lambda decomp: [])
+        monkeypatch.setattr("sepkit.roots._decompose", lambda a, g: [])
         code = main(["roots", "--signature", "3,3"])
         err = capsys.readouterr().err
         assert code == EXIT_VERIFICATION
@@ -354,6 +354,12 @@ class TestScan:
     def test_k222_kind(self, capsys):
         code, out = run(capsys, "scan", "--kind", "k222", "--orders", "3", "--seed", "1")
         assert code == EXIT_OK
+
+    def test_unknown_kind_is_a_usage_error(self, capsys):
+        code = main(["scan", "--kind", "bogus"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "invalid choice: 'bogus'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

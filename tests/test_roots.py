@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -19,14 +20,39 @@ from sepkit.roots import (
     imaginary_bounds,
     interlaces_on_cl,
     is_cl,
-    isolate_real_roots,
     sqrt_bounds,
-    squarefree_decomposition,
-    sturm_chain,
-    sturm_count,
 )
 
 F = Fraction
+
+
+def isolate(p):
+    """Isolating intervals of the real roots of squarefree p, left to right."""
+    return roots._isolate(roots._chain(roots._ints(p)))
+
+
+def decompose(p):
+    """The squarefree decomposition of p: integer factors and multiplicities."""
+    a = roots._ints(p)
+    return roots._decompose(a, roots._int_gcd(a, [i * c for i, c in enumerate(a)][1:]))
+
+
+def monic(decomp):
+    return [([F(c, f[-1]) for c in f], m) for f, m in decomp]
+
+
+def count(p, lo, hi):
+    """Distinct real roots of squarefree p in (lo, hi], None meaning an
+    infinity, read off the variation counts of a chain.  With zeros skipped,
+    V(a) - V(b) counts the roots in (a, b] even when a or b is a root.  The
+    chain is that of den^deg p(x / den), whose roots are den times those of
+    p, with den the common denominator of the ends, so the ends become
+    integers."""
+    den = lcm(*(x.denominator for x in (lo, hi) if x is not None))
+    chain = roots._chain(roots._ints(Poly([c * den ** (p.degree - i) for i, c in enumerate(p.coeffs)])))
+    va = roots._variations_at_inf(chain, False) if lo is None else roots._variations(chain, int(lo * den), 0)
+    vb = roots._variations_at_inf(chain, True) if hi is None else roots._variations(chain, int(hi * den), 0)
+    return va - vb
 
 
 class TestCLTransform:
@@ -51,16 +77,16 @@ class TestCLTransform:
 
 class TestSturm:
     def test_examples(self):
-        assert sturm_count(Poly((1, 1)), None, F(0)) == 1
-        assert sturm_count(Poly((-1, 0, 1)), None, F(0)) == 1
-        assert sturm_count(Poly((1, 0, 1)), None, None) == 0
+        assert count(Poly((1, 1)), None, F(0)) == 1
+        assert count(Poly((-1, 0, 1)), None, F(0)) == 1
+        assert count(Poly((1, 0, 1)), None, None) == 0
 
     def test_half_open_endpoints(self):
         p = Poly((-1, 0, 1))  # roots -1, 1
-        assert sturm_count(p, None, F(-1)) == 1
-        assert sturm_count(p, F(-1), F(1)) == 1
-        assert sturm_count(p, F(-1), F(0)) == 0
-        assert sturm_count(p, F(-2), F(1)) == 2
+        assert count(p, None, F(-1)) == 1
+        assert count(p, F(-1), F(1)) == 1
+        assert count(p, F(-1), F(0)) == 0
+        assert count(p, F(-2), F(1)) == 2
 
     @pytest.mark.parametrize("seed", range(6))
     def test_counts_known_roots(self, seed):
@@ -82,20 +108,20 @@ class TestSturm:
             for i, lo in enumerate(points[:-1]):
                 for hi in points[i + 1:]:
                     want = sum(1 for r in known if (lo is None or lo < r) and (hi is None or r <= hi))
-                    assert sturm_count(p, lo, hi) == want
+                    assert count(p, lo, hi) == want
 
     def test_isolation(self):
         p = Poly((-2, 1)) * Poly((1, 1)) * Poly((5, 1))  # roots 2, -1, -5
-        isos = isolate_real_roots(p.monic())
+        isos = isolate(p.monic())
         assert len(isos) == 3
         for iso in isos:
-            assert sturm_count(p, iso.lo, iso.hi) == 1
+            assert count(p, iso.lo, iso.hi) == 1
         spans = [(iso.lo, iso.hi) for iso in isos]
         assert spans == sorted(spans)
 
     def test_refinement_evaluates_one_sign(self, monkeypatch):
         """A refinement step evaluates only the polynomial, at its split
-        point, and the counts it keeps at the new ends are the chain's."""
+        point, and the half it keeps still isolates the root."""
         chain = roots._chain([-2, 0, 1])
         iso = roots._isolate(chain)[1]  # sqrt(2); no split point is a root
         real_sign, real_variations = roots._sign, roots._variations
@@ -107,8 +133,8 @@ class TestSturm:
             iso.bisect()
             assert calls == [(chain[0], (lo + hi) / 2)]
             assert (iso.lo, iso.hi) in ((lo, (lo + hi) / 2), ((lo + hi) / 2, hi))
-            assert iso.v_lo == real_variations(chain, iso.a, iso.k)
-            assert iso.v_hi == real_variations(chain, iso.b, iso.k)
+            assert real_variations(chain, iso.a, iso.k) - real_variations(chain, iso.b, iso.k) == 1
+            assert iso.sign_lo == real_sign(chain[0], iso.a, iso.k)
         assert iso.lo ** 2 < 2 < iso.hi ** 2
 
     def test_isolation_evaluates_each_sign_once(self, monkeypatch):
@@ -125,24 +151,29 @@ class TestSturm:
         assert len(calls) > 5 * len(chain)  # the tree split several times
         assert len(calls) == len(set(calls))
 
-    def test_factor_lookup_reads_the_held_counts(self, monkeypatch):
-        """A factor whose chain is the interval's own is found from the
-        interval's end counts; another factor's chain is evaluated at both ends."""
-        chain = roots._chain([-2, 0, 1])
-        iso = roots._isolate(chain)[1]
-        other = roots._chain([1, 1])
+    def test_lone_factor_evaluates_no_sign(self, monkeypatch):
+        """The one factor of a decomposition owns every isolated root."""
+        iso = roots._isolate(roots._chain([-2, 0, 1]))[1]
+        calls = []
+        monkeypatch.setattr(roots, "_sign", lambda *a: calls.append(a))
+        assert roots._factor_at([([-2, 0, 1], 3)], iso) == (3, None)
+        assert roots._factor_at([([-3, 2], 2)], iso) == (2, F(3, 2))
+        assert calls == []
+
+    def test_factor_lookup_evaluates_the_ends(self, monkeypatch):
+        """With several factors, each factor is evaluated at lo and hi only,
+        until one changes sign across the interval."""
+        iso = roots._isolate(roots._chain([-2, 0, 1]))[1]
+        real = roots._sign
         points = []
-        real = roots._variations
-        monkeypatch.setattr(roots, "_variations", lambda *a, **k: points.append(F(a[1], 2 ** a[2])) or real(*a, **k))
-        assert roots._factor_at([(Poly((-2, 0, 1)), 3, chain)], iso) == (3, None)
-        assert points == []
-        assert roots._factor_at([(Poly((1, 1)), 1, other), (Poly((-2, 0, 1)), 3, chain)], iso) == (3, None)
-        assert points == [iso.lo, iso.hi]
+        monkeypatch.setattr(roots, "_sign", lambda q, a, k: points.append((tuple(q), F(a, 2**k))) or real(q, a, k))
+        factors = [([1, 1], 1), ([-25, 0, 1], 2), ([-2, 0, 1], 3), ([5, 1], 4)]
+        assert roots._factor_at(factors, iso) == (3, None)
+        assert sorted(points) == sorted((tuple(f), x) for f, _ in factors[:3] for x in (iso.lo, iso.hi))
 
     def test_squarefree_decomposition(self):
         p = Poly((1, 1)) ** 2 * Poly((3, 1)) ** 3 * Poly((0, 1))
-        decomp = squarefree_decomposition(p)
-        assert {(tuple(f.coeffs), m) for f, m in decomp} == {
+        assert {(tuple(f), m) for f, m in monic(decompose(p))} == {
             ((F(0), F(1)), 1),
             ((F(1), F(1)), 2),
             ((F(3), F(1)), 3),
@@ -194,7 +225,7 @@ class TestIntegerReferees:
     @pytest.mark.parametrize("seed", range(4))
     def test_sturm_chain_member_by_member(self, seed):
         for p in list(random_polys(seed)) + [cl_transform(e).half_square for e in SYMMETRIC]:
-            assert [list(q.coeffs) for q in sturm_chain(p)] == fr.sturm_chain(list(p.coeffs))
+            assert roots._chain(roots._ints(p)) == fr.sturm_chain(list(p.coeffs))
 
     def test_sturm_chain_with_degree_gaps(self):
         # x^n + a x + b: the remainder of p by p' is linear, so the chain
@@ -203,13 +234,13 @@ class TestIntegerReferees:
         for n in (4, 5, 6, 7):
             for a, b in ((1, 1), (3, -2), (-1, 5), (F(1, 3), F(-7, 2))):
                 p = Poly([b, a] + [0] * (n - 2) + [1])
-                assert [list(q.coeffs) for q in sturm_chain(p)] == fr.sturm_chain(list(p.coeffs))
+                assert roots._chain(roots._ints(p)) == fr.sturm_chain(list(p.coeffs))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_squarefree_decomposition_against_fraction_gcd(self, seed):
         for p in random_polys(seed):
             want = fr.squarefree_decomposition(list(p.coeffs))
-            assert [(list(f.coeffs), m) for f, m in squarefree_decomposition(p)] == want
+            assert monic(decompose(p)) == want
 
 
 class TestIsCL:
@@ -275,7 +306,7 @@ class TestIsCL:
 
     def test_one_chain_per_squarefree_polynomial(self, monkeypatch):
         """The chain of H that tells it is squarefree is the chain that
-        counts, isolates and looks up its roots."""
+        counts and isolates its roots."""
         built = []
         real = roots._chain
         monkeypatch.setattr(roots, "_chain", lambda a: built.append(a) or real(a))
@@ -487,15 +518,14 @@ class TestInvariantChecks:
             p = p * Poly((1 - F(2, 2**j), 1))
         monkeypatch.setattr(roots, "cauchy_bound", lambda q: F(1))
         with pytest.raises(RootCheckFailed, match="no split point"):
-            isolate_real_roots(p)
+            isolate(p)
 
     def test_bisection_split_point(self):
         # roots at every candidate split point 1/2^j, j = 1..6, of (0, 1)
         p = Poly.one()
         for j in range(1, 7):
             p = p * Poly((-F(1, 2**j), 1))
-        chain = roots._chain(roots._ints(p))
-        iso = roots.Isolation(0, 1, 0, roots._variations(chain, 0, 0), roots._variations(chain, 1, 0), 1, chain)
+        iso = roots.Isolation(0, 1, 0, 1, roots._ints(p))
         with pytest.raises(RootCheckFailed, match="no split point"):
             iso.bisect()
 
@@ -506,11 +536,10 @@ class TestInvariantChecks:
             roots._isolate(roots._chain([1, -2, 1]))
 
     def test_factor_lookup(self):
-        decomp = squarefree_decomposition(Poly((2, 1)) * Poly((3, 1)) ** 2)  # roots -2, -3
-        factors = [(f, m, roots._chain(roots._ints(f))) for f, m in decomp]
-        lookup = [roots._factor_at(factors, iso) for iso in isolate_real_roots(Poly((6, 5, 1)))]
+        factors = decompose(Poly((2, 1)) * Poly((3, 1)) ** 2)  # roots -2, -3
+        lookup = [roots._factor_at(factors, iso) for iso in isolate(Poly((6, 5, 1)))]
         assert lookup == [(2, F(-3)), (1, F(-2))]
-        other = roots.Isolation(-3, -1, 1, 1, 0, -1, roots._chain([1, 1]))  # (-3/2, -1/2) holds the root -1
+        other = roots.Isolation(-3, -1, 1, -1, [1, 1])  # (-3/2, -1/2) holds the root -1
         with pytest.raises(RootCheckFailed, match="missing from the decomposition"):
             roots._factor_at(factors, other)
 
