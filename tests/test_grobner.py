@@ -1,7 +1,9 @@
 """Groebner basis construction, verification, and the K_{2,2,2} obstruction."""
 
+import hashlib
+import json
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -173,6 +175,18 @@ class TestBuildBasis:
         """Independent referee: the constructed leads are exactly the minimal
         generators of the initial ideal computed from toric weight classes."""
         assert basis_matches_ground_truth(sig)
+
+    # sha256 of every element's (kind, lead, tail), in basis order, taken
+    # before the construction walked neighbour lists
+    DIGEST = "231360fd0db6f7bc47cb7712c825cbd21e1e6c3a3729e6077544060ed2691f2b"
+
+    def test_digest(self):
+        """Every element, kind and position over every class order of every
+        signature with total 2-7, byte for byte."""
+        orders = [p for s in signatures_with_total(2, 7) for p in sorted(set(permutations(s.parts)))]
+        bases = [[(e.kind, e.lead, e.tail) for e in build_basis(Signature(p))] for p in orders]
+        assert (len(orders), sum(map(len, bases))) == (120, 20230)
+        assert hashlib.sha256(json.dumps(bases).encode()).hexdigest() == self.DIGEST
 
     def test_five_cycle_rule_selection(self, monkeypatch):
         """The literal union-min reading of the 5-cycle condition fails the

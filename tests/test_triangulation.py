@@ -80,6 +80,63 @@ class TestInedge:
         assert inedge(star_in, root=1) == 3
 
 
+def root_side(n, edges, root):
+    """Vertices joined to the root by the undirected edges, by union-find."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, w in edges:
+        parent[find(u)] = find(w)
+    r = find(root)
+    return {v for v in range(n) if find(v) == r}
+
+
+def walk_by_definition(edges, n, root):
+    """(inedge count, labels) of a directed forest from the definitions.
+
+    An edge t -> h is ingoing when h stays joined to the root once the edge
+    is removed.  The edges on a vertex's path from the root are those whose
+    removal cuts it off, and its label counts them +1 when the path follows
+    the edge's direction (the tail stays on the root side) and -1 when not;
+    a vertex the root does not reach has no label."""
+    reached = root_side(n, edges, root)
+    lam = [0 if v in reached else None for v in range(n)]
+    ins = 0
+    for i, (t, h) in enumerate(edges):
+        side = root_side(n, edges[:i] + edges[i + 1:], root)
+        ins += h in side
+        for v in reached - side:
+            lam[v] += 1 if t in side else -1
+    return ins, lam
+
+
+class TestWalkReferee:
+    @pytest.mark.parametrize("sig", signatures_with_total(2, 7), ids=str)
+    def test_every_standard_tree(self, sig):
+        """``_walk`` against the definitions on every standard tree, from
+        vertex 1 and from vertex n."""
+        tail, head, leaves = triangulation._search(sig, None)
+        n = sig.total
+        for mono in leaves:
+            edges = [(tail[v], head[v]) for v in mono]
+            for root in (0, n - 1):
+                assert triangulation._walk(mono, tail, head, n, root) == walk_by_definition(edges, n, root)
+
+    def test_forest_with_unreached_vertices(self):
+        """A vertex the root does not reach keeps the label None, and the
+        edges among such vertices count for nothing."""
+        edges = [(1, 0), (3, 2), (1, 4), (5, 1)]
+        tail = [t for t, _ in edges]
+        head = [h for _, h in edges]
+        got = triangulation._walk(range(len(edges)), tail, head, 6, 0)
+        assert got == walk_by_definition(edges, 6, 0) == (2, [0, -1, None, None, 0, -2])
+
+
 class TestHStarTriangulation:
     def test_examples(self):
         assert hstar_triangulation(Signature((1, 1))).poly == Poly((1, 1))
