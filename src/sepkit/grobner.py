@@ -216,15 +216,18 @@ class GBElement:
 def _crossing_is_lead(vt: VarTable, d1: tuple[int, int], d2: tuple[int, int]) -> bool:
     """Is x(d1) x(d2) the leading monomial of a crossing (kind 3b) binomial?
 
-    d1 = (s1, t1) and d2 = (s2, t2) are vertex-disjoint directed edges.  The
+    d1 = (s1, t1) and d2 = (s2, t2) are directed edges with s1 != s2.  The
     partner monomial re-pairs sources with the opposite targets; if either
     partner edge is missing the weight class is a singleton and our pair is
     standard.  Otherwise the pair leads exactly when the smallest of the
-    four undirected edges lies on the partner's side.
+    four undirected edges lies on the partner's side.  Edges that share a
+    vertex never lead: a shared target makes the partner pair the pair
+    itself, and a shared source-target pair is a missing partner edge.
     """
     (s1, t1), (s2, t2) = d1, d2
-    partner = min(vt._rank[s1][t2], vt._rank[s2][t1])  # -1 for a non-edge
-    return 0 <= partner < min(vt.edge_rank(s1, t1), vt.edge_rank(s2, t2))
+    rank = vt._rank
+    partner = min(rank[s1][t2], rank[s2][t1])  # -1 for a non-edge
+    return 0 <= partner < min(rank[s1][t1], rank[s2][t2])
 
 
 def build_basis(sig: Signature, vt: Optional[VarTable] = None) -> list[GBElement]:
@@ -235,137 +238,123 @@ def build_basis(sig: Signature, vt: Optional[VarTable] = None) -> list[GBElement
     literal reading that pins b to the smallest vertex of the first two
     classes fails the referees: for 2,2,1 both `buchberger_verify` and
     `basis_matches_ground_truth` reject it.
+
+    The loops walk neighbour lists, so every vertex they visit is adjacent
+    to the one before; two-variable monomials are sorted by one comparison.
     """
     if sig.k < 2:
         raise ValueError("need at least two classes")
     vt = vt or VarTable(sig)
     table = sig.class_table()
-    n = sig.total
-    verts = list(sig.vertices())
+    rank = vt._rank
+    verts = sig.vertices()
+    # V[t][h]: the variable of the directed edge t -> h
+    V = [[Z] * (sig.total + 1) for _ in range(sig.total + 1)]
+    for (t, h), v in vt._var_of.items():
+        V[t][h] = v
+    # nbrs[v]: the vertices outside the class of v, in increasing order; its
+    # first entry is the smallest such vertex, the canonical 4-cycle apex
+    nbrs = [[u for u in verts if table[u] != table[v]] for v in range(sig.total + 1)]
     out: list[GBElement] = []
-
-    def adjacent(u, v):
-        return table[u] != table[v]
 
     # kind 1: one per undirected edge
     for (u, w) in vt.edges:
-        out.append(GBElement("1", mono_mul((vt.var(u, w),), (vt.var(w, u),)), (Z, Z)))
+        x, y = V[u][w], V[w][u]
+        out.append(GBElement("1", (x, y) if x < y else (y, x), (Z, Z)))
 
     # kind 2: directed 2-paths across three distinct classes
     for a in verts:
-        for b in verts:
-            if table[b] == table[a]:
-                continue
-            for c in verts:
-                if table[c] in (table[a], table[b]):
-                    continue
-                out.append(
-                    GBElement(
-                        "2",
-                        mono_mul((vt.var(a, b),), (vt.var(b, c),)),
-                        tuple(sorted((Z, vt.var(a, c)))),
-                    )
-                )
-
-    # smallest vertex outside each class (the canonical 4-cycle apex)
-    apex = {}
-    for i in range(sig.k):
-        outside = [v for v in verts if table[v] != i]
-        apex[i] = min(outside) if outside else None
+        ta, Va = table[a], V[a]
+        for b in nbrs[a]:
+            x, Vb = Va[b], V[b]
+            for c in nbrs[b]:
+                if table[c] != ta:
+                    y = Vb[c]
+                    out.append(GBElement("2", (x, y) if x < y else (y, x), (Z, Va[c])))
 
     # kind 3a: 2-paths with both endpoints in one class, rerouted via the apex
     for i in range(sig.k):
-        a0 = apex[i]
-        if a0 is None:
-            continue
-        cls = list(sig.class_vertices(i))
+        cls = sig.class_vertices(i)
         for b in cls:
+            a0, *others = nbrs[b]
+            Vb = V[b]
             for d in cls:
                 if b == d:
                     continue
-                for c in verts:
-                    if table[c] == i or c == a0:
-                        continue
-                    out.append(
-                        GBElement(
-                            "3a",
-                            mono_mul((vt.var(b, c),), (vt.var(c, d),)),
-                            mono_mul((vt.var(b, a0),), (vt.var(a0, d),)),
-                        )
-                    )
+                x, y = Vb[a0], V[a0][d]
+                tail = (x, y) if x < y else (y, x)
+                for c in others:
+                    x, y = Vb[c], V[c][d]
+                    out.append(GBElement("3a", (x, y) if x < y else (y, x), tail))
 
     # kind 3b: crossing pairs of 4-cycles, smallest edge on the tail side
-    dir_edges = [(u, w) for (u, w) in vt.edges] + [(w, u) for (u, w) in vt.edges]
-    for (s1, t1) in dir_edges:
-        for (s2, t2) in dir_edges:
-            if s1 >= s2:
-                continue
-            if len({s1, t1, s2, t2}) != 4:
-                continue
-            if not (adjacent(s1, t2) and adjacent(s2, t1)):
-                continue
-            if _crossing_is_lead(vt, (s1, t1), (s2, t2)):
-                out.append(
-                    GBElement(
-                        "3b",
-                        mono_mul((vt.var(s1, t1),), (vt.var(s2, t2),)),
-                        mono_mul((vt.var(s1, t2),), (vt.var(s2, t1),)),
-                    )
-                )
+    dir_edges = vt.edges + [(w, u) for (u, w) in vt.edges]
+    # later[s]: the directed edges from a vertex after s to a neighbour of s
+    later = [[(s2, t2) for s2, t2 in dir_edges if s2 > s and rank[s][t2] >= 0] for s in range(sig.total + 1)]
+    for d1 in dir_edges:
+        s1, t1 = d1
+        tt = table[t1]
+        for d2 in later[s1]:
+            s2, t2 = d2
+            if table[s2] != tt and t2 != t1 and _crossing_is_lead(vt, d1, d2):
+                x, y = V[s1][t1], V[s2][t2]
+                p, q = V[s1][t2], V[s2][t1]
+                out.append(GBElement("3b", (x, y) if x < y else (y, x), (p, q) if p < q else (q, p)))
 
     # kind 4: 5-cycles a-b-c-d-e with a protected 2-path a -> b -> c
     for a in verts:
-        ia = table[a]
-        b = apex[ia]
-        if b is None:
-            continue
-        for c in verts:
-            if c == a or table[c] != ia:
+        ta = table[a]
+        b = nbrs[a][0]
+        for c in sig.class_vertices(ta):
+            if c == a:
                 continue
-            for d in verts:
-                if d in (a, b, c) or not adjacent(d, c):
+            for d in nbrs[c]:
+                if d == b:
                     continue
-                for e in verts:
-                    if e in (a, b, c, d) or not adjacent(e, d) or not adjacent(e, a):
+                for e in nbrs[d]:
+                    if e == b or table[e] == ta:
                         continue
                     if _crossing_is_lead(vt, (a, b), (d, e)):
                         continue
                     if _crossing_is_lead(vt, (b, c), (d, e)):
                         continue
-                    lead = tuple(sorted((vt.var(a, b), vt.var(b, c), vt.var(d, e))))
-                    tail = tuple(sorted((Z, vt.var(d, c), vt.var(a, e))))
-                    out.append(GBElement("4", lead, tail))
+                    x, y = V[d][c], V[a][e]
+                    lead = tuple(sorted((V[a][b], V[b][c], V[d][e])))
+                    out.append(GBElement("4", lead, (Z, x, y) if x < y else (Z, y, x)))
 
-    # kind 5: alternating 6-cycle binomials
+    # kind 5: alternating 6-cycle binomials; c > a and e > a make a the
+    # smallest tail-side anchor, which dedupes the cycle's rotations
     for a in verts:
-        for b in verts:
-            if not adjacent(a, b):
-                continue
-            for c in verts:
-                if c in (a, b) or not adjacent(b, c) or c < a:
+        ta, ra = table[a], rank[a]
+        for b in nbrs[a]:
+            rb = rank[b]
+            for c in nbrs[b]:
+                if c <= a:
                     continue
-                for d in verts:
-                    if d in (a, b, c) or not adjacent(c, d):
+                rc = rank[c]
+                for d in nbrs[c]:
+                    if d == a or d == b:
                         continue
-                    for e in verts:
-                        if e in (a, b, c, d) or not adjacent(d, e) or e < a:
+                    rd = rank[d]
+                    tail_lo = min(ra[b], rc[d])
+                    for e in nbrs[d]:
+                        if e <= a or e == b or e == c:
                             continue
-                        for f in verts:
-                            if f in (a, b, c, d, e) or not adjacent(e, f) or not adjacent(f, a):
+                        re = rank[e]
+                        for f in nbrs[e]:
+                            if f == b or f == c or f == d or table[f] == ta:
                                 continue
-                            # rotation dedupe: a is the smallest tail-side anchor
-                            if a != min(a, c, e):
+                            # the smallest cycle edge lies on the tail side
+                            if min(tail_lo, re[f]) > min(rb[c], rd[e], ra[f]):
                                 continue
-                            cyc = [(a, b), (b, c), (c, d), (d, e), (e, f), (f, a)]
-                            smallest = min(vt.edge_rank(u, w) for u, w in cyc)
-                            tail_side = {vt.edge_rank(a, b), vt.edge_rank(c, d), vt.edge_rank(e, f)}
-                            if smallest not in tail_side:
+                            if (
+                                _crossing_is_lead(vt, (b, c), (d, e))
+                                or _crossing_is_lead(vt, (d, e), (f, a))
+                                or _crossing_is_lead(vt, (b, c), (f, a))
+                            ):
                                 continue
-                            pairs = [((b, c), (d, e)), ((d, e), (f, a)), ((b, c), (f, a))]
-                            if any(_crossing_is_lead(vt, p, q) for p, q in pairs):
-                                continue
-                            lead = tuple(sorted((vt.var(b, c), vt.var(d, e), vt.var(f, a))))
-                            tail = tuple(sorted((vt.var(b, a), vt.var(d, c), vt.var(f, e))))
+                            lead = tuple(sorted((V[b][c], V[d][e], V[f][a])))
+                            tail = tuple(sorted((V[b][a], V[d][c], V[f][e])))
                             out.append(GBElement("5", lead, tail))
     return out
 

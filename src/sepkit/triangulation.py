@@ -27,13 +27,15 @@ variable tuples in the order it meets them.  Only
 test: undirected trees by sorted edge list, then orientations
 lexicographically.
 
-Each standard tree is read by one walk from vertex 1, through per-variable
-tail and head arrays.  The walk counts the inedges and labels each vertex by
+Each standard tree is read from vertex 1 by sweeps over its edge list,
+through per-variable tail and head arrays: a sweep attaches every edge with
+exactly one labelled end, and the read stops when a sweep attaches none.
+An edge attached from its head is an inedge, and each vertex is labelled by
 its signed distance from vertex 1, counting +1 along an edge's direction.
 That labeling is the facet of the tree's simplex: the unique labeling whose
 tight edges (those with label increasing by one along the edge) contain all
 tree edges, fixed up to a shift by a spanning tree.  The h* functions fill
-their histograms from the walk without building tree objects, and splitting
+their histograms from the read without building tree objects, and splitting
 the histogram by the facet's type reproduces the two summands of the closed
 tripartite formula.
 """
@@ -214,38 +216,36 @@ def enumerate_standard_trees(
 def _walk(
     tree: Sequence[int], tail: Sequence[int], head: Sequence[int], n: int, root: int
 ) -> tuple[int, list[Optional[int]]]:
-    """One walk of a directed tree from its root: (inedge count, labels).
+    """One read of a directed tree from its root: (inedge count, labels).
 
     The tree is a sequence of edge ids e, each directed tail[e] -> head[e],
-    over the vertices 0..n-1.  The unique path from an edge's tail to the
-    root uses the edge itself exactly when the head lies on the root side,
-    so an edge is ingoing when the walk reaches its tail from its head.  The
-    label of a vertex is the number of edges the path from the root follows
-    forward minus those it follows backward; it stays None for a vertex the
-    tree does not reach.
+    over the vertices 0..n-1.  Sweeps over the edges attach each edge with
+    exactly one labelled end, until a sweep attaches none.  An edge attached
+    from its head lies on the root side of its tail, so it is ingoing, and
+    its tail gets the head's label minus one; an edge attached from its tail
+    gives its head the tail's label plus one.  So a vertex's label is the
+    number of edges its path from the root follows forward minus those it
+    follows backward; it stays None for a vertex the tree does not reach.
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for e in tree:
-        t = tail[e]
-        h = head[e]
-        adj[t].append(h)
-        adj[h].append(~t)
     lam: list[Optional[int]] = [None] * n
     lam[root] = 0
-    stack = [root]
     ins = 0
-    while stack:
-        u = stack.pop()
-        x = lam[u]
-        for w in adj[u]:
-            if w >= 0:
-                if lam[w] is None:
-                    lam[w] = x + 1
-                    stack.append(w)
-            elif lam[~w] is None:
-                lam[~w] = x - 1
-                stack.append(~w)
-                ins += 1
+    while tree:
+        left = []
+        for e in tree:
+            t = lam[tail[e]]
+            h = lam[head[e]]
+            if h is not None:
+                if t is None:
+                    lam[tail[e]] = h - 1
+                    ins += 1
+            elif t is not None:
+                lam[head[e]] = t + 1
+            else:
+                left.append(e)
+        if len(left) == len(tree):
+            break
+        tree = left
     return ins, lam
 
 
