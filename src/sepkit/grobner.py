@@ -216,13 +216,11 @@ class GBElement:
 def _crossing_is_lead(vt: VarTable, d1: tuple[int, int], d2: tuple[int, int]) -> bool:
     """Is x(d1) x(d2) the leading monomial of a crossing (kind 3b) binomial?
 
-    d1 = (s1, t1) and d2 = (s2, t2) are directed edges with s1 != s2.  The
+    d1 = (s1, t1) and d2 = (s2, t2) are vertex-disjoint directed edges.  The
     partner monomial re-pairs sources with the opposite targets; if either
     partner edge is missing the weight class is a singleton and our pair is
     standard.  Otherwise the pair leads exactly when the smallest of the
-    four undirected edges lies on the partner's side.  Edges that share a
-    vertex never lead: a shared target makes the partner pair the pair
-    itself, and a shared source-target pair is a missing partner edge.
+    four undirected edges lies on the partner's side.
     """
     (s1, t1), (s2, t2) = d1, d2
     rank = vt._rank
@@ -249,7 +247,7 @@ def build_basis(sig: Signature, vt: Optional[VarTable] = None) -> list[GBElement
     rank = vt._rank
     verts = sig.vertices()
     # V[t][h]: the variable of the directed edge t -> h
-    V = [[Z] * (sig.total + 1) for _ in range(sig.total + 1)]
+    V = [[0] * (sig.total + 1) for _ in range(sig.total + 1)]
     for (t, h), v in vt._var_of.items():
         V[t][h] = v
     # nbrs[v]: the vertices outside the class of v, in increasing order; its
@@ -289,13 +287,15 @@ def build_basis(sig: Signature, vt: Optional[VarTable] = None) -> list[GBElement
 
     # kind 3b: crossing pairs of 4-cycles, smallest edge on the tail side
     dir_edges = vt.edges + [(w, u) for (u, w) in vt.edges]
-    # later[s]: the directed edges from a vertex after s to a neighbour of s
+    # later[s]: the directed edges from a vertex after s to a neighbour of s,
+    # in the order of dir_edges
     later = [[(s2, t2) for s2, t2 in dir_edges if s2 > s and rank[s][t2] >= 0] for s in range(sig.total + 1)]
     for d1 in dir_edges:
         s1, t1 = d1
         tt = table[t1]
         for d2 in later[s1]:
             s2, t2 = d2
+            # s2 a neighbour of t1 and t2 not t1 make s1 t1 s2 t2 a 4-cycle
             if table[s2] != tt and t2 != t1 and _crossing_is_lead(vt, d1, d2):
                 x, y = V[s1][t1], V[s2][t2]
                 p, q = V[s1][t2], V[s2][t1]

@@ -88,10 +88,6 @@ class Poly:
     def one() -> "Poly":
         return Poly((1,))
 
-    @staticmethod
-    def x() -> "Poly":
-        return Poly((0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -181,10 +177,7 @@ class Poly:
             n >>= 1
         return result
 
-    # -- calculus / evaluation -------------------------------------------
-
-    def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i >= 1)
+    # -- evaluation / composition ----------------------------------------
 
     def __call__(self, x) -> Fraction:
         acc = Fraction(0)

@@ -19,10 +19,10 @@ spanning tree, and an edge is never skipped when it is the last edge of a
 vertex that no chosen edge touches yet, since that vertex could not be
 reached any more.  Only partial trees that can still be standard are
 visited, so the work follows the number of standard trees instead of the
-C(|E|, n-1) 2^(n-1) oriented edge subsets; ``_treepure`` keeps that
-exhaustive test as the referee.  The search keeps its state on an explicit
-stack, so it leaves no reference cycles behind, and returns the leaves as
-variable tuples in the order it meets them.  Only
+C(|E|, n-1) 2^(n-1) oriented edge subsets; the test suite keeps that
+exhaustive test as its referee (``tests/treepure.py``).  The search keeps
+its state on an explicit stack, so it leaves no reference cycles behind,
+and returns the leaves as variable tuples in the order it meets them.  Only
 ``enumerate_standard_trees`` sorts them, into the order of the exhaustive
 test: undirected trees by sorted edge list, then orientations
 lexicographically.

@@ -2,7 +2,8 @@
 
 import pytest
 
-from sepkit import _treepure, triangulation
+import treepure
+from sepkit import triangulation
 from sepkit.counting import SizeExceeded, hstar_oracle
 from sepkit.formulas import closed_form_hstar, hstar_type_i
 from sepkit.graphs import DirectedEdge, Signature, enumerate_facet_labelings
@@ -42,7 +43,7 @@ class TestStandardTrees:
     def test_matches_brute_force(self, sig):
         """Same trees in the same order as the exhaustive test of every
         oriented (n-1)-subset of edges."""
-        assert [t.edges for t in enumerate_standard_trees(sig)] == _treepure.standard_trees(sig)
+        assert [t.edges for t in enumerate_standard_trees(sig)] == treepure.standard_trees(sig)
 
     def test_size_bound(self):
         with pytest.raises(SizeExceeded, match="exceeds bound 10"):

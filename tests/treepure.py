@@ -1,4 +1,5 @@
-"""Brute-force standard-tree enumeration, the referee for ``triangulation``.
+"""Brute-force standard-tree enumeration, the test suite's referee for
+``sepkit.triangulation``.
 
 Tests every (n-1)-subset of the edges for being a spanning tree and every
 orientation of each spanning tree for avoiding the leading monomials of
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .graphs import DirectedEdge, Signature, edge_order
-from .grobner import VarTable, build_basis
+from sepkit.graphs import DirectedEdge, Signature, edge_order
+from sepkit.grobner import VarTable, build_basis
 
 
 def _is_spanning_tree(n: int, und: tuple[tuple[int, int], ...]) -> bool:
