@@ -22,9 +22,9 @@ because P_G is reflexive, so the counts up to floor(d/2) + 1 fix it, with
 one coefficient to spare that guards the count.  No Ehrhart polynomial is
 interpolated.
 
-``_countpure`` counts the same points by brute force against the full list
-of ``enumerate_facet_labelings``; the test suite holds this count to it on
-every signature with at most 6 vertices.
+The test suite counts the same points by brute force against the full list
+of ``enumerate_facet_labelings`` (``tests/countpure.py``) and holds this
+count to it on every signature with at most 6 vertices.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from math import comb
 from typing import Optional
 
-from .graphs import Signature, SizeExceeded, enumerate_facet_labelings
+from .graphs import Signature, SizeExceeded
 from .polynomial import HStar, NegativeHStar, Poly
 
 DEFAULT_MAX_TOTAL = 36
@@ -181,12 +181,3 @@ def hstar_from_counts(sig: Signature, counts: list[DilationCount]) -> HStar:
         if c < 0:
             raise NegativeHStar(f"h*_{j} = {c} < 0")
     return HStar(Poly(lower + [lower[d - j] for j in range(top + 1, d + 1)]), d)
-
-
-def enumerate_dilate_points(sig: Signature, k: int) -> list[tuple[int, ...]]:
-    """Explicit point list for small inputs (used by symmetry checks), by
-    brute force against the full facet list."""
-    from . import _countpure
-
-    facets = [list(lam.values) for lam in enumerate_facet_labelings(sig)]
-    return _countpure.enumerate_points(k, sig.total, facets)

@@ -107,9 +107,6 @@ class Signature:
                 table[v] = i
         return table
 
-    def adjacent(self, u: int, v: int) -> bool:
-        return self.class_of(u) != self.class_of(v)
-
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.parts)
 
@@ -256,16 +253,3 @@ def facet_count_formula(sig: Signature) -> int:
     type (i) per class gives exactly this count.
     """
     return 2**sig.total - sum(2**a - 2 for a in sig.parts) - 2
-
-
-def vertex_set(sig: Signature) -> list[tuple[int, ...]]:
-    """Lattice points +-(e_v - e_w) over the edges: 2|E| distinct vectors."""
-    n = sig.total
-    pts = []
-    for v, w in edge_order(sig):
-        for a, b in ((v, w), (w, v)):
-            vec = [0] * n
-            vec[a - 1] = 1
-            vec[b - 1] = -1
-            pts.append(tuple(vec))
-    return pts

@@ -24,10 +24,10 @@ The basis is at most cubic.  Its elements, all binomials lead - tail:
                                                smallest cycle edge on the tail
                                                side, no lead pair a 3b lead
 
-These conditions characterize the minimal generators of the initial ideal;
-``initial_ideal_ground_truth`` recomputes those generators from scratch by
-grouping monomials of degree <= 3 into toric weight classes, which the test
-suite uses as an independent referee for ``build_basis``.
+These conditions characterize the minimal generators of the initial ideal.
+The test suite recomputes those generators from scratch by grouping
+monomials of degree <= 3 into toric weight classes, an independent referee
+for ``build_basis`` (``tests/initial_ideal.py``).
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from .graphs import Signature, SizeExceeded, edge_count, edge_order
 Mono = tuple[int, ...]  # sorted variable indices, with multiplicity
 
 Z = 0  # variable index of z
+
+SPAIR_MAX_EDGES = 13  # `buchberger_verify` refuses a graph with more edges
 
 
 class VarTable:
@@ -85,16 +87,6 @@ class VarTable:
         if d is None:
             raise ValueError("z has no direction")
         return d
-
-    def edge_rank(self, u: int, w: int) -> int:
-        """Position of the undirected edge {u, w} in the edge order."""
-        try:
-            r = self._rank[u][w] if u > 0 and w > 0 else -1
-        except IndexError:
-            r = -1
-        if r < 0:
-            raise KeyError((u, w))
-        return r
 
     def weight(self, mono: Mono) -> tuple[int, ...]:
         """Sum of the lattice points of the monomial's variables."""
@@ -234,8 +226,8 @@ def build_basis(sig: Signature, vt: Optional[VarTable] = None) -> list[GBElement
     In the 5-cycle elements (kind 4) the middle vertex b of the protected
     2-path a -> b -> c is the smallest vertex outside the class of a.  The
     literal reading that pins b to the smallest vertex of the first two
-    classes fails the referees: for 2,2,1 both `buchberger_verify` and
-    `basis_matches_ground_truth` reject it.
+    classes fails the referees: for 2,2,1 both `buchberger_verify` and the
+    test suite's initial-ideal referee reject it.
 
     The loops walk neighbour lists, so every vertex they visit is adjacent
     to the one before; two-variable monomials are sorted by one comparison.
@@ -417,11 +409,11 @@ def _reduces_to_zero(p: dict[Mono, int], basis: Sequence[GBElement]) -> bool:
     return True
 
 
-def buchberger_verify(sig: Signature, max_edges: int = 13) -> bool:
+def buchberger_verify(sig: Signature) -> bool:
     """Every S-polynomial of basis pairs reduces to zero modulo the basis."""
-    if edge_count(sig) > max_edges:
+    if edge_count(sig) > SPAIR_MAX_EDGES:
         raise SizeExceeded(
-            f"{edge_count(sig)} edges exceed the S-pair bound {max_edges}"
+            f"{edge_count(sig)} edges exceed the S-pair bound {SPAIR_MAX_EDGES}"
         )
     basis = build_basis(sig)
     for i in range(len(basis)):
@@ -438,67 +430,6 @@ def basis_to_text(sig: Signature, basis: Optional[Sequence[GBElement]] = None) -
     basis = build_basis(sig) if basis is None else basis
     lines = [f"{vt.mono_str(e.lead)} - {vt.mono_str(e.tail)}" for e in basis]
     return "\n".join(lines)
-
-
-# -- independent ground truth --------------------------------------------------
-
-
-def initial_ideal_ground_truth(
-    sig: Signature, vt: Optional[VarTable] = None
-) -> tuple[set[Mono], set[Mono]]:
-    """Minimal generators of the initial ideal in degrees 2 and 3, computed
-    from first principles.
-
-    Toric ideals are weight-homogeneous, so the degree-D part of the initial
-    ideal consists exactly of the degree-D monomials that are not the
-    degrevlex minimum of their weight class.  Degree-2 generators are all
-    such monomials; degree-3 generators are the ones no degree-2 generator
-    divides.
-    """
-    vt = vt or VarTable(sig)
-    nvars = vt.nvars
-
-    def classes(deg: int) -> dict[tuple[int, ...], list[Mono]]:
-        groups: dict[tuple[int, ...], list[Mono]] = {}
-        for mono in combinations_with_replacement(range(nvars), deg):
-            groups.setdefault(vt.weight(mono), []).append(mono)
-        return groups
-
-    deg2_leads: set[Mono] = set()
-    for group in classes(2).values():
-        if len(group) > 1:
-            mn = group[0]
-            for m in group[1:]:
-                if drl_greater(mn, m):
-                    mn = m
-            deg2_leads.update(m for m in group if m != mn)
-
-    deg3_min: set[Mono] = set()
-    for group in classes(3).values():
-        if len(group) <= 1:
-            continue
-        mn = group[0]
-        for m in group[1:]:
-            if drl_greater(mn, m):
-                mn = m
-        for m in group:
-            if m == mn:
-                continue
-            subs = {tuple(sorted(pair)) for pair in combinations_with_replacement(m, 2) if mono_divides(tuple(sorted(pair)), m)}
-            subs = {s for s in subs if len(s) == 2}
-            if not any(s in deg2_leads for s in subs):
-                deg3_min.add(m)
-    return deg2_leads, deg3_min
-
-
-def basis_matches_ground_truth(sig: Signature) -> bool:
-    """Do the construction's leads coincide with the minimal generators?"""
-    vt = VarTable(sig)
-    basis = build_basis(sig, vt=vt)
-    built2 = {e.lead for e in basis if len(e.lead) == 2}
-    built3 = {e.lead for e in basis if len(e.lead) == 3}
-    truth2, truth3 = initial_ideal_ground_truth(sig, vt)
-    return built2 == truth2 and built3 == truth3 and len(basis) == len(built2) + len(built3)
 
 
 # -- the K_{2,2,2} cubic obstruction -------------------------------------------
@@ -557,8 +488,11 @@ def k222_order_scan(num_orders: int, seed: int) -> dict:
     permutation and random per-edge slot orientation, seeded) are each
     checked for a 6-cycle binomial through the smallest edge whose leading
     monomial no quadratic lead divides.  Such a binomial forces a cubic
-    element into every Groebner basis for that order.
+    element into every Groebner basis for that order.  A negative
+    ``num_orders`` raises ValueError.
     """
+    if num_orders < 0:
+        raise ValueError(f"the number of random orders must be nonnegative, not {num_orders}")
     sig = Signature((2, 2, 2))
     rng = random.Random(seed)
     rows = []

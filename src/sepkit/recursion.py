@@ -80,14 +80,6 @@ class RecursionSolution:
     def coefficients(self) -> list[Fraction]:
         return [self.alpha] + list(self.alphas)
 
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "kernel_dim": self.kernel_dim,
-            "alpha": fraction_str(self.alpha) if self.alpha is not None else None,
-            "alphas": [fraction_str(a) for a in self.alphas],
-        }
-
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra
@@ -534,17 +526,6 @@ def corollary_scan(m: int, n: int) -> dict:
         report["alpha2_matches"] = sol_a.alphas[2] == closed
         report["alpha2_negative"] = sol_a.alphas[2] < 0
     return report
-
-
-def cross_degree_of_signature(sig: Signature, max_total: Optional[int] = None) -> int:
-    """Gamma-degree of the h*-polynomial: closed form where available,
-    otherwise the counting oracle."""
-    h = closed_form_hstar(sig)
-    if h is None:
-        from .counting import hstar_oracle
-
-        h = hstar_oracle(sig, max_total=max_total)
-    return gamma_vector(h).degree
 
 
 def _partitions(total: int, parts: int, least: int = 1) -> Iterator[tuple[int, ...]]:

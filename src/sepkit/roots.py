@@ -91,10 +91,6 @@ class CLTransform:
     def __hash__(self):
         return hash((self.source, self.parity, self.half_square))
 
-    @property
-    def degree(self) -> int:
-        return self.source.degree
-
 
 def _even_or_odd(f: list[int]) -> bool:
     """F(-u) = F(u) or F(-u) = -F(u)."""

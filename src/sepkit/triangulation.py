@@ -1,5 +1,5 @@
 """The unimodular boundary triangulation as directed spanning trees, the
-inedge statistic, and the resulting h*-polynomials.
+inedge statistic, the resulting h*-polynomials, and planar spanning trees.
 
 A square-free degree-d monomial in the directed-edge variables survives the
 Groebner basis (no leading monomial divides it) exactly when it encodes a
@@ -37,7 +37,12 @@ tight edges (those with label increasing by one along the edge) contain all
 tree edges, fixed up to a shift by a spanning tree.  The h* functions fill
 their histograms from the read without building tree objects, and splitting
 the histogram by the facet's type reproduces the two summands of the closed
-tripartite formula.
+tripartite formula.  The test suite checks the read against the definitions
+of the inedge statistic and the labels.
+
+The planar spanning trees between two ordered sets are counted in closed
+form and enumerated by a depth-first search; the acceptance tests hold the
+two to each other.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from typing import Iterator, Optional, Sequence
 
 from .graphs import (
     DirectedEdge,
-    FacetLabeling,
     FacetType,
     Signature,
     SizeExceeded,
@@ -249,19 +253,6 @@ def _walk(
     return ins, lam
 
 
-def _tree_walk(tree: DirTree, root: int, n: int) -> tuple[int, list[Optional[int]]]:
-    """``_walk`` of a tree over the vertices 1..n."""
-    tail = [e.tail - 1 for e in tree.edges]
-    head = [e.head - 1 for e in tree.edges]
-    return _walk(range(len(tree.edges)), tail, head, n, root - 1)
-
-
-def inedge(tree: DirTree, root: int) -> int:
-    """Number of tree edges directed toward the side containing the root."""
-    n = max([root, *(v for e in tree.edges for v in e)])
-    return _tree_walk(tree, root, n)[0]
-
-
 def hstar_triangulation(sig: Signature, max_total: Optional[int] = None) -> HStar:
     """h* as the inedge histogram over all standard trees."""
     tail, head, leaves = _search(sig, max_total)
@@ -270,26 +261,6 @@ def hstar_triangulation(sig: Signature, max_total: Optional[int] = None) -> HSta
     for mono in leaves:
         hist[_walk(mono, tail, head, n, 0)[0]] += 1
     return HStar(Poly(hist), sig.dim)
-
-
-def facet_of_tree(
-    sig: Signature, tree: DirTree, facets: dict[tuple[int, ...], FacetLabeling]
-) -> FacetLabeling:
-    """The unique facet whose tight-edge set contains every tree edge.
-
-    Directed edge (u, v) carries e_v - e_u, so it is tight for lambda when
-    lambda(v) = lambda(u) + 1.  Along a spanning tree this fixes lambda up
-    to a shift: the walk from vertex 1 gives it, normalized to min 0 and
-    looked up in ``facets``, the facet labelings keyed by their values.
-    """
-    lam = _tree_walk(tree, 1, sig.total)[1]
-    match = None
-    if None not in lam:
-        lo = min(lam)
-        match = facets.get(tuple(x - lo for x in lam))
-    if match is None:
-        raise AmbiguousFacet(f"tree {tree_dump(tree)} lies in no facet, expected 1")
-    return match
 
 
 def hstar_split_by_facet_type(
@@ -366,8 +337,3 @@ def enumerate_planar_trees(a: int, b: int) -> list[tuple[tuple[int, int], ...]]:
         if all((x2 - x) * (y2 - y) >= 0 for x2, y2 in chosen):
             stack.append((idx + 1, chosen + ((x, y),)))
     return out
-
-
-def planar_trees(a: int, b: int) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
-    """(closed-form count, explicit enumeration); the two always agree."""
-    return planar_tree_count(a, b), enumerate_planar_trees(a, b)

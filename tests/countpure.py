@@ -1,4 +1,5 @@
-"""Brute-force lattice-point counting, the referee for ``counting``.
+"""Brute-force lattice-point counting, the test suite's referee for
+``sepkit.counting``.
 
 Counts integer points x with sum(x) = 0, |x_i| <= k and <lam, x> <= k for
 every facet row lam, restricting the first coordinate to [x0_lo, x0_hi].
@@ -8,10 +9,15 @@ suite checks the two against each other.  Iterative depth-first search over
 coordinates; the last coordinate is forced by the zero-sum constraint.
 Facet labels are nonnegative (min-0 normalized), so a partial dot product p
 can still decrease by at most k * (sum of the labels on unassigned
-vertices) -- that bound drives the facet pruning.
+vertices) -- that bound drives the facet pruning.  ``enumerate_dilate_points``
+lists the points themselves, by filtering the whole box.
 """
 
 from __future__ import annotations
+
+from itertools import product
+
+from sepkit.graphs import Signature, enumerate_facet_labelings
 
 
 def count_range(k: int, n: int, facets: list[list[int]], x0_lo: int, x0_hi: int) -> int:
@@ -69,16 +75,15 @@ def count_range(k: int, n: int, facets: list[list[int]], x0_lo: int, x0_hi: int)
     return total
 
 
-def enumerate_points(k: int, n: int, facets: list[list[int]]) -> list[tuple[int, ...]]:
-    """All lattice points of the k-th dilate, by direct filtering.
+def enumerate_dilate_points(sig: Signature, k: int) -> list[tuple[int, ...]]:
+    """All lattice points of the k-th dilate, by direct filtering against
+    every facet row.
 
-    Exponential in n; intended for the small cross-checks in the test suite,
-    not for production counting.
+    Exponential in the number of vertices; meant for small signatures.
     """
-    from itertools import product
-
+    facets = [lam.values for lam in enumerate_facet_labelings(sig)]
     out = []
-    for x in product(range(-k, k + 1), repeat=n):
+    for x in product(range(-k, k + 1), repeat=sig.total):
         if sum(x) != 0:
             continue
         if all(sum(l * xi for l, xi in zip(row, x)) <= k for row in facets):

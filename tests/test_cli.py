@@ -308,6 +308,14 @@ class TestGb:
         assert code == EXIT_OK
         assert payload["result"]["k222"]["all_orders_obstructed"] is True
 
+    def test_negative_orders_is_usage_error(self, capsys):
+        """A negative count checks no order, not even the canonical one, so
+        it is refused instead of reported as every order obstructed."""
+        code = main(["gb", "--signature", "2,2,2", "--checks", "k222", "--orders", "-3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == "error: the number of random orders must be nonnegative, not -3\n"
+
     def test_export(self, capsys):
         code, out = run(capsys, "gb", "--signature", "1,1", "--checks", "export")
         assert code == EXIT_OK
@@ -354,6 +362,15 @@ class TestScan:
     def test_k222_kind(self, capsys):
         code, out = run(capsys, "scan", "--kind", "k222", "--orders", "3", "--seed", "1")
         assert code == EXIT_OK
+
+    def test_k222_negative_orders_is_usage_error(self, capsys):
+        code = main(["scan", "--kind", "k222", "--orders", "-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == "error: the number of random orders must be nonnegative, not -1\n"
+        code, out = run(capsys, "scan", "--kind", "k222", "--orders", "0")
+        assert code == EXIT_OK
+        assert [r["order"] for r in json.loads(out)["result"]["rows"]] == ["canonical"]
 
     def test_unknown_kind_is_a_usage_error(self, capsys):
         code = main(["scan", "--kind", "bogus"])
@@ -441,7 +458,7 @@ class TestImportFootprint:
     def test_groebner_calls(self, argv):
         layers = self.loaded_layers(*argv)
         assert "grobner" in layers
-        assert not layers & {"counting", "polynomial", "roots", "recursion", "triangulation", "_countpure"}
+        assert not layers & {"counting", "polynomial", "roots", "recursion", "triangulation"}
 
     def test_conjecture_scan(self):
         layers = self.loaded_layers("scan", "--kind", "conjecture", "--max-total", "5", "--max-n", "2")

