@@ -31,6 +31,7 @@ _MODULE_OF = {
     "FacetType": "graphs",
     "Signature": "graphs",
     "SizeExceeded": "graphs",
+    "VerificationFailed": "graphs",
     "edge_order": "graphs",
     "enumerate_facet_labelings": "graphs",
     "build_basis": "grobner",
@@ -80,6 +81,7 @@ __all__ = [
     "Poly",
     "Signature",
     "SizeExceeded",
+    "VerificationFailed",
     "build_basis",
     "buchberger_verify",
     "closed_form_hstar",

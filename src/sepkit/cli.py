@@ -5,7 +5,10 @@ the conjecture/corollary scans.
 Every numeric payload value is an exact integer or fraction string; nothing
 is ever rounded.  Output is byte-stable for fixed arguments and seeds
 (timing is only attached on request).  Exit codes: 0 all requested checks
-passed, 1 usage error, 2 size bound exceeded, 3 a verification failed.
+passed; 1 a usage error, that is any other ``ValueError``; 2 a
+``SizeExceeded``; 3 a check that came out false, or a ``VerificationFailed``
+from any layer.  Each exception class thus fixes its own exit code, and any
+other exception is a bug that propagates.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from .graphs import Signature, SizeExceeded
+from .graphs import Signature, SizeExceeded, VerificationFailed
 
 if TYPE_CHECKING:
     from .polynomial import HStar, Poly
@@ -39,10 +42,8 @@ def _envelope(command: str, params: dict, result: dict, started: float, timing: 
 def _emit(args, payload: dict) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "plain":
+    else:  # plain; hstar and roots print CSV themselves
         _emit_plain(payload)
-    else:
-        raise AssertionError(args.format)
 
 
 def _emit_plain(payload: dict, prefix: str = "") -> None:
@@ -336,45 +337,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# (layer, exception class, exit code, stderr label), first match wins; any
-# other ValueError is a usage error
-_FAILURES = [
-    ("graphs", "SizeExceeded", EXIT_BOUND, "size bound exceeded"),
-    ("polynomial", "NegativeHStar", EXIT_VERIFICATION, "verification failed"),
-    ("polynomial", "NonIntegerCount", EXIT_VERIFICATION, "verification failed"),
-    ("polynomial", "InvalidHStar", EXIT_VERIFICATION, "verification failed"),
-    ("polynomial", "NotPalindromic", EXIT_VERIFICATION, "verification failed"),
-    ("polynomial", "InexactDivision", EXIT_VERIFICATION, "verification failed"),
-    ("counting", "InvalidCount", EXIT_VERIFICATION, "verification failed"),
-    ("counting", "CountGuardFailed", EXIT_VERIFICATION, "verification failed"),
-    ("formulas", "IdentityFailed", EXIT_VERIFICATION, "verification failed"),
-    ("polynomial", "RecombinationFailed", EXIT_VERIFICATION, "verification failed"),
-    ("recursion", "ExactSolveFailed", EXIT_VERIFICATION, "verification failed"),
-    ("roots", "RootCheckFailed", EXIT_VERIFICATION, "verification failed"),
-    ("recursion", "RelationFailed", EXIT_VERIFICATION, "error"),
-]
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # VerificationFailed before ValueError: some verification errors are both
     try:
         return args.func(args)
-    except (ArithmeticError, AssertionError, ValueError) as exc:
-        for module, name, code, label in _FAILURES:
-            # a layer that was never imported raised none of its exceptions
-            layer = sys.modules.get(f"{__package__}.{module}")
-            if layer is not None and isinstance(exc, getattr(layer, name)):
-                break
-        else:
-            if not isinstance(exc, ValueError):
-                raise
-            code, label = EXIT_USAGE, "error"
-        print(f"{label}: {exc}", file=sys.stderr)
-        return code
+    except SizeExceeded as exc:
+        print(f"size bound exceeded: {exc}", file=sys.stderr)
+        return EXIT_BOUND
+    except VerificationFailed as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

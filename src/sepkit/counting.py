@@ -32,13 +32,13 @@ from __future__ import annotations
 from math import comb
 from typing import Optional
 
-from .graphs import Signature, SizeExceeded
+from .graphs import Signature, SizeExceeded, VerificationFailed
 from .polynomial import HStar, NegativeHStar, Poly
 
 DEFAULT_MAX_TOTAL = 36
 
 
-class InvalidCount(ValueError):
+class InvalidCount(VerificationFailed, ValueError):
     """A dilate's count misses the origin or is even (a counting bug)."""
 
 
@@ -147,7 +147,7 @@ def dilation_counts(sig: Signature, up_to: int, max_total: Optional[int] = None)
     return [DilationCount(k, _transfer_count(sig, k, tables)) for k in range(up_to + 1)]
 
 
-class CountGuardFailed(ArithmeticError):
+class CountGuardFailed(VerificationFailed, ArithmeticError):
     """The h* read off the counts is not palindromic, or h*_0 != 1 (a
     counting bug)."""
 

@@ -30,11 +30,11 @@ from itertools import product
 from math import comb
 from typing import Optional, Sequence
 
-from .graphs import Signature
+from .graphs import Signature, VerificationFailed
 from .polynomial import HStar, ONE_PLUS_T, Poly, ehrhart_from_hstar, gamma_expand
 
 
-class IdentityFailed(ArithmeticError):
+class IdentityFailed(VerificationFailed, ArithmeticError):
     """Two exact routes to one closed form disagreed."""
 
 

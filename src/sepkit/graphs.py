@@ -33,7 +33,14 @@ class SizeExceeded(ValueError):
     """The requested computation is beyond the configured size bound."""
 
 
-class Unclassifiable(ValueError):
+class VerificationFailed(Exception):
+    """An exact invariant of a computation failed: a bug, never bad input.
+
+    Every such error of every layer derives from this class, beside the
+    builtin base it always had; the command line exits 3 on it."""
+
+
+class Unclassifiable(VerificationFailed, ValueError):
     """A labeling matched none of the facet normal forms (enumeration bug)."""
 
 

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import random
 from itertools import combinations_with_replacement, permutations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .graphs import Signature, SizeExceeded, edge_count, edge_order
+from .graphs import Signature, SizeExceeded, VerificationFailed, edge_count, edge_order
 
 Mono = tuple[int, ...]  # sorted variable indices, with multiplicity
 
@@ -180,26 +180,12 @@ def drl_max(monos: Iterable[Mono]) -> Mono:
     return best
 
 
-class GBElement:
+class GBElement(NamedTuple):
     """A binomial lead - tail, tagged with its structural kind."""
 
-    __slots__ = ("kind", "lead", "tail")
-
-    def __init__(self, kind: str, lead: Mono, tail: Mono):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "lead", lead)
-        object.__setattr__(self, "tail", tail)
-
-    def __setattr__(self, *a):  # immutability
-        raise AttributeError("GBElement is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.lead, self.tail) == (other.kind, other.lead, other.tail)
-
-    def __hash__(self):
-        return hash((self.kind, self.lead, self.tail))
+    kind: str
+    lead: Mono
+    tail: Mono
 
 
 # -- basis construction ------------------------------------------------------
@@ -466,8 +452,11 @@ def _k222_obstruction(vt: VarTable) -> Optional[dict]:
             lead_dirs = [(b, c), (d, e), (f, a)]
             lead = tuple(sorted(vt.var(s, t) for s, t in lead_dirs))
             tail = tuple(sorted(vt.var(s, t) for s, t in [(b, a), (d, c), (f, e)]))
-            if not drl_greater(lead, tail):  # sign sanity; cannot fail here
-                continue
+            # the tail holds x(b,a), the variable 1 or 2 of the smallest edge,
+            # and no lead variable lies on that edge, so the lead is always the
+            # larger monomial; skipping a cycle here could flip the scan's verdict
+            if not drl_greater(lead, tail):
+                raise VerificationFailed(f"{vt.mono_str(lead)} does not lead {vt.mono_str(tail)}")
             pairs = [
                 tuple(sorted((vt.var(*p), vt.var(*q))))
                 for p, q in [(lead_dirs[0], lead_dirs[1]), (lead_dirs[0], lead_dirs[2]), (lead_dirs[1], lead_dirs[2])]

@@ -31,28 +31,30 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence
 
+from .graphs import VerificationFailed
 
-class NonIntegerCount(ValueError):
+
+class NonIntegerCount(VerificationFailed, ValueError):
     """An alleged Ehrhart polynomial took a non-integer value at an integer."""
 
 
-class NegativeHStar(ValueError):
+class NegativeHStar(VerificationFailed, ValueError):
     """The h* extraction produced a negative coefficient."""
 
 
-class NotPalindromic(ValueError):
+class NotPalindromic(VerificationFailed, ValueError):
     """A gamma-vector (or cross-basis) operation needs a palindromic input."""
 
 
-class RecombinationFailed(ArithmeticError):
+class RecombinationFailed(VerificationFailed, ArithmeticError):
     """A gamma vector did not recombine to the polynomial it came from."""
 
 
-class InvalidHStar(ValueError):
+class InvalidHStar(VerificationFailed, ValueError):
     """An h*-polynomial broke one of the invariants `HStar` checks."""
 
 
-class InexactDivision(ArithmeticError):
+class InexactDivision(VerificationFailed, ArithmeticError):
     """An integer polynomial division that must be exact left a remainder."""
 
 

@@ -25,7 +25,7 @@ from .formulas import (
     ehrhart_22n,
     ehrhart_bipartite,
 )
-from .graphs import Signature
+from .graphs import Signature, VerificationFailed
 from .polynomial import (
     TWO_X_PLUS_1,
     Poly,
@@ -44,11 +44,11 @@ class CrossDegreeMismatch(ValueError):
     """The cross-degree ladder needed for triangular solving failed."""
 
 
-class RelationFailed(AssertionError):
+class RelationFailed(VerificationFailed, AssertionError):
     """A catalogued relation did not solve as the source asserts."""
 
 
-class ExactSolveFailed(ArithmeticError):
+class ExactSolveFailed(VerificationFailed, ArithmeticError):
     """The exact solver broke one of its own invariants."""
 
 

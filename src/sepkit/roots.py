@@ -45,6 +45,7 @@ from fractions import Fraction
 from math import ceil, isqrt
 from typing import NamedTuple, Optional
 
+from .graphs import VerificationFailed
 from .polynomial import (
     Poly,
     _centered,
@@ -65,31 +66,17 @@ class NotCL(ValueError):
     """An interlacing precondition failed (degrees or CL membership)."""
 
 
-class RootCheckFailed(ArithmeticError):
+class RootCheckFailed(VerificationFailed, ArithmeticError):
     """An exact invariant of the CL transform, the root isolation or the
     interlacing certificate failed."""
 
 
-class CLTransform:
+class CLTransform(NamedTuple):
     """E repackaged as u^parity * H(u^2) in the variable u = 2x + 1."""
 
-    __slots__ = ("source", "parity", "half_square")
-
-    def __init__(self, source: Poly, parity: int, half_square: Poly):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "half_square", half_square)  # H
-
-    def __setattr__(self, *a):  # immutability
-        raise AttributeError("CLTransform is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source, self.parity, self.half_square) == (other.source, other.parity, other.half_square)
-
-    def __hash__(self):
-        return hash((self.source, self.parity, self.half_square))
+    source: Poly
+    parity: int
+    half_square: Poly  # H
 
 
 def _even_or_odd(f: list[int]) -> bool:

@@ -49,13 +49,14 @@ from __future__ import annotations
 
 from itertools import permutations
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import (
     DirectedEdge,
     FacetType,
     Signature,
     SizeExceeded,
+    VerificationFailed,
     classify_labeling,
     enumerate_facet_labelings,
 )
@@ -65,28 +66,14 @@ from .polynomial import HStar, Poly
 DEFAULT_TREE_MAX_TOTAL = 10
 
 
-class AmbiguousFacet(RuntimeError):
+class AmbiguousFacet(VerificationFailed, RuntimeError):
     """A boundary simplex matched an unexpected number of facets."""
 
 
-class DirTree:
+class DirTree(NamedTuple):
     """A directed spanning tree, i.e. a boundary simplex of the triangulation."""
 
-    __slots__ = ("edges",)
-
-    def __init__(self, edges: tuple[DirectedEdge, ...]):
-        object.__setattr__(self, "edges", edges)
-
-    def __setattr__(self, *a):  # immutability
-        raise AttributeError("DirTree is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.edges,))
+    edges: tuple[DirectedEdge, ...]
 
 
 def _lead_partners(vt: VarTable) -> tuple[list[int], list[list[int]]]:

@@ -1,22 +1,49 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import sepkit
 from sepkit.cli import EXIT_BOUND, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
-from sepkit.formulas import IdentityFailed
-from sepkit.graphs import Signature
-from sepkit.polynomial import NegativeHStar, NonIntegerCount, Poly, RecombinationFailed, fraction_str
-from sepkit.recursion import ExactSolveFailed
-from sepkit.roots import RootCheckFailed
+from sepkit.graphs import Signature, VerificationFailed
+from sepkit.polynomial import Poly, fraction_str
 from sepkit.triangulation import hstar_triangulation
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def sepkit_exceptions() -> list[type]:
+    """Every exception class that a module of the package defines, by name."""
+    found = []
+    for info in pkgutil.iter_modules(sepkit.__path__):
+        module = importlib.import_module(f"sepkit.{info.name}")
+        found += [
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+        ]
+    return sorted(found, key=lambda exc: exc.__name__)
+
+
+VERIFICATION_FAILURES = [exc for exc in sepkit_exceptions() if issubclass(exc, VerificationFailed)]
+
+
+def test_every_invariant_error_is_a_verification_failure():
+    """An error class for a broken invariant exits 3; only bad input is a
+    plain ValueError, which exits 1 (or 2 for the size bound)."""
+    assert not [
+        exc for exc in sepkit_exceptions()
+        if issubclass(exc, (ArithmeticError, AssertionError, RuntimeError)) and not issubclass(exc, VerificationFailed)
+    ]
+    inputs = [exc.__name__ for exc in sepkit_exceptions() if exc not in VERIFICATION_FAILURES]
+    assert inputs == ["CrossDegreeMismatch", "DegreeMismatch", "NotCL", "NotSymmetric", "SizeExceeded", "_NoClosedForm"]
+    assert all(issubclass(exc, ValueError) for exc in sepkit_exceptions() if exc not in VERIFICATION_FAILURES)
 
 
 def run(capsys, *argv):
@@ -106,10 +133,7 @@ class TestHstar:
         assert err == "verification failed: h* from the counts is not palindromic: h*_0 = 1, h*_2 = 3\n"
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "exc",
-        [NegativeHStar, NonIntegerCount, IdentityFailed, RecombinationFailed, ExactSolveFailed, RootCheckFailed],
-    )
+    @pytest.mark.parametrize("exc", VERIFICATION_FAILURES)
     def test_verification_failures_exit_3(self, capsys, monkeypatch, exc):
         def fail(sig, counts):
             raise exc("injected")
@@ -118,6 +142,17 @@ class TestHstar:
         code = main(["hstar", "--signature", "1,1", "--method", "oracle"])
         assert code == EXIT_VERIFICATION
         assert capsys.readouterr().err == "verification failed: injected\n"
+
+    def test_other_errors_propagate(self, capsys, monkeypatch):
+        """An error that no layer defines is a bug, not an exit code."""
+
+        def fail(sig, counts):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr("sepkit.counting.hstar_from_counts", fail)
+        with pytest.raises(ZeroDivisionError, match="injected"):
+            main(["hstar", "--signature", "1,1", "--method", "oracle"])
+        assert capsys.readouterr().err == ""
 
     def test_odd_count_check_exits_3(self, capsys, monkeypatch):
         import sepkit.counting as counting

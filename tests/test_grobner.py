@@ -9,7 +9,7 @@ import pytest
 
 from sepkit.counting import SizeExceeded
 import sepkit.grobner as grobner
-from sepkit.graphs import Signature
+from sepkit.graphs import Signature, VerificationFailed
 from sepkit.grobner import (
     VarTable,
     basis_to_text,
@@ -273,6 +273,13 @@ class TestK222Scan:
         with pytest.raises(ValueError, match="nonnegative, not -1"):
             k222_order_scan(-1, seed=7)
         assert len(k222_order_scan(0, seed=7)["rows"]) == 1
+
+    def test_lead_check_raises(self, monkeypatch):
+        """A 6-cycle whose lead is not the larger monomial is a bug; skipping
+        it could turn the scan's verdict."""
+        monkeypatch.setattr(grobner, "drl_greater", lambda m1, m2: False)
+        with pytest.raises(VerificationFailed, match="does not lead"):
+            k222_order_scan(0, seed=7)
 
     def test_deterministic(self):
         a = k222_order_scan(5, seed=3)

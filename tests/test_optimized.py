@@ -2,9 +2,8 @@
 
 ``python -O`` strips every assert statement, so a check written as one
 would let its failure through.  This runs the injected-failure tests of
-the graphs, counting, roots, polynomial, formulas, recursion and triangulation
-layers, and the CLI tests that such a failure exits 3, again in a
-``python -O`` subprocess."""
+every layer, the CLI tests that such a failure exits 3 and the one that
+any other error propagates, again in a ``python -O`` subprocess."""
 
 import os
 import subprocess
@@ -23,6 +22,8 @@ INJECTED = [
     "tests/test_recursion.py::TestSolverInvariants",
     "tests/test_triangulation.py::TestFacetSplit::test_split_raises_on_a_missing_facet",
     "tests/test_cli.py::TestHstar::test_verification_failures_exit_3",
+    "tests/test_cli.py::TestHstar::test_other_errors_propagate",
+    "tests/test_grobner.py::TestK222Scan::test_lead_check_raises",
     "tests/test_cli.py::TestHstar::test_interpolation_guard_exits_verification",
     "tests/test_counting.py::TestCountGuard::test_every_read_count_is_guarded",
     "tests/test_cli.py::TestRootsAndInterlace::test_roots_verification_failure_exits_3",
