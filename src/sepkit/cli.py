@@ -5,16 +5,18 @@ the conjecture/corollary scans.
 Every numeric payload value is an exact integer or fraction string; nothing
 is ever rounded.  Output is byte-stable for fixed arguments and seeds
 (timing is only attached on request).  Exit codes: 0 all requested checks
-passed; 1 a usage error, that is any other ``ValueError``; 2 a
-``SizeExceeded``; 3 a check that came out false, or a ``VerificationFailed``
-from any layer.  Each exception class thus fixes its own exit code, and any
-other exception is a bug that propagates.
+passed; 1 a usage error, that is any other ``ValueError``, or a stdout
+that the reader closed before the output was written, which exits with
+nothing on stderr; 2 a ``SizeExceeded``; 3 a check that came out false, or
+a ``VerificationFailed`` from any layer.  Each exception class thus fixes
+its own exit code, and any other exception is a bug that propagates.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -345,7 +347,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     # VerificationFailed before ValueError: some verification errors are both
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left; the interpreter's last flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except SizeExceeded as exc:
         print(f"size bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND

@@ -130,11 +130,6 @@ def edge_order(sig: Signature) -> list[tuple[int, int]]:
     ]
 
 
-def edge_count(sig: Signature) -> int:
-    n = sig.total
-    return (n * n - sum(a * a for a in sig.parts)) // 2
-
-
 class FacetLabeling:
     """Integer vertex labeling normalized to min 0; supports <lambda,x> <= 1."""
 

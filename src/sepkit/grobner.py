@@ -1,6 +1,6 @@
 """The reduced degrevlex Groebner basis of the toric ideal of a symmetric
-edge polytope of a complete multipartite graph, plus its verification
-machinery.
+edge polytope of a complete multipartite graph, its checks and its
+certificate.
 
 Variables are z (the interior lattice point) and one variable per directed
 edge; the directed edge a -> b carries the lattice point e_b - e_a.  The
@@ -25,24 +25,27 @@ The basis is at most cubic.  Its elements, all binomials lead - tail:
                                                side, no lead pair a 3b lead
 
 These conditions characterize the minimal generators of the initial ideal.
-The test suite recomputes those generators from scratch by grouping
-monomials of degree <= 3 into toric weight classes, an independent referee
-for ``build_basis`` (``tests/initial_ideal.py``).
+``buchberger_verify`` certifies the basis by its Hilbert series; it and the
+standard-tree search share one lead index (``_lead_partners``) and one
+bound.  The test suite also recomputes the minimal generators afresh
+by grouping monomials of degree <= 3 into toric weight classes, an
+independent referee for ``build_basis`` (``tests/initial_ideal.py``).
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations_with_replacement, permutations
-from typing import Iterable, NamedTuple, Optional, Sequence
+from math import comb
+from typing import NamedTuple, Optional, Sequence
 
-from .graphs import Signature, SizeExceeded, VerificationFailed, edge_count, edge_order
+from .graphs import Signature, SizeExceeded, VerificationFailed, edge_order
 
 Mono = tuple[int, ...]  # sorted variable indices, with multiplicity
 
 Z = 0  # variable index of z
 
-SPAIR_MAX_EDGES = 13  # `buchberger_verify` refuses a graph with more edges
+DEFAULT_TREE_MAX_TOTAL = 10  # vertex bound of the standard-tree search and `buchberger_verify`
 
 
 class VarTable:
@@ -114,10 +117,6 @@ class VarTable:
 # -- monomial arithmetic (sorted tuples of variable indices) ---------------
 
 
-def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    return tuple(sorted(m1 + m2))
-
-
 def mono_divides(m1: Mono, m2: Mono) -> bool:
     """Does m1 divide m2, i.e. is every index of m1 matched by one of m2?"""
     n = len(m2)
@@ -133,51 +132,11 @@ def mono_divides(m1: Mono, m2: Mono) -> bool:
     return True
 
 
-def mono_div(m1: Mono, m2: Mono) -> Mono:
-    """The quotient m1 / m2; ValueError unless m2 divides m1."""
-    out = []
-    j, n = 0, len(m2)
-    for v in m1:
-        if j < n and m2[j] == v:
-            j += 1
-        elif j < n and m2[j] < v:
-            break  # m2[j] is missing from m1
-        else:
-            out.append(v)
-    if j < n:
-        raise ValueError("not divisible")
-    return tuple(out)
-
-
-def mono_lcm(m1: Mono, m2: Mono) -> Mono:
-    """Merge of m1 and m2 keeping each index at its larger multiplicity."""
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        a, b = m1[i], m2[j]
-        out.append(a if a < b else b)
-        if a <= b:
-            i += 1
-        if b <= a:
-            j += 1
-    return tuple(out) + m1[i:] + m2[j:]
-
-
 def drl_greater(m1: Mono, m2: Mono) -> bool:
     """Graded reverse lexicographic: higher total degree wins; on a tie the
     monomial with the smaller exponent at the smallest differing variable is
     the larger one, which on sorted index tuples is the larger tuple."""
     return len(m1) > len(m2) or (len(m1) == len(m2) and m1 > m2)
-
-
-def drl_max(monos: Iterable[Mono]) -> Mono:
-    best = None
-    for m in monos:
-        if best is None or drl_greater(m, best):
-            best = m
-    if best is None:
-        raise ValueError("empty")
-    return best
 
 
 class GBElement(NamedTuple):
@@ -366,48 +325,107 @@ def max_degree(basis: Sequence[GBElement]) -> int:
     return max(len(e.lead) for e in basis)
 
 
-def _spolynomial(e1: GBElement, e2: GBElement) -> dict[Mono, int]:
-    l = mono_lcm(e1.lead, e2.lead)
-    a = mono_mul(mono_div(l, e1.lead), e1.tail)
-    b = mono_mul(mono_div(l, e2.lead), e2.tail)
-    if a == b:
-        return {}
-    return {b: 1, a: -1}
+def _lead_partners(basis: Sequence[GBElement], nvars: int) -> tuple[list[int], list[list[int]]]:
+    """Leading monomials with all-distinct variables, indexed by variable.
+
+    ``pair[v]`` is the bitmask of the variables w with v w a leading
+    monomial; ``triple[v][w]`` is the bitmask of the variables x with v w x a
+    leading monomial.  Leads with a repeated variable can never divide a
+    square-free monomial and are dropped.
+    """
+    pair = [0] * nvars
+    triple = [[0] * nvars for _ in range(nvars)]
+    for e in basis:
+        lead = e.lead
+        if len(set(lead)) != len(lead):
+            continue
+        if len(lead) == 2:
+            a, b = lead
+            pair[a] |= 1 << b
+            pair[b] |= 1 << a
+        else:
+            for v, w, x in permutations(lead):
+                triple[v][w] |= 1 << x
+    return pair, triple
 
 
-def _reduces_to_zero(p: dict[Mono, int], basis: Sequence[GBElement]) -> bool:
-    """Normal-form loop with deterministic reducer choice (first divisor in
-    basis order, always rewriting the current largest monomial)."""
-    p = dict(p)
-    while p:
-        m = drl_max(p.keys())
-        reducer = next((e for e in basis if mono_divides(e.lead, m)), None)
-        if reducer is None:
-            return False
-        c = p.pop(m)
-        q = mono_div(m, reducer.lead)
-        t = mono_mul(q, reducer.tail)
-        nt = p.get(t, 0) + c
-        if nt:
-            p[t] = nt
-        elif t in p:
-            del p[t]
-    return True
+def _face_counts(pair: list[int], triple: list[list[int]], nvars: int, d: int) -> Optional[list[int]]:
+    """``f[i]``: the sets of i directed-edge variables whose product no
+    leading monomial divides, for i = 0..d; None as soon as such a set has
+    d + 1 members.
+
+    Depth-first with an explicit stack.  Each frame is (bitmask of the
+    variables that may still join, chosen variables).  Variables join in
+    increasing order, so each set is met once; a variable may join when it
+    forms no degree-2 lead with a chosen variable and completes no degree-3
+    lead with two of them.  A frame is only pushed when some variable may
+    join it.
+    """
+    f = [1] + [0] * d
+    stack = [((1 << nvars) - 2, ())]  # every variable but z
+    while stack:
+        free, chosen = stack.pop()
+        size = len(chosen) + 1
+        if size > d:
+            return None
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            f[size] += 1
+            blocked = pair[v]
+            partners = triple[v]
+            for c in chosen:
+                blocked |= partners[c]
+            if free & ~blocked:
+                stack.append((free & ~blocked, chosen + (v,)))
+    return f
 
 
 def buchberger_verify(sig: Signature) -> bool:
-    """Every S-polynomial of basis pairs reduces to zero modulo the basis."""
-    if edge_count(sig) > SPAIR_MAX_EDGES:
-        raise SizeExceeded(
-            f"{edge_count(sig)} edges exceed the S-pair bound {SPAIR_MAX_EDGES}"
-        )
-    basis = build_basis(sig)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = _spolynomial(basis[i], basis[j])
-            if s and not _reduces_to_zero(s, basis):
-                return False
-    return True
+    """Is ``build_basis(sig)`` a Groebner basis of the toric ideal I?
+
+    Let J be the ideal of the leads.  When every element lies in I and is
+    led by its larger term, J lies in in(I), so S/J has at least the Hilbert
+    function of S/I in every degree, with equality exactly when J = in(I).
+    P_G has a unimodular triangulation (Higashitani, Kummer and Michalek,
+    2017), so S/I has the Ehrhart series h*(t) / (1-t)^(d+1).  With
+    square-free leads free of z, S/J is k[z] times the Stanley-Reisner ring
+    of the complex of lead-free sets of directed-edge variables (Sturmfels,
+    Groebner Bases and Convex Polytopes, ch. 8).  A lead-free set of d + 1
+    variables gives S/J a larger dimension than S/I; without one, and with
+    f_i lead-free sets of i variables, S/J has the series
+    sum_i f_i t^i (1-t)^(d-i) / (1-t)^(d+1).  So the basis is a Groebner
+    basis exactly when no lead-free set has d + 1 variables and that
+    numerator is h*.  Any other element, and any lead of degree above 3,
+    makes the check return False.
+
+    The facets of the complex are the standard trees, so the count walks
+    the complex of the triangulation's tree search, under its bound: more
+    than ``DEFAULT_TREE_MAX_TOTAL`` vertices raise SizeExceeded.  h* comes
+    from `counting.hstar_oracle`, so the check rests on the lattice-point
+    counts, which the oracle's palindromy guard and the test suite's brute
+    force (``tests/countpure.py``) check.
+    """
+    if sig.total > DEFAULT_TREE_MAX_TOTAL:
+        raise SizeExceeded(f"signature total {sig.total} exceeds bound {DEFAULT_TREE_MAX_TOTAL}")
+    vt = VarTable(sig)
+    basis = build_basis(sig, vt)
+    for e in basis:
+        lead = e.lead
+        if not (toric_membership_check(sig, e, vt) and drl_greater(lead, e.tail)):
+            return False
+        if Z in lead or len(set(lead)) != len(lead) or len(lead) > 3:
+            return False
+    d = sig.dim
+    f = _face_counts(*_lead_partners(basis, vt.nvars), vt.nvars, d)
+    if f is None:
+        return False
+    # imported here, so that a `gb` call without this check loads no counting layer
+    from .counting import hstar_oracle
+
+    h = [sum((-1) ** (j - i) * comb(d - i, j - i) * f[i] for i in range(j + 1)) for j in range(d + 1)]
+    return tuple(h) == hstar_oracle(sig).coefficients
 
 
 def basis_to_text(sig: Signature, basis: Optional[Sequence[GBElement]] = None) -> str:

@@ -14,7 +14,8 @@ added in one of its two orientations; an addition must join two components
 (union-find by component labels, relabelled in one ``bytes.translate``) and
 must not complete a degree-2 or degree-3 leading monomial with the variables
 already chosen (the leading monomials are indexed once per call as bitmasks
-of partner variables).  A branch ends as soon as too few edges remain for a
+of partner variables, by the ``grobner._lead_partners`` that the Groebner
+certificate also reads).  A branch ends as soon as too few edges remain for a
 spanning tree, and an edge is never skipped when it is the last edge of a
 vertex that no chosen edge touches yet, since that vertex could not be
 reached any more.  Only partial trees that can still be standard are
@@ -47,7 +48,6 @@ two to each other.
 
 from __future__ import annotations
 
-from itertools import permutations
 from math import comb
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -60,10 +60,8 @@ from .graphs import (
     classify_labeling,
     enumerate_facet_labelings,
 )
-from .grobner import VarTable, build_basis
+from .grobner import DEFAULT_TREE_MAX_TOTAL, VarTable, _lead_partners, build_basis
 from .polynomial import HStar, Poly
-
-DEFAULT_TREE_MAX_TOTAL = 10
 
 
 class AmbiguousFacet(VerificationFailed, RuntimeError):
@@ -74,31 +72,6 @@ class DirTree(NamedTuple):
     """A directed spanning tree, i.e. a boundary simplex of the triangulation."""
 
     edges: tuple[DirectedEdge, ...]
-
-
-def _lead_partners(vt: VarTable) -> tuple[list[int], list[list[int]]]:
-    """Leading monomials with all-distinct variables, indexed by variable.
-
-    ``pair[v]`` is the bitmask of the variables w with v w a leading
-    monomial; ``triple[v][w]`` is the bitmask of the variables x with v w x a
-    leading monomial.  Leads with a repeated variable can never divide a
-    square-free tree monomial and are dropped.
-    """
-    nvars = vt.nvars
-    pair = [0] * nvars
-    triple = [[0] * nvars for _ in range(nvars)]
-    for e in build_basis(vt.sig, vt):
-        lead = e.lead
-        if len(set(lead)) != len(lead):
-            continue
-        if len(lead) == 2:
-            a, b = lead
-            pair[a] |= 1 << b
-            pair[b] |= 1 << a
-        else:
-            for v, w, x in permutations(lead):
-                triple[v][w] |= 1 << x
-    return pair, triple
 
 
 def _standard_tree_monomials(
@@ -175,7 +148,7 @@ def _search(
     dirs = [vt.dir_of(v) for v in range(1, vt.nvars)]
     tail = [0] + [t - 1 for t, _ in dirs]
     head = [0] + [h - 1 for _, h in dirs]
-    pair, triple = _lead_partners(vt)
+    pair, triple = _lead_partners(build_basis(sig, vt), vt.nvars)
     return tail, head, _standard_tree_monomials(sig.total, vt.edges, pair, triple)
 
 

@@ -360,6 +360,16 @@ class TestGb:
         code, _ = run(capsys, "gb", "--signature", "1,1", "--checks", "bogus")
         assert code == EXIT_USAGE
 
+    def test_buchberger_bound(self, capsys):
+        """The certificate covers every signature with at most 10 vertices,
+        whatever its edge count, and refuses a larger one with exit 2."""
+        code, out = run(capsys, "gb", "--signature", "1,1,1,1,1,1", "--checks", "buchberger")
+        assert code == EXIT_OK and json.loads(out)["result"]["buchberger"] is True
+        code = main(["gb", "--signature", ",".join("1" * 11), "--checks", "buchberger"])
+        captured = capsys.readouterr()
+        assert code == EXIT_BOUND and captured.out == ""
+        assert captured.err == "size bound exceeded: signature total 11 exceeds bound 10\n"
+
 
 class TestRecursionCommand:
     def test_relation_a(self, capsys):
@@ -455,6 +465,22 @@ class TestDeterminism:
         assert json.loads(json.dumps(payload)) == payload
 
 
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+def test_closed_stdout_exits_quietly(fmt):
+    """A reader that leaves before the output is written, as `| head` can,
+    ends the call with exit 1 and nothing on stderr, not a traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sepkit.cli", "scan", "--kind", "conjecture", "--format", fmt],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # before the scan can print anything
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_USAGE
+    assert err == b""
+
+
 class TestImportFootprint:
     """A call imports only the layers its subcommand runs."""
 
@@ -497,16 +523,22 @@ class TestImportFootprint:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["gb", "--signature", "2,2", "--checks", "reduced,lead,degree,membership,buchberger,k222,export",
-             "--orders", "2"],
+            ["gb", "--signature", "2,2", "--checks", "reduced,lead,degree,membership,k222,export", "--orders", "2"],
             ["scan", "--kind", "k222", "--orders", "2"],
         ],
         ids=["gb", "scan-k222"],
     )
     def test_groebner_calls(self, argv):
-        layers = self.loaded_layers(*argv)
-        assert "grobner" in layers
-        assert not layers & {"counting", "polynomial", "roots", "recursion", "triangulation"}
+        assert self.loaded_layers(*argv) == {"graphs", "grobner"}
+
+    def test_buchberger_call(self):
+        """The certificate compares with the counting oracle's h*, so it alone
+        loads the counting layer and the polynomials that it needs."""
+        layers = self.loaded_layers(
+            "gb", "--signature", "2,2", "--checks", "reduced,lead,degree,membership,buchberger,k222,export",
+            "--orders", "2",
+        )
+        assert layers == {"graphs", "grobner", "counting", "polynomial"}
 
     def test_conjecture_scan(self):
         layers = self.loaded_layers("scan", "--kind", "conjecture", "--max-total", "5", "--max-n", "2")

@@ -7,7 +7,6 @@ from sepkit.graphs import (
     Signature,
     Unclassifiable,
     classify_labeling,
-    edge_count,
     edge_order,
     enumerate_facet_labelings,
     facet_count_formula,
@@ -52,8 +51,9 @@ class TestEdgeOrder:
         assert edge_order(Signature((2, 1))) == [(1, 3), (2, 3)]
 
     def test_count(self):
+        """K_{a_1,...,a_k} has (n^2 - sum a_i^2) / 2 edges."""
         for sig in signatures_with_total(2, 7):
-            assert len(edge_order(sig)) == edge_count(sig)
+            assert len(edge_order(sig)) == (sig.total ** 2 - sum(a * a for a in sig.parts)) // 2
 
 
 class TestFacetLabelings:

@@ -19,10 +19,7 @@ from sepkit.grobner import (
     k222_order_scan,
     leading_term_consistency,
     max_degree,
-    mono_div,
     mono_divides,
-    mono_lcm,
-    mono_mul,
     reducedness_check,
     toric_membership_check,
 )
@@ -42,19 +39,6 @@ def counter_divides(m1, m2):
     c = Counter(m2)
     c.subtract(Counter(m1))
     return all(v >= 0 for v in c.values())
-
-
-def counter_div(m1, m2):
-    c = Counter(m1)
-    c.subtract(Counter(m2))
-    if any(v < 0 for v in c.values()):
-        raise ValueError("not divisible")
-    return tuple(sorted(c.elements()))
-
-
-def counter_lcm(m1, m2):
-    c1, c2 = Counter(m1), Counter(m2)
-    return tuple(sorted(Counter({v: max(c1[v], c2[v]) for v in set(c1) | set(c2)}).elements()))
 
 
 def counter_drl_greater(m1, m2):
@@ -106,11 +90,8 @@ def union_min_build_basis(sig, vt=None):
 
 class TestMonomials:
     def test_ops(self):
-        assert mono_mul((1, 3), (2,)) == (1, 2, 3)
         assert mono_divides((1, 3), (1, 2, 3))
         assert not mono_divides((1, 1), (1, 2, 3))
-        assert mono_div((1, 2, 3), (2,)) == (1, 3)
-        assert mono_lcm((1, 1), (1, 2)) == (1, 1, 2)
 
     def test_degrevlex(self):
         # higher degree wins; on ties the smaller exponent at the smallest
@@ -121,19 +102,13 @@ class TestMonomials:
         assert not drl_greater((1, 2), (1, 2))
 
     def test_against_exponent_vectors(self):
-        """On every pair of small monomials the tuple merges and the tuple
+        """On every pair of small monomials the tuple merge and the tuple
         comparison agree with the exponent-vector definitions."""
         assert len(SMALL_MONOMIALS) == 84
         for m1 in SMALL_MONOMIALS:
             for m2 in SMALL_MONOMIALS:
                 assert mono_divides(m1, m2) == counter_divides(m1, m2), (m1, m2)
-                assert mono_lcm(m1, m2) == counter_lcm(m1, m2), (m1, m2)
                 assert drl_greater(m1, m2) == counter_drl_greater(m1, m2), (m1, m2)
-                if counter_divides(m2, m1):
-                    assert mono_div(m1, m2) == counter_div(m1, m2), (m1, m2)
-                else:
-                    with pytest.raises(ValueError):
-                        mono_div(m1, m2)
 
 
 class TestVarTable:
@@ -237,8 +212,61 @@ class TestVerification:
         assert not basis_matches_ground_truth(sig)
 
     def test_buchberger_size_gate(self):
-        with pytest.raises(SizeExceeded, match="15 edges exceed the S-pair bound 13"):
-            buchberger_verify(Signature((1,) * 6))
+        """The certificate shares the standard-tree search's vertex bound, not
+        an edge bound: 1^6 (15 edges) certifies, 1^11 is refused."""
+        assert buchberger_verify(Signature((1,) * 6))
+        with pytest.raises(SizeExceeded, match="signature total 11 exceeds bound 10"):
+            buchberger_verify(Signature((1,) * 11))
+
+    def test_buchberger_on_every_class_order(self):
+        """Every class order with total 2-7 and every sorted signature with
+        total 8 certifies."""
+        orders = [p for s in signatures_with_total(2, 7) for p in sorted(set(permutations(s.parts)))]
+        assert len(orders) == 120
+        for parts in orders + [s.parts for s in signatures_with_total(8, 8)]:
+            assert buchberger_verify(Signature(parts)), parts
+
+    @pytest.mark.parametrize("parts", [(2, 2, 1), (2, 2, 2), (1,) * 5], ids=str)
+    def test_buchberger_catches_every_dropped_element(self, parts, monkeypatch):
+        """Dropping any one element of the basis, of any kind, fails the
+        certificate."""
+        sig = Signature(parts)
+        full = build_basis(sig)
+        for i in range(len(full)):
+            monkeypatch.setattr(grobner, "build_basis", lambda sig, vt=None: full[:i] + full[i + 1:])
+            assert not buchberger_verify(sig), full[i]
+
+    @pytest.mark.parametrize("tail", [(grobner.Z, 3), (3, 4)], ids=["outside-the-ideal", "larger-tail"])
+    def test_buchberger_needs_ideal_elements_led_by_the_larger_term(self, tail, monkeypatch):
+        """A second element on the lead x(1,2) x(2,1) leaves the leads as
+        they are, but the check refuses it when it is not in the toric ideal
+        (z x(1,3) has another weight) or when its tail, x(1,3) x(3,1) of the
+        same weight, is the larger term."""
+        sig = Signature((1, 2, 2))
+        real = grobner.build_basis
+        assert real(sig)[0].lead == (1, 2)
+        extra = grobner.GBElement("1", (1, 2), tail)
+        monkeypatch.setattr(grobner, "build_basis", lambda sig, vt=None: real(sig, vt) + [extra])
+        assert not buchberger_verify(sig)
+
+    @pytest.mark.parametrize("kind", ["holds-z", "repeats-a-variable"])
+    def test_buchberger_needs_squarefree_z_free_leads(self, kind, monkeypatch):
+        """The Stanley-Reisner reading needs square-free leads free of z, so a
+        lead of either other shape is refused, even on an element of the
+        toric ideal that is a multiple of the first one and leaves the
+        ideal of the leads as it was."""
+        sig = Signature((1, 2, 2))
+        real = grobner.build_basis
+        x, y = real(sig)[0].lead  # x(a,b) x(b,a) - z^2
+        z = grobner.Z
+        if kind == "holds-z":
+            extra = grobner.GBElement("1", (z, x, y), (z, z, z))
+        else:
+            extra = grobner.GBElement("1", (x, x, y), (z, z, x))
+        vt = VarTable(sig)
+        assert toric_membership_check(sig, extra, vt) and drl_greater(extra.lead, extra.tail)
+        monkeypatch.setattr(grobner, "build_basis", lambda sig, vt=None: real(sig, vt) + [extra])
+        assert not buchberger_verify(sig)
 
     def test_ground_truth_shape(self):
         deg2, deg3 = initial_ideal_ground_truth(Signature((1, 1, 1)))

@@ -37,10 +37,6 @@ def probe():
     return json.loads(proc.stdout)
 
 
-def test_all_is_the_lazy_table():
-    assert len(set(sepkit.__all__)) == len(sepkit.__all__)
-
-
 def test_every_name_is_defined_in_its_module():
     """Each public name resolves to an object that its mapped module defines,
     not one that the module merely imports."""
