@@ -1,5 +1,7 @@
 """Closed-form h*-polynomials and their cross-validation."""
 
+import hashlib
+import json
 from itertools import product
 
 import pytest
@@ -189,6 +191,18 @@ class TestTripartite:
             fi, fii = hstar_tripartite_parts(*parts)
             ti, tii = hstar_split_by_facet_type(Signature(parts), max_total=7)
             assert fi == ti and fii == tii
+
+    # sha256 of the JSON list, over the class orders in `product` order, of
+    # [type (i), type (ii)] coefficient strings; pinned from the case-table
+    # form of type (ii)
+    DIGEST = "16555bb2f20fa5be146becd66fa87d0c7636c7d715613f4ea28a4b0b91afe195"
+
+    def test_digest(self):
+        """Both parts on every class order with total <= 12, byte for byte."""
+        orders = [p for p in product(range(1, 11), repeat=3) if sum(p) <= 12]
+        parts = [[[str(c) for c in h.coeffs] for h in hstar_tripartite_parts(*p)] for p in orders]
+        assert len(orders) == 220
+        assert hashlib.sha256(json.dumps(parts).encode()).hexdigest() == self.DIGEST
 
     def test_permutation_invariance(self):
         for parts in product(range(1, 6), repeat=3):

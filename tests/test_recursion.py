@@ -1,5 +1,7 @@
 """Recursion solving, the relation catalogue, and the two scans."""
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -296,6 +298,16 @@ class TestConjectureScan:
                     }
                 )
             assert conjecture_scan(max_total, 1)["rows"] == want, max_total
+
+    # sha256 of the key-sorted JSON report, pinned before type (ii) and the
+    # gamma vector moved to integer arithmetic
+    DIGEST = "ba969963ba64664696821d5e9d6341f34555d6f5a1d5cbcaa64aaa9c22828a44"
+
+    def test_digest(self):
+        """The full report of `conjecture_scan(6, 8)`, byte for byte."""
+        rep = conjecture_scan(6, 8)
+        assert len(rep["rows"]) == 102 and len(rep["interlacings"]) == 16
+        assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == self.DIGEST
 
     def test_twelve_vertices(self):
         rep = conjecture_scan(12, 2)
