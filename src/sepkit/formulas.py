@@ -8,25 +8,28 @@ Tsuchiya, 2021).  One integer binomial sum, `polynomial.gamma_expand`, turns
 a gamma vector into coefficients.  The tripartite formula is a sum of t^e
 terms, collected as an integer histogram.
 
+The type-(ii) part is a sum over the zero count Z.  A type-(ii) facet is the
+root polytope of its tight bipartite graph H, whose simplex count is the
+number of left-degree vectors of spanning trees of H (Postnikov,
+"Permutohedra, associahedra, and beyond", 2009, section 12; Kalman and
+Postnikov, 2017).  The vertices inside a class are interchangeable, so the
+count over every labeling with Z zeros collapses to a few binomial sums, and
+the part costs O(n^3) binomials for n vertices, whatever the class sizes.
+
 Binomial coefficients follow the combinatorial convention: any negative or
-out-of-range argument gives 0.  That makes the case table for the r-counts
-total and the boundary terms of the type-(i) sums come out right.
+out-of-range argument gives 0.  That makes the boundary terms of the
+type-(i) sums come out right.
 
-Two display-level corrections baked in here (each is forced by agreement
+One display-level correction is baked in here (it is forced by agreement
 with the enumerated triangulation and the counting oracle, which the test
-suite checks signature by signature):
-
-  * in the type-(i) sum, the planar-tree factor for a class of size y inside
-    a graph on x vertices is binom(x - y + j - i - 2, j - 1) for every class,
-    the first class included;
-  * the innermost chain-count sum runs j over 0 .. c_{n-1} - 1, like all its
-    siblings.
+suite checks signature by signature): in the type-(i) sum, the planar-tree
+factor for a class of size y inside a graph on x vertices is
+binom(x - y + j - i - 2, j - 1) for every class, the first class included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import comb
 from typing import Optional, Sequence
 
@@ -128,90 +131,6 @@ def aux_p(x: int, y: int, i: int, j: int) -> int:
     return binom(x - y - 1, i) * binom(y - 1, j) * binom(y + i - j - 1, i)
 
 
-def aux_q(a: int, b: int, c: int, nu: Sequence[int]) -> int:
-    """Number of type-(ii) labelings with given per-class zero counts and the
-    smallest vertex labeled 1: binom(a-1, nu1) binom(b, nu2) binom(c, nu3)."""
-    n1, n2, n3 = nu
-    return binom(a - 1, n1) * binom(b, n2) * binom(c, n3)
-
-
-def aux_c(*sizes: int) -> int:
-    """Number of compatible chains of planar spanning trees along a path of
-    vertex classes with the given sizes.
-
-    Every middle class splits at one shared vertex into a prefix facing left
-    and a suffix facing right; summing the product of planar-tree counts of
-    consecutive pieces over all split points gives, with j_i the size of the
-    i-th left-facing prefix minus one,
-
-        sum_{j_2=0}^{c_2-1} ... sum_{j_{n-1}=0}^{c_{n-1}-1}
-            binom(c_1+j_2-1, j_2) binom(c_{n-1}-j_{n-1}+c_n-2, c_n-1)
-            prod_i binom(c_i-j_i+j_{i+1}-1, j_{i+1}).
-
-    Length-2 chains degenerate to a single planar-tree count.
-    """
-    n = len(sizes)
-    if n < 1 or any(s < 1 for s in sizes):
-        raise ValueError(f"invalid chain sizes {sizes}")
-    if n == 1:
-        return 1 if sizes[0] == 1 else 0
-    if n == 2:
-        return binom(sizes[0] + sizes[1] - 2, sizes[1] - 1)
-    total = 0
-    # js[t] = j_{t+2}; every j_i runs over 0 .. c_i - 1
-    for js in product(*(range(c) for c in sizes[1:-1])):
-        term = binom(sizes[0] + js[0] - 1, js[0])
-        term *= binom(sizes[n - 2] - js[-1] + sizes[n - 1] - 2, sizes[n - 1] - 1)
-        for t in range(1, len(js)):
-            term *= binom(sizes[t] - js[t - 1] + js[t] - 1, js[t])
-        total += term
-    return total
-
-
-def aux_r(a: int, b: int, c: int, nu: Sequence[int]) -> int:
-    """Simplex count of the type-(ii) facet in normal form with zero counts
-    nu = (nu1, nu2, nu3).  The facet graph reduces to a path of vertex
-    classes; every case of the table below is a chain count, and tuples that
-    are not facet-defining fall through to 0."""
-    n1, n2, n3 = nu
-    mid1 = n1 not in (0, a)
-    mid2 = n2 not in (0, b)
-    mid3 = n3 not in (0, c)
-    if n1 == 0 and n2 == b and n3 == c:
-        return aux_c(b, a, c)
-    if n1 == 0 and n2 == b and n3 == 0:
-        return aux_c(a, b, c)
-    if n1 == 0 and n2 == 0 and n3 == c:
-        return aux_c(a, c, b)
-    if n1 == 0 and n2 == b and mid3:
-        return aux_c(n3, a, b, c - n3)
-    if n1 == 0 and mid2 and n3 == c:
-        return aux_c(n2, a, c, b - n2)
-    if mid1 and n2 == b and n3 == 0:
-        return aux_c(n1, c, b, a - n1)
-    if mid1 and n2 == 0 and n3 == c:
-        return aux_c(n1, b, c, a - n1)
-    if n1 == 0 and mid2 and mid3:
-        return aux_c(b - n2, n3, a, n2, c - n3)
-    if mid1 and n2 == 0 and mid3:
-        return aux_c(a - n1, n3, b, n1, c - n3)
-    if mid1 and n2 == b and mid3:
-        return aux_c(n1, c - n3, b, a - n1, n3)
-    if mid1 and mid2 and n3 == 0:
-        return aux_c(a - n1, n2, c, n1, b - n2)
-    if mid1 and mid2 and n3 == c:
-        return aux_c(n1, b - n2, c, a - n1, n2)
-    if mid1 and mid2 and mid3:
-        # The three reduced class graphs are the zero/one class 6-cycle with
-        # one blocked edge removed; each summand walks one of those paths.
-        return (
-            aux_c(a - n1, n2, c - n3, n1, b - n2, n3)
-            + aux_c(n1, c - n3, n2, a - n1, n3, b - n2)
-            + aux_c(n2, a - n1, n3, b - n2, n1, c - n3)
-        )
-    return 0
-
-
 def hstar_type_i(parts: Sequence[int]) -> Poly:
     """Type-(i) contribution for any number of classes:
 
@@ -235,28 +154,67 @@ def hstar_type_i(parts: Sequence[int]) -> Poly:
     return Poly(total)
 
 
-def hstar_type_ii(a: int, b: int, c: int) -> Poly:
-    """Type-(ii) contribution for K_{a,b,c}:
+def _hall_excess(z: int, o: int, zeros: int, ones: int) -> int:
+    """E(z, o): degree vectors, summing to ones - 1 over `zeros` zero
+    vertices, whose share on one class's z zeros breaks that class's Hall
+    bound ones - 1 - o, where o is the class's one count.  The other
+    w = zeros - z zeros then hold e < o, spread in binom(e + w - 1, w - 1)
+    ways, and the class's zeros the rest, in binom(ones - 2 - e + z, z - 1)."""
+    w = zeros - z
+    top = ones + z - 2
+    if not w:
+        return comb(top, z - 1) if o else 0
+    total = 0
+    for e in range(min(o, ones)):
+        total += comb(e + w - 1, w - 1) * comb(top - e, z - 1)
+    return total
 
-        sum_nu q(nu) r(nu) (t^(nu1+nu2+nu3) + t^(a+b+c-1-nu1-nu2-nu3))
+
+def hstar_type_ii(parts: Sequence[int]) -> Poly:
+    """Type-(ii) contribution for any number of classes, vertex 1 in parts[0]:
+
+        sum_Z c_Z (t^Z + t^(n-1-Z))
+
+    over the zero count Z = 1..n-1 (`zeros`) of a 0/1 labeling with vertex 1
+    labeled 1, where n is the total.  With R = n - Z ones (`ones`), H joins
+    each zero to the ones of the other classes.  Its left-degree vectors are
+    the binom(n-2, Z-1) vectors (D_v) over the zeros with sum R - 1 that
+    meet Hall's bound: a set of zeros with N neighbours holds at most N - 1.
+    A set that meets two classes sees every one, and a set inside a class
+    sees what the whole class sees, so only one bound per class remains:
+    the zeros of a class with o ones hold at most R - 1 - o.  Breaking two
+    of these would need a total of at least R, so at most one class breaks
+    its bound.  With cap_i the class sizes, less one for parts[0], the sum
+    over the per-class zero counts collapses by Vandermonde's identity:
+
+        c_Z = binom(n-2, Z-1) binom(n-1, Z)
+              - sum_i sum_{z>=1} binom(cap_i, z) binom(n-1-cap_i, Z-z) E(z, a_i - z).
+
+    A labeling whose H is not connected needs no term of its own: the zeros
+    of one component see too few ones, so no vector meets every bound.
+    The cost is O(n^3) binomials, whatever the class sizes.
     """
-    top = a + b + c - 1
-    total = [0] * (top + 1)
-    for n1 in range(a):
-        for n2 in range(b + 1):
-            for n3 in range(c + 1):
-                qr = aux_q(a, b, c, (n1, n2, n3)) * aux_r(a, b, c, (n1, n2, n3))
-                if qr:
-                    s = n1 + n2 + n3
-                    total[s] += qr
-                    total[top - s] += qr
+    n = sum(parts)
+    caps = (parts[0] - 1, *parts[1:])
+    total = [0] * n
+    for zeros in range(1, n):
+        ones = n - zeros
+        full = comb(n - 2, zeros - 1)
+        c = full * comb(n - 1, zeros)
+        for a, cap in zip(parts, caps):
+            for z in range(1, min(cap, zeros) + 1):
+                q = comb(cap, z) * comb(n - 1 - cap, zeros - z)
+                if q:
+                    c -= q * _hall_excess(z, a - z, zeros, ones)
+        total[zeros] += c
+        total[n - 1 - zeros] += c
     return Poly(total)
 
 
 def hstar_tripartite_parts(a: int, b: int, c: int) -> tuple[Poly, Poly]:
     if min(a, b, c) < 1:
         raise ValueError("class sizes must be positive")
-    return hstar_type_i((a, b, c)), hstar_type_ii(a, b, c)
+    return hstar_type_i((a, b, c)), hstar_type_ii((a, b, c))
 
 
 def hstar_tripartite(a: int, b: int, c: int) -> HStar:

@@ -487,24 +487,28 @@ def gamma_of_palindromic(h: Poly, d: int) -> Poly:
     """Gamma vector of a palindromic degree-<=d polynomial, as a Poly.
 
     Solves h(t) = sum_i gamma_i (1+t)^(d-2i) t^i by forward substitution;
-    valid for any (possibly signed, rational) palindromic input.
+    valid for any (possibly signed, rational) palindromic input.  The solve
+    has a unit diagonal, so it runs on h's integer numerators over their
+    common denominator.
     """
     if h.degree > d:
         raise ValueError("degree exceeds stated dimension")
-    if any(h[i] != h[d - i] for i in range(d + 1)):
+    a, den = _numerators(h)
+    a += [0] * (d + 1 - len(a))
+    if a != a[::-1]:
         raise NotPalindromic(f"not palindromic w.r.t. degree {d}: {h}")
-    gammas: list[Fraction] = []
+    gammas: list[int] = []
     for i in range(d // 2 + 1):
-        g = h[i]
+        g = a[i]
         for j in range(i):
             g -= gammas[j] * comb(d - 2 * j, i - j)
         gammas.append(g)
     # The triangular solve uses only the lower half; palindromicity makes the
     # recombination exact, which is checked.
-    recombined = Poly(gamma_expand(gammas, d))
-    if recombined != h:
-        raise RecombinationFailed(f"gamma vector of {h} recombines to {recombined}")
-    return Poly(gammas)
+    recombined = gamma_expand(gammas, d)
+    if recombined != a:
+        raise RecombinationFailed(f"gamma vector of {h} recombines to {_poly_over(recombined, den)}")
+    return _poly_over(gammas, den)
 
 
 def gamma_vector(h: HStar) -> Poly:

@@ -5,14 +5,15 @@ Each function works on lists of `Fraction`s, constant term first, with the
 schoolbook algorithms sepkit used before: Fraction products and sums, long
 division by the leading coefficient, the Euclidean gcd over Q, the compose
 route of the canonical-line transform, the rational-remainder Sturm chain
-with its root count from values at rational points, and the gamma-basis
-sum as products of (1+t) powers.  Nothing here calls
+with its root count from values at rational points, the gamma-basis
+sum as products of (1+t) powers, and the gamma vector by forward
+substitution on Fractions.  Nothing here calls
 `Poly` arithmetic, so a fault in the integer path cannot hide in its own
 referee.
 """
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 
 def strip(a):
@@ -102,6 +103,18 @@ def gamma_expand(gamma, d):
                 term = mul(term, [Fraction(1), Fraction(1)])
             total = add(total, term)
     return total
+
+
+def gamma_of_palindromic(h, d):
+    """gamma_i = h_i - sum_{j<i} gamma_j binom(d-2j, i-j), for i <= d/2."""
+    h = [Fraction(c) for c in h] + [Fraction(0)] * (d + 1 - len(h))
+    gammas = []
+    for i in range(d // 2 + 1):
+        g = h[i]
+        for j in range(i):
+            g -= gammas[j] * comb(d - 2 * j, i - j)
+        gammas.append(g)
+    return strip(gammas)
 
 
 def series_numerator(e, d):

@@ -8,10 +8,7 @@ import pytest
 
 from sepkit.counting import hstar_oracle
 from sepkit.formulas import (
-    aux_c,
     aux_p,
-    aux_q,
-    aux_r,
     binom,
     closed_form_hstar,
     contraction_identity_check,
@@ -22,6 +19,8 @@ from sepkit.formulas import (
     hstar_bipartite,
     hstar_tripartite,
     hstar_tripartite_parts,
+    hstar_type_i,
+    hstar_type_ii,
     suspension_substitute,
     suspension_weight_poly,
 )
@@ -29,6 +28,8 @@ from sepkit.graphs import Signature
 from sepkit.polynomial import Poly, gamma_vector
 from sepkit.triangulation import hstar_split_by_facet_type
 
+import tripartite_table as table
+from tripartite_table import aux_c, aux_q, aux_r, brute_force_chain_count
 from test_graphs import signatures_with_total
 
 
@@ -105,65 +106,7 @@ class TestAux:
             (2, 2, 2, 2), (1, 1, 2, 1, 1), (2, 1, 1, 1, 2), (1, 1, 1, 1, 1, 1),
             (2, 1, 1, 1, 1, 1),
         ]:
-            assert aux_c(*sizes) == _brute_force_chain_count(sizes), sizes
-
-
-def _brute_force_chain_count(sizes):
-    """Spanning trees of the path-of-classes blowup whose bipartite blocks
-    are planar and whose middle classes split left-before-right with at most
-    one shared vertex."""
-    from itertools import combinations
-
-    k = len(sizes)
-    offsets = [sum(sizes[:i]) for i in range(k + 1)]
-    n = offsets[-1]
-    blocks = [
-        [(offsets[i] + x, offsets[i + 1] + y) for x in range(sizes[i]) for y in range(sizes[i + 1])]
-        for i in range(k - 1)
-    ]
-    all_edges = [e for blk in blocks for e in blk]
-    count = 0
-    for subset in combinations(all_edges, n - 1):
-        # spanning tree of the blowup graph
-        parent = list(range(n))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        acyclic = True
-        for u, v in subset:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                acyclic = False
-                break
-            parent[ru] = rv
-        if not acyclic or len({find(v) for v in range(n)}) != 1:
-            continue
-        ok = True
-        for i in range(k - 1):
-            blk = [e for e in subset if offsets[i] <= e[0] < offsets[i + 1] and offsets[i + 1] <= e[1]]
-            for (x, y), (x2, y2) in combinations(blk, 2):
-                if (x - x2) * (y - y2) < 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        for i in range(1, k - 1):  # middle classes: left-connecting < right-connecting
-            left = {v for (u, v) in subset if offsets[i] <= v < offsets[i + 1]}
-            right = {u for (u, v) in subset if offsets[i] <= u < offsets[i + 1]}
-            if len(left & right) > 1 or not all(
-                l < r for l in left for r in right if l != r
-            ):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+            assert aux_c(*sizes) == brute_force_chain_count(sizes), sizes
 
 
 class TestTripartite:
@@ -209,6 +152,42 @@ class TestTripartite:
             if sum(parts) <= 10:
                 expected = hstar_tripartite(*sorted(parts)).poly
                 assert hstar_tripartite(*parts).poly == expected, parts
+
+
+def four_or_more_class_orders(lo, hi):
+    """Every sorted signature with k >= 4 and total lo..hi, and its reverse."""
+    return [
+        p for s in signatures_with_total(lo, hi, min_k=4) for p in dict.fromkeys((s.parts, s.parts[::-1]))
+    ]
+
+
+class TestTypeII:
+    """The sum over the zero count against its referees: the case table,
+    the counting oracle, the enumerated triangulation and, with two
+    classes, the bipartite closed form."""
+
+    def test_matches_the_case_table(self):
+        orders = [p for p in product(range(1, 11), repeat=3) if sum(p) <= 12]
+        assert len(orders) == 220
+        for parts in orders:
+            assert hstar_type_ii(parts) == table.hstar_type_ii(*parts), parts
+
+    @pytest.mark.parametrize("total", range(4, 13))
+    def test_both_parts_sum_to_the_oracle_past_three_classes(self, total):
+        for parts in four_or_more_class_orders(total, total):
+            want = hstar_oracle(Signature(parts)).poly
+            assert hstar_type_i(parts) + hstar_type_ii(parts) == want, parts
+
+    def test_matches_the_enumerated_split_past_three_classes(self):
+        orders = four_or_more_class_orders(4, 8)
+        assert len(orders) == 46
+        for parts in orders:
+            assert hstar_type_ii(parts) == hstar_split_by_facet_type(Signature(parts))[1], parts
+
+    def test_both_parts_sum_to_the_bipartite_form(self):
+        for a, b in product(range(1, 14), repeat=2):
+            if a + b <= 14:
+                assert hstar_type_i((a, b)) + hstar_type_ii((a, b)) == hstar_bipartite(a - 1, b - 1).poly, (a, b)
 
 
 class TestIdentities:

@@ -28,6 +28,7 @@ from sepkit.polynomial import (
     ehrhart_from_hstar,
     fraction_str,
     gamma_expand,
+    gamma_of_palindromic,
     gamma_vector,
     gammalemma_check,
     hstar_from_ehrhart,
@@ -319,6 +320,23 @@ class TestIntegerReferees:
                 assert [Fraction(c, factorial(d)) for c in _falling(shift, d)] == fr.strip(fr.binom(shift, d))
             assert list(cross_polynomial(d).coeffs) == fr.ehrhart([Fraction(comb(d, k)) for k in range(d + 1)], d)
 
+    def test_gamma_of_rational_palindromic_input(self):
+        """The cross-coefficient path: the series numerator of a rational
+        combination of cross-polynomials is palindromic, and its gamma
+        vector is the Fraction route's, Fraction for Fraction."""
+        rnd = random.Random(7)
+        for d in range(0, 13):
+            for _ in range(3):
+                cross = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 8)) for _ in range(d // 2 + 1)]
+                e = Poly.zero()
+                for i, c in enumerate(cross):
+                    e = e + c * cross_polynomial(d - 2 * i)
+                h = series_numerator(e, d)
+                gamma = gamma_of_palindromic(h, d)
+                assert all(type(g) is Fraction for g in gamma.coeffs)
+                assert list(gamma.coeffs) == fr.gamma_of_palindromic(list(h.coeffs), d)
+                assert cross_recombine(cross_coefficients(e, d), d) == e
+
     def test_series_numerator_of_rational_input(self):
         rnd = random.Random(3)
         for degree in range(0, 9):
@@ -353,6 +371,22 @@ class TestIntegerReferees:
         for e in closed + [random_rational_poly(rnd, k) for k in range(6)] + [Poly((1, 4, 4)), Poly((7,))]:
             assert symmetric(e) == fr.is_symmetric(list(e.coeffs))
         assert all(symmetric(e) for e in closed)
+
+
+def test_gamma_failures_keep_their_classes_and_messages(monkeypatch):
+    import sepkit.polynomial as polynomial
+
+    with pytest.raises(NotPalindromic) as err:
+        gamma_of_palindromic(Poly((1, 3, Fraction(1, 2))), 2)
+    assert str(err.value) == "not palindromic w.r.t. degree 2: Poly(1 + 3*x + 1/2*x^2)"
+    with pytest.raises(ValueError) as err:
+        gamma_of_palindromic(Poly((1, 2, 3, 4)), 2)
+    assert type(err.value) is ValueError and str(err.value) == "degree exceeds stated dimension"
+    expand = polynomial.gamma_expand
+    monkeypatch.setattr(polynomial, "gamma_expand", lambda gamma, d: [c + 1 for c in expand(gamma, d)])
+    with pytest.raises(polynomial.RecombinationFailed) as err:
+        gamma_of_palindromic(Poly((1, 4, 1)), 2)
+    assert str(err.value) == "gamma vector of Poly(1 + 4*x + x^2) recombines to Poly(2 + 5*x + 2*x^2)"
 
 
 def test_gamma_expand_rejects_a_term_past_the_degree():
