@@ -59,10 +59,6 @@ def _emit_plain(payload: dict, prefix: str = "") -> None:
             print(f"{prefix}{key} = {value}")
 
 
-class _NoClosedForm(ValueError):
-    """The formula method has no closed form for the signature."""
-
-
 def cmd_hstar(args) -> int:
     started = time.monotonic()
     sig = Signature.parse(args.signature)
@@ -81,8 +77,6 @@ def cmd_hstar(args) -> int:
                 from .formulas import closed_form_hstar
 
                 h = closed_form_hstar(sig)
-                if h is None:
-                    raise _NoClosedForm(f"no closed form covers signature {sig}")
             elif method == "triangulation":
                 from .triangulation import hstar_triangulation
 
@@ -93,7 +87,7 @@ def cmd_hstar(args) -> int:
                 # one run of dilates serves both the oracle's h* and --max-dilation
                 counts = dilation_counts(sig, max(sig.dim // 2 + 1, args.max_dilation or 0), max_total=args.bound)
                 h = hstar_from_counts(sig, counts)
-        except (_NoClosedForm, SizeExceeded) as exc:
+        except SizeExceeded as exc:
             if not compare:
                 raise
             rows.append({"method": method, "skipped": str(exc)})
@@ -116,23 +110,15 @@ def cmd_hstar(args) -> int:
             print(method + "," + ",".join(str(c) for c in h.coefficients))
     else:
         _emit(args, _envelope("hstar", {"signature": str(sig), "method": args.method}, result, started, args.timing))
-    if not values:
-        return EXIT_BOUND
     return EXIT_OK if agree else EXIT_VERIFICATION
 
 
-def _ehrhart_of_signature(sig: Signature, bound: int) -> Poly:
-    """E from the closed form, and otherwise from the counting oracle, the
-    method with the largest size bound."""
+def _ehrhart_of_signature(sig: Signature) -> Poly:
+    """E from the closed form, which covers every signature."""
     from .formulas import closed_form_hstar
     from .polynomial import ehrhart_from_hstar
 
-    h = closed_form_hstar(sig)
-    if h is None:
-        from .counting import hstar_oracle
-
-        h = hstar_oracle(sig, max_total=bound)
-    return ehrhart_from_hstar(h)
+    return ehrhart_from_hstar(closed_form_hstar(sig))
 
 
 def cmd_roots(args) -> int:
@@ -143,7 +129,7 @@ def cmd_roots(args) -> int:
 
     started = time.monotonic()
     sig = Signature.parse(args.signature)
-    e = _ehrhart_of_signature(sig, args.bound)
+    e = _ehrhart_of_signature(sig)
     cert = is_cl(e)
     if args.format == "csv":
         # one line per root of E: m lines for each root of the pair
@@ -175,8 +161,8 @@ def cmd_interlace(args) -> int:
     started = time.monotonic()
     sig_a = Signature.parse(args.a)
     sig_b = Signature.parse(args.b)
-    g = _ehrhart_of_signature(sig_a, args.bound)
-    f = _ehrhart_of_signature(sig_b, args.bound)
+    g = _ehrhart_of_signature(sig_a)
+    f = _ehrhart_of_signature(sig_b)
     try:
         cert = interlaces_on_cl(g, f)
     except NotCL as exc:
@@ -286,10 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=("json", "plain", "csv"), bound=False):
+    def common(p, fmt=("json", "plain", "csv")):
         p.add_argument("--format", choices=fmt, default="json")
-        if bound:
-            p.add_argument("--bound", type=int, default=None, help="size bound override (total vertices)")
         p.add_argument("--timing", action="store_true", help="attach wall-clock timing to the envelope")
 
     p = sub.add_parser("hstar", help="h* coefficients by one or all methods")
@@ -299,18 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-dilation", type=int, default=None,
         help="with the oracle method, also report lattice-point counts up to this dilation",
     )
-    common(p, bound=True)
+    p.add_argument("--bound", type=int, default=None, help="size bound override (total vertices)")
+    common(p)
     p.set_defaults(func=cmd_hstar)
 
     p = sub.add_parser("roots", help="canonical-line root certificate")
     p.add_argument("--signature", required=True)
-    common(p, bound=True)
+    common(p)
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("interlace", help="certify E_a interlaces E_b on the canonical line")
     p.add_argument("--a", required=True, help="signature of the interlacing (lower-degree) polynomial")
     p.add_argument("--b", required=True, help="signature of the interlaced polynomial")
-    common(p, fmt=("json", "plain"), bound=True)
+    common(p, fmt=("json", "plain"))
     p.set_defaults(func=cmd_interlace)
 
     p = sub.add_parser("recursion", help="solve and verify the catalogued recursions")

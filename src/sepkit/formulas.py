@@ -1,12 +1,16 @@
-"""Closed-form h*-polynomials of symmetric edge polytopes: complete
-bipartite graphs, the families K_{1,m,n}, K_{1,1,1,n} and K_{2,2,n}, and the
-full tripartite formula assembled from the facet-type decomposition.
+"""Closed-form h*-polynomials of symmetric edge polytopes of complete
+multipartite graphs K_{a_1,...,a_k}, for every k >= 2.
+
+`closed_form_hstar` answers for every signature with the sum of the two
+facet-type contributions, `hstar_type_i` and `hstar_type_ii`, each exact in
+integers.  The family forms (complete bipartite graphs, K_{1,m,n},
+K_{1,1,1,n}, K_{2,2,n} and the tripartite split) stay as referees.
 
 Each family's closed form is its gamma vector: h* = sum_i gamma_i t^i
 (1+t)^(d-2i), the basis in which gamma-positivity is read (Ohsugi and
 Tsuchiya, 2021).  One integer binomial sum, `polynomial.gamma_expand`, turns
-a gamma vector into coefficients.  The tripartite formula is a sum of t^e
-terms, collected as an integer histogram.
+a gamma vector into coefficients.  The facet-type parts are sums of t^e
+terms, collected as integer histograms.
 
 The type-(ii) part is a sum over the zero count Z.  A type-(ii) facet is the
 root polytope of its tight bipartite graph H, whose simplex count is the
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .graphs import Signature, VerificationFailed
 from .polynomial import HStar, ONE_PLUS_T, Poly, ehrhart_from_hstar, gamma_expand
@@ -122,7 +126,7 @@ def hstar_22n(n: int) -> HStar:
 
 
 # ---------------------------------------------------------------------------
-# The tripartite formula
+# The facet-type parts, for any number of classes
 # ---------------------------------------------------------------------------
 
 
@@ -224,7 +228,7 @@ def hstar_tripartite(a: int, b: int, c: int) -> HStar:
 
 
 # ---------------------------------------------------------------------------
-# Identities and dispatch
+# Identities and the general closed form
 # ---------------------------------------------------------------------------
 
 
@@ -259,18 +263,10 @@ def ehrhart_22n(n: int) -> Poly:
     return ehrhart_from_hstar(hstar_22n(n))
 
 
-def closed_form_hstar(sig: Signature) -> Optional[HStar]:
-    """Dispatch to a closed form when one covers the signature.
-
-    Bipartite, tripartite and K_{1,1,1,n} signatures are covered; everything
-    else returns None.  The result is order-independent, as it must be.
-    """
-    parts = sorted(sig.parts)
-    if sig.k == 2:
-        return hstar_bipartite(parts[0] - 1, parts[1] - 1)
-    if sig.k == 3:
-        a, b, c = sig.parts
-        return hstar_tripartite(a, b, c)
-    if sig.k == 4 and parts[:3] == [1, 1, 1]:
-        return hstar_111n(parts[3])
-    return None
+def closed_form_hstar(sig: Signature) -> HStar:
+    """h* of K_{a_1,...,a_k} for any k >= 2: the type-(i) plus the type-(ii)
+    contribution, with vertex 1 in the first class.  The result is
+    order-independent, as it must be."""
+    if sig.k < 2:
+        raise ValueError("need at least two classes")
+    return HStar(hstar_type_i(sig.parts) + hstar_type_ii(sig.parts), sig.dim)

@@ -381,10 +381,6 @@ class HStar:
     def coefficients(self) -> tuple[int, ...]:
         return tuple(int(self.poly[i]) for i in range(self.dim + 1))
 
-    def is_palindromic(self) -> bool:
-        d = self.dim
-        return all(self.poly[i] == self.poly[d - i] for i in range(d + 1))
-
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coefficients)
 
@@ -497,6 +493,12 @@ def gamma_of_palindromic(h: Poly, d: int) -> Poly:
     a += [0] * (d + 1 - len(a))
     if a != a[::-1]:
         raise NotPalindromic(f"not palindromic w.r.t. degree {d}: {h}")
+    return _gamma_solve(a, den, h)
+
+
+def _gamma_solve(a: list[int], den: int, h: Poly) -> Poly:
+    """The gamma vector of h = a / den, for a palindromic a of length d + 1."""
+    d = len(a) - 1
     gammas: list[int] = []
     for i in range(d // 2 + 1):
         g = a[i]
@@ -513,9 +515,10 @@ def gamma_of_palindromic(h: Poly, d: int) -> Poly:
 
 def gamma_vector(h: HStar) -> Poly:
     """Gamma vector of a palindromic h*-polynomial of degree d = dim."""
-    if not h.is_palindromic():
+    a = list(h.coefficients)
+    if a != a[::-1]:
         raise NotPalindromic(f"h* = {h} is not palindromic of degree {h.dim}")
-    return gamma_of_palindromic(h.poly, h.dim)
+    return _gamma_solve(a, 1, h.poly)
 
 
 def cross_polynomial(n: int) -> Poly:

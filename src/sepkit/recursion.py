@@ -507,7 +507,7 @@ def _partitions(total: int, parts: int, least: int = 1) -> Iterator[tuple[int, .
             yield (first, *rest)
 
 
-# the closed-form families extend the conjecture scan up to this total
+# past max_total the scan keeps only the family signatures, up to this total
 FORMULA_TOTAL = 12
 
 
@@ -520,26 +520,21 @@ def conjecture_scan(max_total: int, max_n: int) -> dict:
     display might suggest, is falsified already by the cross-polytopes
     K_{1,n}; the report carries that reading as `full_sum_ok` for
     reference.)  The rows run over every signature with k >= 2 classes by
-    total, then k, then lexicographically.  Each takes its closed form
-    (bipartite, tripartite, K_{1,1,1,n}) where one exists; the others up to
-    `max_total` take the counting oracle's h*, and past it are left out, so
-    the closed forms alone extend the scan to FORMULA_TOTAL.  The
-    ones-family interlacing conjecture is certified for K_{1^k,n} against
-    K_{1^(k+1),n}, k = 1, 2, n <= max_n.
+    total, then k, then lexicographically, each with the h* of
+    `closed_form_hstar`.  Every signature up to `max_total` has a row; past
+    it, up to FORMULA_TOTAL, only the family signatures (k <= 3, or
+    K_{1,1,1,n}) do.  The ones-family interlacing conjecture is certified
+    for K_{1^k,n} against K_{1^(k+1),n}, k = 1, 2, n <= max_n.
     """
-    from .counting import hstar_oracle
-
     rows = []
     violations = 0
     for total in range(2, max(max_total, FORMULA_TOTAL) + 1):
         for k in range(2, total + 1):
             for parts in _partitions(total, k):
+                if total > max_total and not (k <= 3 or (k == 4 and parts[:3] == (1, 1, 1))):
+                    continue
                 sig = Signature(parts)
                 h = closed_form_hstar(sig)
-                if h is None and total <= max_total:
-                    h = hstar_oracle(sig, max_total=max_total)
-                if h is None:
-                    continue
                 m = gamma_vector(h).degree
                 s = total - parts[-1]
                 lower, upper = s // 2, s

@@ -12,6 +12,7 @@ import pytest
 
 import sepkit
 from sepkit.cli import EXIT_BOUND, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from sepkit.counting import hstar_oracle
 from sepkit.graphs import Signature, VerificationFailed
 from sepkit.polynomial import Poly, fraction_str
 from sepkit.triangulation import hstar_triangulation
@@ -42,7 +43,7 @@ def test_every_invariant_error_is_a_verification_failure():
         if issubclass(exc, (ArithmeticError, AssertionError, RuntimeError)) and not issubclass(exc, VerificationFailed)
     ]
     inputs = [exc.__name__ for exc in sepkit_exceptions() if exc not in VERIFICATION_FAILURES]
-    assert inputs == ["CrossDegreeMismatch", "DegreeMismatch", "NotCL", "NotSymmetric", "SizeExceeded", "_NoClosedForm"]
+    assert inputs == ["CrossDegreeMismatch", "DegreeMismatch", "NotCL", "NotSymmetric", "SizeExceeded"]
     assert all(issubclass(exc, ValueError) for exc in sepkit_exceptions() if exc not in VERIFICATION_FAILURES)
 
 
@@ -70,13 +71,23 @@ class TestHstar:
         code, _ = run(capsys, "hstar", "--signature", "19,18", "--method", "oracle")
         assert code == EXIT_BOUND
 
-    def test_all_reports_formula_skip(self, capsys):
+    def test_all_computes_five_classes(self, capsys):
+        """The closed form covers any number of classes, so all three
+        methods compute on K_{1,1,1,1,1}, in every format."""
         code, out = run(capsys, "hstar", "--signature", "1,1,1,1,1", "--method", "all")
         result = json.loads(out)["result"]
         assert code == EXIT_OK
-        assert result["rows"][0] == {"method": "formula", "skipped": "no closed form covers signature 1,1,1,1,1"}
-        assert [r["method"] for r in result["rows"][1:]] == ["triangulation", "oracle"]
-        assert result["methods_compared"] == 2
+        assert [r["method"] for r in result["rows"] if "coefficients" in r] == ["formula", "triangulation", "oracle"]
+        assert all(r["coefficients"] == [1, 16, 36, 16, 1] for r in result["rows"])
+        assert result["methods_compared"] == 3 and result["agreement"] is True
+        code, out = run(capsys, "hstar", "--signature", "1,1,1,1,1", "--method", "all", "--format", "plain")
+        assert code == EXIT_OK
+        assert "result.rows[0].method = formula" in out.splitlines()
+        assert "result.methods_compared = 3" in out.splitlines()
+        assert not [line for line in out.splitlines() if "skipped" in line]
+        code, out = run(capsys, "hstar", "--signature", "1,1,1,1,1", "--method", "all", "--format", "csv")
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == [f"{m},1,16,36,16,1" for m in ("formula", "triangulation", "oracle")]
 
     def test_all_computes_oracle_on_seven_vertices(self, capsys):
         code, out = run(capsys, "hstar", "--signature", "2,2,3", "--method", "all")
@@ -92,28 +103,37 @@ class TestHstar:
         assert result["rows"][1] == {"method": "triangulation", "skipped": "signature total 12 exceeds bound 10"}
         assert result["methods_compared"] == 2 and result["agreement"] is True
 
-    def test_all_skipped_is_no_agreement(self, capsys):
+    def test_formula_alone_past_both_bounds(self, capsys):
+        """On 37 vertices the triangulation and the oracle are both past
+        their bounds; the formula row alone is compared, and exits 0."""
         ones = ",".join(["1"] * 37)
         code, out = run(capsys, "hstar", "--signature", ones, "--method", "all")
         result = json.loads(out)["result"]
-        assert code == EXIT_BOUND
-        assert [r["method"] for r in result["rows"] if "skipped" in r] == ["formula", "triangulation", "oracle"]
-        assert result["methods_compared"] == 0 and result["agreement"] is False
+        assert code == EXIT_OK
+        assert [r["method"] for r in result["rows"] if "skipped" in r] == ["triangulation", "oracle"]
+        assert result["rows"][0]["method"] == "formula" and len(result["rows"][0]["coefficients"]) == 37
+        assert result["methods_compared"] == 1 and result["agreement"] is True
         code, out = run(capsys, "hstar", "--signature", ones, "--method", "all", "--format", "plain")
-        assert code == EXIT_BOUND
-        assert "result.agreement = False" in out.splitlines()
-        assert "result.methods_compared = 0" in out.splitlines()
+        assert code == EXIT_OK
+        assert "result.methods_compared = 1" in out.splitlines()
 
     def test_skip_in_plain_not_in_csv(self, capsys):
-        _, out = run(capsys, "hstar", "--signature", "1,1,1,1,1", "--method", "all", "--format", "plain")
-        assert "result.rows[0].skipped = no closed form covers signature 1,1,1,1,1" in out.splitlines()
+        _, out = run(capsys, "hstar", "--signature", "4,4,4", "--method", "all", "--format", "plain")
+        assert "result.rows[1].skipped = signature total 12 exceeds bound 10" in out.splitlines()
         assert "result.methods_compared = 2" in out.splitlines()
-        _, out = run(capsys, "hstar", "--signature", "1,1,1,1,1", "--method", "all", "--format", "csv")
-        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["triangulation", "oracle"]
+        _, out = run(capsys, "hstar", "--signature", "4,4,4", "--method", "all", "--format", "csv")
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["formula", "oracle"]
 
     def test_single_method_errors_propagate(self, capsys):
-        assert run(capsys, "hstar", "--signature", "1,1,1,1,1", "--method", "formula")[0] == EXIT_USAGE
         assert run(capsys, "hstar", "--signature", "4,4,4", "--method", "triangulation")[0] == EXIT_BOUND
+        assert run(capsys, "hstar", "--signature", "19,18", "--method", "oracle")[0] == EXIT_BOUND
+        assert run(capsys, "hstar", "--signature", "3", "--method", "formula")[0] == EXIT_USAGE
+
+    def test_formula_on_five_classes(self, capsys):
+        code, out = run(capsys, "hstar", "--signature", "1,1,1,1,1", "--method", "formula")
+        assert code == EXIT_OK
+        oracle = hstar_oracle(Signature((1, 1, 1, 1, 1)))
+        assert json.loads(out)["result"]["rows"] == [{"method": "formula", "coefficients": list(oracle.coefficients)}]
 
     def test_interpolation_guard_exits_verification(self, capsys, monkeypatch):
         import sepkit.counting as counting
@@ -164,7 +184,10 @@ class TestHstar:
         assert capsys.readouterr().err == "verification failed: central symmetry forces an odd count\n"
 
     def test_hstar_invariant_check_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr("sepkit.formulas.gamma_expand", lambda gamma, d: [2] + [0] * d)
+        import sepkit.formulas as formulas
+
+        type_ii = formulas.hstar_type_ii
+        monkeypatch.setattr(formulas, "hstar_type_ii", lambda parts: type_ii(parts) + Poly.one())
         code = main(["hstar", "--signature", "2,3", "--method", "formula"])
         assert code == EXIT_VERIFICATION
         assert capsys.readouterr().err == "verification failed: h* constant term must be 1\n"
@@ -251,13 +274,13 @@ class TestRootsAndInterlace:
 
     def test_roots_csv_one_line_per_root(self, capsys, monkeypatch):
         # E = (2x+1)^2: the center is a double root
-        monkeypatch.setattr("sepkit.cli._ehrhart_of_signature", lambda sig, bound: Poly((1, 4, 4)))
+        monkeypatch.setattr("sepkit.cli._ehrhart_of_signature", lambda sig: Poly((1, 4, 4)))
         code, out = run(capsys, "roots", "--signature", "2,2", "--format", "csv")
         assert code == EXIT_OK
         assert out.splitlines()[1:] == ["-1/2,0,0"] * 2
         # E = (2x+1) ((2x+1)^2 + 4)^2: a simple center and a double pair -1/2 +- i
         e = Poly((1, 2)) * (Poly((1, 2)) ** 2 + 4) ** 2
-        monkeypatch.setattr("sepkit.cli._ehrhart_of_signature", lambda sig, bound: e)
+        monkeypatch.setattr("sepkit.cli._ehrhart_of_signature", lambda sig: e)
         code, out = run(capsys, "roots", "--signature", "2,2", "--format", "csv")
         lines = out.splitlines()[1:]
         assert code == EXIT_OK and len(lines) == e.degree == 5
@@ -270,7 +293,7 @@ class TestRootsAndInterlace:
         assert code == EXIT_OK and len(out.splitlines()) - 1 == 6
 
     def test_roots_off_line_by_oracle(self, capsys):
-        # 12 vertices: past the triangulation's bound, within the oracle's
+        # 12 vertices: past the triangulation's bound; E is the closed form's
         code, out = run(capsys, "roots", "--signature", "3,3,3,3")
         cert = json.loads(out)["result"]["certificate"]
         assert code == EXIT_VERIFICATION
@@ -282,12 +305,13 @@ class TestRootsAndInterlace:
         assert json.loads(out)["result"]["certificate"]["on_cl"] is True
 
     def test_roots_oracle_matches_triangulation(self, capsys, monkeypatch):
-        """Byte-identical to the output of the triangulation route."""
+        """The closed form's output is byte-identical to the output of the
+        oracle route and of the triangulation route."""
         args = ["roots", "--signature", "1,1,2,2,2"]
-        _, by_oracle = run(capsys, *args)
-        monkeypatch.setattr("sepkit.counting.hstar_oracle", hstar_triangulation)
-        _, by_triangulation = run(capsys, *args)
-        assert by_oracle == by_triangulation
+        _, by_formula = run(capsys, *args)
+        for route in (hstar_oracle, hstar_triangulation):
+            monkeypatch.setattr("sepkit.formulas.closed_form_hstar", route)
+            assert run(capsys, *args)[1] == by_formula, route.__name__
 
     def test_inexact_division_exits_3(self, capsys, monkeypatch):
         from sepkit.polynomial import _exact_quo
@@ -320,10 +344,6 @@ class TestRootsAndInterlace:
     def test_jobs_is_not_an_option(self, capsys):
         code, _ = run(capsys, "roots", "--signature", "2,2", "--jobs", "2")
         assert code == EXIT_USAGE
-
-    def test_roots_bound_takes_effect(self, capsys):
-        code, _ = run(capsys, "roots", "--signature", "3,3,3,3", "--bound", "11")
-        assert code == EXIT_BOUND
 
 
 class TestGb:
@@ -443,11 +463,14 @@ class TestScan:
         ["gb", "--signature", "1,1,2", "--checks", "reduced"],
         ["recursion", "--relation", "a", "--n", "2"],
         ["scan", "--kind", "conjecture", "--max-total", "4"],
+        ["roots", "--signature", "3,3,3,3"],
+        ["interlace", "--a", "1,4", "--b", "1,5"],
     ],
-    ids=["gb", "recursion", "scan"],
+    ids=["gb", "recursion", "scan", "roots", "interlace"],
 )
 def test_bound_is_not_an_option(capsys, argv):
-    """Only hstar, roots and interlace have a size bound to override."""
+    """Only hstar has a size bound to override: roots and interlace take E
+    from the closed form, which has none."""
     code, _ = run(capsys, *argv, "--bound", "3")
     assert code == EXIT_USAGE
 
@@ -541,11 +564,14 @@ class TestImportFootprint:
         assert layers == {"graphs", "grobner", "counting", "polynomial"}
 
     def test_conjecture_scan(self):
+        """Every row takes its h* from the closed form, so the scan loads
+        no other h* method."""
         layers = self.loaded_layers("scan", "--kind", "conjecture", "--max-total", "5", "--max-n", "2")
-        assert {"recursion", "counting"} <= layers
-        assert not layers & {"triangulation", "grobner"}
+        assert {"recursion", "formulas"} <= layers
+        assert not layers & {"counting", "triangulation", "grobner"}
 
     def test_formula_call(self):
-        layers = self.loaded_layers("hstar", "--signature", "2,3", "--method", "formula")
-        assert "formulas" in layers
-        assert not layers & {"grobner", "triangulation", "roots"}
+        for signature in ("2,3", "1,1,2,2"):
+            layers = self.loaded_layers("hstar", "--signature", signature, "--method", "formula")
+            assert "formulas" in layers
+            assert not layers & {"counting", "grobner", "triangulation", "roots"}, signature

@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -78,10 +78,8 @@ class TestFamilies:
             sigs.append((1, 1, 1, total - 3))
         for parts in sigs:
             h = closed_form_hstar(Signature(parts))
-            if h is None:
-                continue
             assert h.poly[0] == 1
-            assert h.is_palindromic(), parts
+            assert h.coefficients == h.coefficients[::-1], parts
             assert h.poly.degree == sum(parts) - 1
 
 
@@ -208,11 +206,47 @@ class TestIdentities:
 
 
 class TestDispatch:
+    """`closed_form_hstar` answers for every signature with k >= 2."""
+
     def test_covers_known_families(self):
         assert closed_form_hstar(Signature((2, 2))).poly == Poly((1, 5, 5, 1))
         assert closed_form_hstar(Signature((3, 1, 2))).poly == hstar_tripartite(1, 2, 3).poly
         assert closed_form_hstar(Signature((1, 2, 1, 1))).poly == hstar_111n(2).poly
-        assert closed_form_hstar(Signature((1, 2, 2, 2))) is None
+        assert closed_form_hstar(Signature((1, 2, 2, 2))) == hstar_oracle(Signature((1, 2, 2, 2)))
+
+    def test_one_class_is_refused(self):
+        with pytest.raises(ValueError, match="need at least two classes"):
+            closed_form_hstar(Signature((3,)))
+
+    @pytest.mark.parametrize("total", range(2, 10))
+    def test_every_class_order_agrees(self, total):
+        """Every order of the classes of a signature gives one h*."""
+        for sig in signatures_with_total(total, total):
+            orders = set(permutations(sig.parts))
+            assert len({closed_form_hstar(Signature(p)) for p in orders}) == 1, sig
+
+    @pytest.mark.parametrize("family", ["bipartite", "1mn", "111n", "22n", "tripartite"])
+    def test_each_family_form_past_the_oracle(self, family):
+        """Each family form equals the general route on its own signatures,
+        in both class orders, up to 30 vertices."""
+        top = 30
+        cases = {
+            "bipartite": lambda: [(hstar_bipartite(a - 1, b - 1), (a, b)) for a, b in pairs_up_to(top)],
+            "1mn": lambda: [(hstar_1mn(m, n), (1, m, n)) for m, n in pairs_up_to(top - 1)],
+            "111n": lambda: [(hstar_111n(n), (1, 1, 1, n)) for n in range(1, top - 2)],
+            "22n": lambda: [(hstar_22n(n), (2, 2, n)) for n in range(1, top - 3)],
+            "tripartite": lambda: [
+                (hstar_tripartite(a, b, c), (a, b, c)) for a, b in pairs_up_to(top - 1) for c in range(b, top - a - b + 1)
+            ],
+        }[family]()
+        for want, parts in cases:
+            for order in (parts, parts[::-1]):
+                assert closed_form_hstar(Signature(order)) == want, order
+
+
+def pairs_up_to(top):
+    """Every (a, b) with 1 <= a <= b and a + b <= top."""
+    return [(a, b) for a in range(1, top) for b in range(a, top - a + 1)]
 
 
 def test_suspension_identity_failure_raises(monkeypatch):

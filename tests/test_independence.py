@@ -53,6 +53,7 @@ PROBE = """
 import sys
 from sepkit import Signature, {name}
 {name}(Signature((1, 2, 2)))
+{name}(Signature((1, 1, 2, 2)))
 print(" ".join(sorted(n[len("sepkit."):] for n in sys.modules if n.startswith("sepkit."))))
 """
 

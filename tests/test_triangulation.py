@@ -152,7 +152,7 @@ class TestHStarTriangulation:
     def test_matches_oracle_and_palindromic(self, sig):
         h = hstar_triangulation(sig)
         assert h.poly == hstar_oracle(sig).poly
-        assert h.is_palindromic()
+        assert h.coefficients == h.coefficients[::-1]
         assert h.poly.degree == sig.dim
 
     @pytest.mark.parametrize("sig", signatures_with_total(2, 7), ids=str)
@@ -173,9 +173,7 @@ class TestHStarTriangulation:
     def test_three_way_past_seven_vertices(self, sig):
         h = hstar_triangulation(sig).poly
         assert h == hstar_oracle(sig).poly
-        closed = closed_form_hstar(sig)
-        if closed is not None:
-            assert h == closed.poly
+        assert h == closed_form_hstar(sig).poly
 
 
 class TestFacetSplit:
