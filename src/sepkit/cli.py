@@ -31,6 +31,10 @@ EXIT_USAGE = 1
 EXIT_BOUND = 2
 EXIT_VERIFICATION = 3
 
+# vertex bound of `roots` and `interlace`, not an option: at 100 vertices
+# `is_cl` takes about 3 to 4 s (Python 3.11.7 on a 2-core host)
+ROOTS_MAX_TOTAL = 100
+
 
 def _envelope(command: str, params: dict, result: dict, started: float, timing: bool) -> dict:
     return {
@@ -94,7 +98,7 @@ def cmd_hstar(args) -> int:
             continue
         values.append((method, h))
         rows.append({"method": method, "coefficients": list(h.coefficients)})
-    agree = len({h.poly for _, h in values}) == 1
+    agree = len({h for _, h in values}) == 1
     result = {"signature": str(sig), "rows": rows, "agreement": agree}
     if compare:
         result["methods_compared"] = len(values)
@@ -114,7 +118,10 @@ def cmd_hstar(args) -> int:
 
 
 def _ehrhart_of_signature(sig: Signature) -> Poly:
-    """E from the closed form, which covers every signature."""
+    """E from the closed form, which covers every signature, for a signature
+    of at most ROOTS_MAX_TOTAL vertices."""
+    if sig.total > ROOTS_MAX_TOTAL:
+        raise SizeExceeded(f"signature total {sig.total} exceeds bound {ROOTS_MAX_TOTAL}")
     from .formulas import closed_form_hstar
     from .polynomial import ehrhart_from_hstar
 

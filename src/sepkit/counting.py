@@ -33,7 +33,7 @@ from math import comb
 from typing import Optional
 
 from .graphs import Signature, SizeExceeded, VerificationFailed
-from .polynomial import HStar, NegativeHStar, Poly
+from .polynomial import HStar, NegativeHStar
 
 DEFAULT_MAX_TOTAL = 36
 
@@ -180,4 +180,4 @@ def hstar_from_counts(sig: Signature, counts: list[DilationCount]) -> HStar:
     for j, c in enumerate(lower):
         if c < 0:
             raise NegativeHStar(f"h*_{j} = {c} < 0")
-    return HStar(Poly(lower + [lower[d - j] for j in range(top + 1, d + 1)]), d)
+    return HStar(lower + [lower[d - j] for j in range(top + 1, d + 1)], d)

@@ -1,15 +1,15 @@
-"""Dense univariate polynomials over the rationals, and the Ehrhart-side
-conversions built on them.
+"""Dense univariate polynomials over the rationals, integer h*-polynomials,
+and the Ehrhart-side conversions between them.
 
-Everything here is exact and there is no floating point anywhere.  A `Poly`
-holds `fractions.Fraction` coefficients, but its products and the
+Everything here is exact and there is no floating point anywhere.  An
+`HStar` holds Python ints, as every h* is integral (Stanley, 1980).  A
+`Poly` holds `fractions.Fraction` coefficients, but its products and the
 Ehrhart-side conversions run on lists of Python ints scaled by one common
 denominator: d! E has integer coefficients, so E is built as an integer
 vector and divided once at the end.  Division and gcds exist only on those
 integer vectors (pseudo-division and the primitive remainder sequence),
-which the roots layer shares.  Degrees run to about 100
-(the Ehrhart polynomial of K_{50,50} has degree 99), and the coefficient
-vectors are dense.
+which the roots layer shares.  Degrees run to about 100 (the Ehrhart
+polynomial of K_{50,50} has degree 99), and the coefficients are dense.
 
 The domain-specific operations:
 
@@ -104,6 +104,10 @@ class Poly:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return Fraction(0)
+
+    def __iter__(self):
+        # without it, iteration would run `__getitem__` past the end forever
+        return iter(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -330,7 +334,7 @@ def _falling(shift: int, d: int) -> list[int]:
     return a
 
 
-def _ehrhart(h: list[int], d: int) -> Poly:
+def _ehrhart(h: Sequence[int], d: int) -> Poly:
     """sum_i h_i binom(x + d - i, d), built as the integer vector of d! E.
 
     With P_i = d! binom(x + d - i, d) = (x + d - i)...(x - i + 1), each next
@@ -349,21 +353,24 @@ def _ehrhart(h: list[int], d: int) -> Poly:
 class HStar:
     """An h*-polynomial together with the intended polytope dimension.
 
-    Invariants: all coefficients are nonnegative integers, the constant term
-    is 1 and the degree does not exceed `dim`.
+    `coefficients` is a tuple of `dim + 1` ints, from any sequence of integral
+    numbers padded with zeros.  Invariants: all coefficients are nonnegative
+    integers, the constant term is 1 and the degree does not exceed `dim`.
     """
 
-    __slots__ = ("poly", "dim")
+    __slots__ = ("coefficients", "dim")
 
-    def __init__(self, poly: Poly, dim: int):
-        if poly.degree > dim:
-            raise InvalidHStar(f"h* degree {poly.degree} exceeds dim {dim}")
-        for c in poly.coeffs:
+    def __init__(self, coefficients: Sequence, dim: int):
+        cs = list(coefficients)
+        degree = max((i for i, c in enumerate(cs) if c), default=-1)
+        if degree > dim:
+            raise InvalidHStar(f"h* degree {degree} exceeds dim {dim}")
+        for c in cs:
             if c.denominator != 1 or c < 0:
                 raise InvalidHStar(f"h* coefficient {c} is not a nonnegative integer")
-        if poly[0] != 1:
+        if cs[:1] != [1]:
             raise InvalidHStar("h* constant term must be 1")
-        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "coefficients", tuple([c.numerator for c in cs[: dim + 1]] + [0] * (dim + 1 - len(cs))))
         object.__setattr__(self, "dim", dim)
 
     def __setattr__(self, *a):  # immutability
@@ -372,14 +379,10 @@ class HStar:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.poly, self.dim) == (other.poly, other.dim)
+        return (self.coefficients, self.dim) == (other.coefficients, other.dim)
 
     def __hash__(self):
-        return hash((self.poly, self.dim))
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        return tuple(int(self.poly[i]) for i in range(self.dim + 1))
+        return hash((self.coefficients, self.dim))
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coefficients)
@@ -392,7 +395,7 @@ class HStar:
 
 def ehrhart_from_hstar(h: HStar) -> Poly:
     """Expand E(x) = sum_i h_i * binom(d + x - i, d) exactly."""
-    return _ehrhart([c.numerator for c in h.poly.coeffs], h.dim)
+    return _ehrhart(h.coefficients, h.dim)
 
 
 def _values(e: Poly, d: int) -> tuple[list[int], int]:
@@ -401,10 +404,10 @@ def _values(e: Poly, d: int) -> tuple[list[int], int]:
     return [_int_eval(a, k) for k in range(d + 1)], den
 
 
-def _series(values: list[int], d: int, den: int) -> Poly:
-    """(1-t)^(d+1) sum_k values[k] t^k / den, truncated to degree d."""
+def _series(values: list[int], d: int) -> list[int]:
+    """(1-t)^(d+1) sum_k values[k] t^k, truncated to degree d."""
     alternating = [(-1) ** j * comb(d + 1, j) for j in range(d + 1)]
-    return _poly_over(_int_mul(values, alternating)[: d + 1], den)
+    return _int_mul(values, alternating)[: d + 1]
 
 
 def series_numerator(e: Poly, d: int) -> Poly:
@@ -417,7 +420,7 @@ def series_numerator(e: Poly, d: int) -> Poly:
     if e.degree > d:
         raise ValueError(f"degree {e.degree} exceeds stated dimension {d}")
     values, den = _values(e, d)
-    return _series(values, d, den)
+    return _poly_over(_series(values, d), den)
 
 
 def hstar_from_ehrhart(e: Poly, d: int) -> HStar:
@@ -432,10 +435,10 @@ def hstar_from_ehrhart(e: Poly, d: int) -> HStar:
     for k, v in enumerate(values):
         if v % den:
             raise NonIntegerCount(f"E({k}) = {Fraction(v, den)} is not an integer")
-    h = _series(values, d, den)
-    for i in range(d + 1):
-        if h[i] < 0:
-            raise NegativeHStar(f"h*_{i} = {h[i]} < 0")
+    h = _series([v // den for v in values], d)
+    for i, c in enumerate(h):
+        if c < 0:
+            raise NegativeHStar(f"h*_{i} = {c} < 0")
     return HStar(h, d)
 
 
@@ -493,11 +496,11 @@ def gamma_of_palindromic(h: Poly, d: int) -> Poly:
     a += [0] * (d + 1 - len(a))
     if a != a[::-1]:
         raise NotPalindromic(f"not palindromic w.r.t. degree {d}: {h}")
-    return _gamma_solve(a, den, h)
+    return _gamma_solve(a, den)
 
 
-def _gamma_solve(a: list[int], den: int, h: Poly) -> Poly:
-    """The gamma vector of h = a / den, for a palindromic a of length d + 1."""
+def _gamma_solve(a: list[int], den: int) -> Poly:
+    """The gamma vector of a / den, for a palindromic a of length d + 1."""
     d = len(a) - 1
     gammas: list[int] = []
     for i in range(d // 2 + 1):
@@ -509,7 +512,7 @@ def _gamma_solve(a: list[int], den: int, h: Poly) -> Poly:
     # recombination exact, which is checked.
     recombined = gamma_expand(gammas, d)
     if recombined != a:
-        raise RecombinationFailed(f"gamma vector of {h} recombines to {_poly_over(recombined, den)}")
+        raise RecombinationFailed(f"gamma vector of {_poly_over(a, den)} recombines to {_poly_over(recombined, den)}")
     return _poly_over(gammas, den)
 
 
@@ -518,7 +521,7 @@ def gamma_vector(h: HStar) -> Poly:
     a = list(h.coefficients)
     if a != a[::-1]:
         raise NotPalindromic(f"h* = {h} is not palindromic of degree {h.dim}")
-    return _gamma_solve(a, 1, h.poly)
+    return _gamma_solve(a, 1)
 
 
 def cross_polynomial(n: int) -> Poly:
@@ -558,9 +561,9 @@ def cross_recombine(cross: Poly, d: int) -> Poly:
     return total
 
 
-def geometric_series_coeffs(power: int, order: int) -> list[Fraction]:
+def geometric_series_coeffs(power: int, order: int) -> list[int]:
     """Coefficients of (1-t)^(-power) up to degree `order`."""
-    return [Fraction(comb(power - 1 + j, j)) for j in range(order + 1)]
+    return [comb(power - 1 + j, j) for j in range(order + 1)]
 
 
 def gammalemma_check(d: int, n: int) -> bool:
@@ -585,14 +588,8 @@ def gammalemma_check(d: int, n: int) -> bool:
             acc += (-1) ** i * comb(n, i) * polys[i](k)
         lhs.append(acc)
     # right side: (1+t)^d * 4^n t^n * sum_j binom(d+2n+j, j) t^j
-    numer = Poly(gamma_expand([0] * n + [4**n], d + 2 * n))
-    geo = geometric_series_coeffs(d + 2 * n + 1, order)
-    rhs = []
-    for k in range(order + 1):
-        acc = Fraction(0)
-        for j in range(k + 1):
-            acc += numer[k - j] * geo[j]
-        rhs.append(acc)
+    numer = gamma_expand([0] * n + [4**n], d + 2 * n)
+    rhs = _int_mul(numer, geometric_series_coeffs(d + 2 * n + 1, order))[: order + 1]
     return lhs == rhs
 
 

@@ -220,7 +220,7 @@ def hstar_triangulation(sig: Signature, max_total: Optional[int] = None) -> HSta
     hist = [0] * (sig.dim + 1)
     for mono in leaves:
         hist[_walk(mono, tail, head, n, 0)[0]] += 1
-    return HStar(Poly(hist), sig.dim)
+    return HStar(hist, sig.dim)
 
 
 def hstar_split_by_facet_type(

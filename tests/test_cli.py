@@ -292,19 +292,19 @@ class TestRootsAndInterlace:
         code, out = run(capsys, "roots", "--signature", "3,4", "--format", "csv")
         assert code == EXIT_OK and len(out.splitlines()) - 1 == 6
 
-    def test_roots_off_line_by_oracle(self, capsys):
+    def test_roots_off_line_by_closed_form(self, capsys):
         # 12 vertices: past the triangulation's bound; E is the closed form's
         code, out = run(capsys, "roots", "--signature", "3,3,3,3")
         cert = json.loads(out)["result"]["certificate"]
         assert code == EXIT_VERIFICATION
         assert cert["symmetric"] is True and cert["on_cl"] is False
 
-    def test_roots_on_line_by_oracle(self, capsys):
+    def test_roots_on_line_by_closed_form(self, capsys):
         code, out = run(capsys, "roots", "--signature", "2,2,2,2,2")
         assert code == EXIT_OK
         assert json.loads(out)["result"]["certificate"]["on_cl"] is True
 
-    def test_roots_oracle_matches_triangulation(self, capsys, monkeypatch):
+    def test_roots_output_is_the_same_by_every_route(self, capsys, monkeypatch):
         """The closed form's output is byte-identical to the output of the
         oracle route and of the triangulation route."""
         args = ["roots", "--signature", "1,1,2,2,2"]
@@ -331,6 +331,24 @@ class TestRootsAndInterlace:
         assert code == EXIT_VERIFICATION
         assert err.startswith("verification failed: isolated root in (")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_roots_and_interlace_bound(self, capsys):
+        """`roots` and `interlace` refuse a signature of more than 100
+        vertices with exit 2, before computing E; 100 vertices pass."""
+        from sepkit.cli import ROOTS_MAX_TOTAL, _ehrhart_of_signature
+
+        assert ROOTS_MAX_TOTAL == 100
+        assert _ehrhart_of_signature(Signature.parse("1,99")).degree == 99
+        for argv in (
+            ["roots", "--signature", "50,51"],
+            ["roots", "--signature", "33,34,34", "--format", "csv"],
+            ["interlace", "--a", "1,100", "--b", "1,4"],
+            ["interlace", "--a", "1,4", "--b", "1,100"],
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == EXIT_BOUND and captured.out == "", argv
+            assert captured.err == "size bound exceeded: signature total 101 exceeds bound 100\n", argv
 
     def test_interlace_known_pair(self, capsys):
         code, out = run(capsys, "interlace", "--a", "1,4", "--b", "1,5")
@@ -426,7 +444,7 @@ class TestScan:
         from sepkit.polynomial import HStar
 
         # 1 + t is palindromic for 1,1 (d = 1) and not for 1,2 (d = 2)
-        monkeypatch.setattr("sepkit.recursion.closed_form_hstar", lambda sig: HStar(Poly((1, 1)), sig.dim))
+        monkeypatch.setattr("sepkit.recursion.closed_form_hstar", lambda sig: HStar((1, 1), sig.dim))
         code = main(["scan", "--kind", "conjecture", "--max-total", "4"])
         err = capsys.readouterr().err
         assert code == EXIT_VERIFICATION
@@ -469,8 +487,8 @@ class TestScan:
     ids=["gb", "recursion", "scan", "roots", "interlace"],
 )
 def test_bound_is_not_an_option(capsys, argv):
-    """Only hstar has a size bound to override: roots and interlace take E
-    from the closed form, which has none."""
+    """Only hstar has a size bound to override: the bound of roots and
+    interlace is fixed."""
     code, _ = run(capsys, *argv, "--bound", "3")
     assert code == EXIT_USAGE
 

@@ -126,9 +126,9 @@ class TestCountGuard:
 
 class TestHStarOracle:
     def test_examples(self):
-        assert hstar_oracle(Signature((1, 1))).poly == Poly((1, 1))
-        assert hstar_oracle(Signature((2, 2))).poly == Poly((1, 5, 5, 1))
-        assert hstar_oracle(Signature((1, 1, 1))).poly == Poly((1, 4, 1))
+        assert hstar_oracle(Signature((1, 1))).coefficients == (1, 1)
+        assert hstar_oracle(Signature((2, 2))).coefficients == (1, 5, 5, 1)
+        assert hstar_oracle(Signature((1, 1, 1))).coefficients == (1, 4, 1)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_complete_graph_root_polytope(self, n):
@@ -140,4 +140,4 @@ class TestHStarOracle:
     @pytest.mark.parametrize("parts", [(9, 9), (4, 4, 4), (1, 1, 1, 9)], ids=str)
     def test_closed_form_past_old_bound(self, parts):
         sig = Signature(parts)
-        assert hstar_oracle(sig).poly == closed_form_hstar(sig).poly
+        assert hstar_oracle(sig) == closed_form_hstar(sig)

@@ -4,14 +4,18 @@ import gc
 import random
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 
 import pytest
 
 import fraction_routes as fr
-from sepkit.formulas import hstar_111n, hstar_1mn, hstar_22n, hstar_bipartite, hstar_tripartite
+from sepkit.counting import hstar_oracle
+from sepkit.formulas import closed_form_hstar, hstar_111n, hstar_1mn, hstar_22n, hstar_bipartite, hstar_tripartite
+from sepkit.graphs import Signature
 from sepkit.polynomial import (
     HStar,
+    InvalidHStar,
     NegativeHStar,
     NonIntegerCount,
     NotPalindromic,
@@ -35,10 +39,7 @@ from sepkit.polynomial import (
     series_numerator,
 )
 from sepkit.roots import NotSymmetric, cl_transform
-
-
-def H(coeffs, dim):
-    return HStar(Poly(coeffs), dim)
+from sepkit.triangulation import hstar_triangulation
 
 
 def symmetric(e):
@@ -94,36 +95,116 @@ class TestPolyCore:
         with pytest.raises(AttributeError):
             p.coeffs = ()
 
+    def test_iteration_ends(self):
+        """Iteration runs over the coefficients; `__getitem__` alone, which
+        reads 0 past the end, would make it endless."""
+        p = Poly((1, 2))
+        assert list(islice(iter(p), 5)) == [1, 2]
+
 
 class TestHStarValidation:
+    """Each invariant raises InvalidHStar with its own message."""
+
+    @staticmethod
+    def _message(coeffs, dim):
+        with pytest.raises(InvalidHStar) as err:
+            HStar(coeffs, dim)
+        return str(err.value)
+
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            H((1, -1), 1)
+        assert self._message((1, -1), 1) == "h* coefficient -1 is not a nonnegative integer"
+
+    def test_rejects_non_integer(self):
+        assert self._message((1, Fraction(1, 2)), 1) == "h* coefficient 1/2 is not a nonnegative integer"
 
     def test_rejects_non_unit_constant(self):
-        with pytest.raises(ValueError):
-            H((2, 1), 1)
+        assert self._message((2, 1), 1) == "h* constant term must be 1"
 
     def test_rejects_degree_overflow(self):
-        with pytest.raises(ValueError):
-            H((1, 1, 1), 1)
+        assert self._message((1, 1, 1), 1) == "h* degree 2 exceeds dim 1"
+
+
+def _count_fractions(monkeypatch, call):
+    """The number of Fractions that call() builds, and its result."""
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    call()  # imports and first-use set-up are not counted
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", counting_new)
+        result = call()
+    return len(built), result
+
+
+def _is_integral(h):
+    return len(h.coefficients) == h.dim + 1 and all(type(c) is int for c in h.coefficients)
+
+
+class TestIntegerHStar:
+    def test_pads_and_stores_ints(self):
+        h = HStar((Fraction(1), Fraction(4, 1), 1), 4)
+        assert h.coefficients == (1, 4, 1, 0, 0) and _is_integral(h)
+        assert h == HStar([1, 4, 1], 4) and hash(h) == hash(HStar([1, 4, 1], 4))
+        assert h != HStar((1, 4, 1), 2)
+        assert str(h) == "1,4,1,0,0"
+        assert HStar(Poly((1, 4, 1)), 2) == HStar((1, 4, 1), 2)
+
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            ("oracle", lambda: hstar_oracle(Signature((2, 2, 1)))),
+            ("triangulation", lambda: hstar_triangulation(Signature((2, 2, 1)))),
+            ("bipartite", lambda: hstar_bipartite(3, 4)),
+            ("1mn", lambda: hstar_1mn(2, 3)),
+            ("22n", lambda: hstar_22n(3)),
+        ],
+    )
+    def test_integer_routes_build_no_fraction(self, monkeypatch, name, call):
+        built, h = _count_fractions(monkeypatch, call)
+        assert built == 0, name
+        assert _is_integral(h)
+
+    def test_readers_build_no_fraction(self, monkeypatch):
+        h = hstar_oracle(Signature((2, 2, 1)))
+        assert _count_fractions(monkeypatch, lambda: str(h)) == (0, "1,12,28,12,1")
+        assert _count_fractions(monkeypatch, lambda: h.coefficients) == (0, (1, 12, 28, 12, 1))
+
+    def test_every_route_returns_dim_plus_one_ints(self):
+        sig = Signature((2, 2, 1))
+        routes = [
+            hstar_oracle(sig),
+            hstar_triangulation(sig),
+            closed_form_hstar(sig),
+            closed_form_hstar(Signature((1, 1, 2, 2))),
+            hstar_tripartite(2, 2, 1),
+            hstar_bipartite(3, 4),
+            hstar_1mn(2, 3),
+            hstar_111n(3),
+            hstar_22n(3),
+            hstar_from_ehrhart(ehrhart_from_hstar(hstar_22n(1)), 4),
+        ]
+        assert all(_is_integral(h) for h in routes)
 
 
 class TestEhrhartConversion:
     def test_point_polytope(self):
-        assert ehrhart_from_hstar(H((1,), 0)) == Poly((1,))
+        assert ehrhart_from_hstar(HStar((1,), 0)) == Poly((1,))
 
     def test_segment(self):
-        assert ehrhart_from_hstar(H((1, 1), 1)) == Poly((1, 2))
+        assert ehrhart_from_hstar(HStar((1, 1), 1)) == Poly((1, 2))
 
     def test_hexagon(self):
-        assert ehrhart_from_hstar(H((1, 4, 1), 2)) == Poly((1, 3, 3))
+        assert ehrhart_from_hstar(HStar((1, 4, 1), 2)) == Poly((1, 3, 3))
 
     def test_inverse_examples(self):
-        assert hstar_from_ehrhart(Poly((1, 2)), 1).poly == Poly((1, 1))
-        assert hstar_from_ehrhart(Poly((1,)), 0).poly == Poly((1,))
+        assert hstar_from_ehrhart(Poly((1, 2)), 1).coefficients == (1, 1)
+        assert hstar_from_ehrhart(Poly((1,)), 0).coefficients == (1,)
         # Ehrhart series of the 2-dimensional cross-polytope
-        assert hstar_from_ehrhart(Poly((1, 2, 2)), 2).poly == Poly((1, 2, 1))
+        assert hstar_from_ehrhart(Poly((1, 2, 2)), 2).coefficients == (1, 2, 1)
 
     def test_non_integer_count_rejected(self):
         with pytest.raises(NonIntegerCount):
@@ -137,12 +218,12 @@ class TestEhrhartConversion:
     def test_round_trip(self, dim):
         # a palindromic-ish h* with growing coefficients
         coeffs = [1] + [3 * i + 2 for i in range(1, dim + 1)]
-        h = H(coeffs, dim)
-        assert hstar_from_ehrhart(ehrhart_from_hstar(h), dim).poly == h.poly
+        h = HStar(coeffs, dim)
+        assert hstar_from_ehrhart(ehrhart_from_hstar(h), dim) == h
 
     def test_e_at_zero_is_one(self):
         for coeffs, d in [((1, 4, 1), 2), ((1, 9, 9, 1), 3), ((1, 1), 1)]:
-            assert ehrhart_from_hstar(H(coeffs, d))(0) == 1
+            assert ehrhart_from_hstar(HStar(coeffs, d))(0) == 1
 
 
 class TestSymmetry:
@@ -154,25 +235,25 @@ class TestSymmetry:
 
 class TestGammaVector:
     def test_peeling_examples(self):
-        assert gamma_vector(H((1, 5, 5, 1), 3)) == Poly((1, 2))
-        assert gamma_vector(H([1, 3, 3, 1], 3)) == Poly((1,))
-        assert gamma_vector(H((1, 12, 28, 12, 1), 4)) == Poly((1, 8, 6))
+        assert gamma_vector(HStar((1, 5, 5, 1), 3)) == Poly((1, 2))
+        assert gamma_vector(HStar([1, 3, 3, 1], 3)) == Poly((1,))
+        assert gamma_vector(HStar((1, 12, 28, 12, 1), 4)) == Poly((1, 8, 6))
 
     def test_rejects_non_palindromic(self):
         with pytest.raises(NotPalindromic):
-            gamma_vector(H((1, 2, 2), 2))
+            gamma_vector(HStar((1, 2, 2), 2))
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_recombination_round_trip(self, d):
         coeffs = [1] * (d + 1)
         for i in range(1, (d + 1) // 2):
             coeffs[i] = coeffs[d - i] = i + 2
-        h = H(coeffs, d)
+        h = HStar(coeffs, d)
         gamma = gamma_vector(h)
         rebuilt = Poly.zero()
         for i in range(gamma.degree + 1):
             rebuilt = rebuilt + gamma[i] * ONE_PLUS_T ** (d - 2 * i) * Poly((0, 1)) ** i
-        assert rebuilt == h.poly
+        assert rebuilt == Poly(h.coefficients)
 
 
 class TestCrossPolynomials:
@@ -192,12 +273,12 @@ class TestCrossPolynomials:
         assert lhs == rhs
 
     def test_cross_coefficients_examples(self):
-        e22 = ehrhart_from_hstar(H((1, 5, 5, 1), 3))
+        e22 = ehrhart_from_hstar(HStar((1, 5, 5, 1), 3))
         assert cross_coefficients(e22, 3) == Poly((Fraction(3, 2), Fraction(-1, 2)))
         assert e22(1) == 9
         assert cross_recombine(cross_coefficients(e22, 3), 3) == e22
 
-        e112 = ehrhart_from_hstar(H((1, 7, 7, 1), 3))
+        e112 = ehrhart_from_hstar(HStar((1, 7, 7, 1), 3))
         cc = cross_coefficients(e112, 3)
         assert cc == Poly((2, -1))
         assert e112 == Poly((3, 10, 12, 8)) / 3
@@ -210,7 +291,7 @@ class TestCrossPolynomials:
         coeffs = [1] * (d + 1)
         for i in range(1, (d + 1) // 2):
             coeffs[i] = coeffs[d - i] = 2 * i + 3
-        e = ehrhart_from_hstar(H(coeffs, d))
+        e = ehrhart_from_hstar(HStar(coeffs, d))
         assert cross_recombine(cross_coefficients(e, d), d) == e
 
     def test_propagates_not_palindromic(self):
@@ -221,7 +302,7 @@ class TestCrossPolynomials:
 class TestSeriesNumerators:
     def test_series_numerator_signed_input(self):
         # (2x+1) * E is a legal signed input for the numerator extraction
-        e = TWO_X_PLUS_1 * ehrhart_from_hstar(H((1, 1), 1))
+        e = TWO_X_PLUS_1 * ehrhart_from_hstar(HStar((1, 1), 1))
         n = series_numerator(e, 2)
         assert n.degree <= 2
 
@@ -290,7 +371,7 @@ class TestIntegerReferees:
         h = family(*args)
         assert h.dim <= 40
         e = ehrhart_from_hstar(h)
-        assert list(e.coeffs) == fr.ehrhart(list(h.poly.coeffs), h.dim)
+        assert list(e.coeffs) == fr.ehrhart(list(h.coefficients), h.dim)
         assert list(series_numerator(e, h.dim).coeffs) == fr.series_numerator(list(e.coeffs), h.dim)
         assert hstar_from_ehrhart(e, h.dim) == h
 
@@ -305,7 +386,7 @@ class TestIntegerReferees:
             # gamma-positive (Ohsugi and Tsuchiya, 2021)
             gamma, d = list(gamma_vector(h).coeffs), h.dim
             assert all(g.denominator == 1 and g >= 0 for g in gamma)
-        assert list(h.poly.coeffs) == fr.gamma_expand(gamma, d)
+        assert list(h.coefficients) == fr.gamma_expand(gamma, d)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gamma_expand(self, seed):

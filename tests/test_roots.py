@@ -382,8 +382,8 @@ class TestInterlacing:
         # f's extreme roots must bracket g's; here they nest instead:
         # the w-root of the Ehrhart polynomial of h* = (1,b,1) is (b-6)/(b+2),
         # so b_f = 5 (w = -1/7) sits inside b_g = 1 (w = -5/3)
-        f = Poly((1, 2)) * ehrhart_from_hstar(HStar(Poly((1, 5, 1)), 2))
-        g = ehrhart_from_hstar(HStar(Poly((1, 1, 1)), 2))
+        f = Poly((1, 2)) * ehrhart_from_hstar(HStar((1, 5, 1), 2))
+        g = ehrhart_from_hstar(HStar((1, 1, 1), 2))
         assert is_cl(f).on_cl and is_cl(g).on_cl
         cert = interlaces_on_cl(g, f)
         assert not cert.interlaces and cert.reason

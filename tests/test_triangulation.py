@@ -39,7 +39,7 @@ class TestStandardTrees:
     def test_count_equals_normalized_volume(self, sig):
         trees = list(enumerate_standard_trees(sig))
         h = hstar_triangulation(sig)
-        assert len(trees) == h.poly(1)
+        assert len(trees) == sum(h.coefficients)
 
     @pytest.mark.parametrize(
         "sig", signatures_with_total(2, 6) + [Signature((1, 1, 5)), Signature((1, 2, 4))], ids=str
@@ -144,16 +144,16 @@ class TestWalkReferee:
 
 class TestHStarTriangulation:
     def test_examples(self):
-        assert hstar_triangulation(Signature((1, 1))).poly == Poly((1, 1))
-        assert hstar_triangulation(Signature((2, 2))).poly == Poly((1, 5, 5, 1))
-        assert hstar_triangulation(Signature((1, 1, 1))).poly == Poly((1, 4, 1))
+        assert hstar_triangulation(Signature((1, 1))).coefficients == (1, 1)
+        assert hstar_triangulation(Signature((2, 2))).coefficients == (1, 5, 5, 1)
+        assert hstar_triangulation(Signature((1, 1, 1))).coefficients == (1, 4, 1)
 
     @pytest.mark.parametrize("sig", signatures_with_total(2, 6), ids=str)
     def test_matches_oracle_and_palindromic(self, sig):
         h = hstar_triangulation(sig)
-        assert h.poly == hstar_oracle(sig).poly
+        assert h == hstar_oracle(sig)
         assert h.coefficients == h.coefficients[::-1]
-        assert h.poly.degree == sig.dim
+        assert h.coefficients[sig.dim] != 0
 
     @pytest.mark.parametrize("sig", signatures_with_total(2, 7), ids=str)
     def test_histogram_of_the_enumerated_trees(self, sig):
@@ -162,7 +162,7 @@ class TestHStarTriangulation:
         hist = [0] * sig.total
         for tree in enumerate_standard_trees(sig):
             hist[walk(tree.edges, sig.total)[0]] += 1
-        assert hstar_triangulation(sig).poly == Poly(hist)
+        assert hstar_triangulation(sig).coefficients == tuple(hist)
 
     @pytest.mark.parametrize(
         "sig",
@@ -171,9 +171,9 @@ class TestHStarTriangulation:
         ids=str,
     )
     def test_three_way_past_seven_vertices(self, sig):
-        h = hstar_triangulation(sig).poly
-        assert h == hstar_oracle(sig).poly
-        assert h == closed_form_hstar(sig).poly
+        h = hstar_triangulation(sig)
+        assert h == hstar_oracle(sig)
+        assert h == closed_form_hstar(sig)
 
 
 class TestFacetSplit:
@@ -196,7 +196,7 @@ class TestFacetSplit:
     def test_parts_sum_to_hstar(self, sig):
         hi, hii = hstar_split_by_facet_type(sig)
         assert hi == hstar_type_i(sig.parts)
-        assert hi + hii == hstar_oracle(sig).poly
+        assert hi + hii == Poly(hstar_oracle(sig).coefficients)
 
     @pytest.mark.parametrize("parts", [(1, 2, 2), (1, 1, 2, 2)], ids=str)
     def test_facet_read_off_the_tree(self, parts):
@@ -215,7 +215,7 @@ class TestFacetSplit:
         """A tree whose facet the lookup lacks raises."""
         sig = Signature((1, 1, 2, 2))
         labelings = enumerate_facet_labelings(sig)
-        assert sum(hstar_split_by_facet_type(sig), Poly.zero()) == hstar_triangulation(sig).poly
+        assert sum(hstar_split_by_facet_type(sig), Poly.zero()) == Poly(hstar_triangulation(sig).coefficients)
         monkeypatch.setattr(triangulation, "enumerate_facet_labelings", lambda s: labelings[1:])
         with pytest.raises(AmbiguousFacet, match="lies in no facet"):
             hstar_split_by_facet_type(sig)

@@ -21,7 +21,7 @@ F = Fraction
 FROZEN = {
     "Signature": (lambda: Signature((2, 3)), Signature((3, 2)), ("parts",)),
     "FacetLabeling": (lambda: FacetLabeling((0, 1, 1)), FacetLabeling((0, 1, 2)), ("values",)),
-    "HStar": (lambda: HStar(Poly((1, 4, 1)), 2), HStar(Poly((1, 4, 1)), 3), ("poly", "dim")),
+    "HStar": (lambda: HStar((1, 4, 1), 2), HStar((1, 4, 1), 3), ("coefficients", "dim")),
     "DilationCount": (lambda: DilationCount(1, 13), DilationCount(2, 13), ("k", "count")),
     "GBElement": (lambda: GBElement("1", (0, 1), ()), GBElement("2", (0, 1), ()), ("kind", "lead", "tail")),
     "DirTree": (lambda: DirTree((DirectedEdge(1, 2),)), DirTree((DirectedEdge(2, 1),)), ("edges",)),
