@@ -2,9 +2,10 @@
 multipartite graphs K_{a_1,...,a_k}, for every k >= 2.
 
 `closed_form_hstar` answers for every signature with the sum of the two
-facet-type contributions, `hstar_type_i` and `hstar_type_ii`, each exact in
-integers.  The family forms (complete bipartite graphs, K_{1,m,n},
-K_{1,1,1,n}, K_{2,2,n} and the tripartite split) stay as referees.
+facet-type contributions, added as integer lists; `hstar_type_i` and
+`hstar_type_ii` return each of them as a `Poly`.  The family forms
+(complete bipartite graphs, K_{1,m,n}, K_{1,1,1,n}, K_{2,2,n} and the
+tripartite split) stay as referees.
 
 Each family's closed form is its gamma vector: h* = sum_i gamma_i t^i
 (1+t)^(d-2i), the basis in which gamma-positivity is read (Ohsugi and
@@ -136,7 +137,13 @@ def aux_p(x: int, y: int, i: int, j: int) -> int:
 
 
 def hstar_type_i(parts: Sequence[int]) -> Poly:
-    """Type-(i) contribution for any number of classes:
+    """Type-(i) contribution for any number of classes, as a `Poly`."""
+    return Poly(_type_i(parts))
+
+
+def _type_i(parts: Sequence[int]) -> list[int]:
+    """Type-(i) contribution for any number of classes, as integer
+    coefficients:
 
         sum over the mixed class A_m of
         sum_{i,j} p(a, a_m, i, j) binom(a - a_m + j - i - 2, j - 1)
@@ -155,7 +162,7 @@ def hstar_type_i(parts: Sequence[int]) -> Poly:
                 if coeff:
                     total[i + j + shift] += coeff
                     total[a - i - j - 1 - shift] += coeff
-    return Poly(total)
+    return total
 
 
 def _hall_excess(z: int, o: int, zeros: int, ones: int) -> int:
@@ -175,7 +182,13 @@ def _hall_excess(z: int, o: int, zeros: int, ones: int) -> int:
 
 
 def hstar_type_ii(parts: Sequence[int]) -> Poly:
-    """Type-(ii) contribution for any number of classes, vertex 1 in parts[0]:
+    """Type-(ii) contribution for any number of classes, as a `Poly`."""
+    return Poly(_type_ii(parts))
+
+
+def _type_ii(parts: Sequence[int]) -> list[int]:
+    """Type-(ii) contribution for any number of classes, vertex 1 in
+    parts[0], as integer coefficients:
 
         sum_Z c_Z (t^Z + t^(n-1-Z))
 
@@ -212,7 +225,7 @@ def hstar_type_ii(parts: Sequence[int]) -> Poly:
                     c -= q * _hall_excess(z, a - z, zeros, ones)
         total[zeros] += c
         total[n - 1 - zeros] += c
-    return Poly(total)
+    return total
 
 
 def hstar_tripartite_parts(a: int, b: int, c: int) -> tuple[Poly, Poly]:
@@ -223,8 +236,7 @@ def hstar_tripartite_parts(a: int, b: int, c: int) -> tuple[Poly, Poly]:
 
 def hstar_tripartite(a: int, b: int, c: int) -> HStar:
     """h* of K_{a,b,c} as the sum of the two facet-type contributions."""
-    hi, hii = hstar_tripartite_parts(a, b, c)
-    return HStar((hi + hii).coeffs, a + b + c - 1)
+    return closed_form_hstar(Signature((a, b, c)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,4 +282,4 @@ def closed_form_hstar(sig: Signature) -> HStar:
     order-independent, as it must be."""
     if sig.k < 2:
         raise ValueError("need at least two classes")
-    return HStar((hstar_type_i(sig.parts) + hstar_type_ii(sig.parts)).coeffs, sig.dim)
+    return HStar([x + y for x, y in zip(_type_i(sig.parts), _type_ii(sig.parts))], sig.dim)

@@ -9,21 +9,22 @@ standard trees: fixing the smallest vertex r as root, a tree edge counts as
 ingoing when it points toward the component containing r.
 
 The standard trees are found by a depth-first search over the edge order
-that grows a directed forest one edge at a time.  Each edge is skipped or
-added in one of its two orientations; an addition must join two components
-(union-find by component labels, relabelled in one ``bytes.translate``) and
-must not complete a degree-2 or degree-3 leading monomial with the variables
+that grows a directed forest one edge at a time, with one frame per added
+edge.  A frame scans the edges after the last one added for the next edge
+to add: each edge that joins two components (union-find by component
+labels, relabelled in one ``bytes.translate``) is added in each orientation
+that completes no degree-2 or degree-3 leading monomial with the variables
 already chosen (the leading monomials are indexed once per call as bitmasks
 of partner variables, by the ``grobner._lead_partners`` that the Groebner
-certificate also reads).  A branch ends as soon as too few edges remain for a
-spanning tree, and an edge is never skipped when it is the last edge of a
-vertex that no chosen edge touches yet, since that vertex could not be
-reached any more.  Only partial trees that can still be standard are
-visited, so the work follows the number of standard trees instead of the
-C(|E|, n-1) 2^(n-1) oriented edge subsets; the test suite keeps that
-exhaustive test as its referee (``tests/treepure.py``).  The search keeps
-its state on an explicit stack, so it leaves no reference cycles behind,
-and returns the leaves as variable tuples in the order it meets them.  Only
+certificate also reads).  The scan ends before too few edges remain for a
+spanning tree, and it stops after the last edge of a vertex that no chosen
+edge touches yet, since past that edge the vertex could not be reached any
+more.  Only partial trees that can still be standard are visited, so the
+work follows the number of standard trees instead of the C(|E|, n-1)
+2^(n-1) oriented edge subsets; the test suite keeps that exhaustive test as
+its referee (``tests/treepure.py``).  The search keeps its state on an
+explicit stack, so it leaves no reference cycles behind, and returns the
+leaves as variable tuples in the order it meets them.  Only
 ``enumerate_standard_trees`` sorts them, into the order of the exhaustive
 test: undirected trees by sorted edge list, then orientations
 lexicographically.
@@ -83,26 +84,35 @@ def _standard_tree_monomials(
     """Square-free monomials of directed spanning trees that no leading
     monomial divides, as variable tuples in edge order, unsorted.
 
-    Depth-first over the edge order with an explicit stack.  Each frame is
-    (next edge index, bitmask of the variables that would complete a leading
-    monomial, bitmask of the vertices chosen edges touch, vertex component
-    labels as bytes, chosen variables).  Edge i is either skipped or added
-    in one of its two orientations, variable 1 + 2i (forward) or 2 + 2i
-    (reverse), when it joins two components and its variable is not
-    blocked.  A frame is only pushed when enough edges remain to reach
-    n - 1 of them, and the skip is not pushed when edge i is the last edge
-    of an untouched vertex.  An addition that completes a tree is a leaf
-    and pushes no frame.
+    Depth-first with an explicit stack, one frame per added edge.  A frame
+    is (first edge index it may add, bitmask of the variables that would
+    complete a leading monomial, bitmask of the vertices chosen edges touch,
+    vertex component labels as bytes, chosen variables).  It scans the
+    edges j from its first index up to m - left, where left edges are still
+    to add, so that enough edges remain after j.  An edge j that joins two
+    components pushes one child per unblocked orientation, variable 1 + 2j
+    (forward) or 2 + 2j (reverse), whose scan starts at j + 1; an edge with
+    both variables blocked is passed over without merging labels.  The scan
+    stops after the last edge of a vertex that no chosen edge touches, since
+    skipping that edge would leave the vertex unreachable.  A frame with one
+    edge to go appends its leaves inside the scan and pushes no frame.
     """
     need = n - 1
     m = len(edges)
-    # ends[i]: the endpoints of edge i; last[i]: the vertices whose last edge it is
-    ends = [1 << u | 1 << w for u, w in edges]
-    last = [0] * m
+    # per edge j: its endpoints, the bitmask of its two variables, the
+    # bitmask of its endpoints and of the vertices whose last edge it is,
+    # j + 1, and per orientation (variable, pair partners, triple partners
+    # or None when the variable is in no cubic lead)
+    data = []
     seen = 0
-    for i in range(m - 1, -1, -1):
-        last[i] = ends[i] & ~seen
-        seen |= ends[i]
+    for j in range(m - 1, -1, -1):
+        u, w = edges[j]
+        ends = 1 << u | 1 << w
+        fwd, rev = 2 * j + 1, 2 * j + 2
+        orients = tuple((var, pair[var], triple[var] if any(triple[var]) else None) for var in (fwd, rev))
+        data.append((u, w, 1 << fwd | 1 << rev, ends, ends & ~seen, j + 1, orients))
+        seen |= ends
+    data.reverse()
     # merge[cu][cw] relabels component cw as cu
     merge = [[bytes.maketrans(bytes((cw,)), bytes((cu,))) for cw in range(n + 1)] for cu in range(n + 1)]
     leaves: list[tuple[int, ...]] = []
@@ -110,27 +120,26 @@ def _standard_tree_monomials(
     while stack:
         i, blocked, touched, comp, path = stack.pop()
         left = need - len(path)
-        if left < m - i and not last[i] & ~touched:
-            stack.append((i + 1, blocked, touched, comp, path))
-        u, w = edges[i]
-        cu, cw = comp[u], comp[w]
-        if cu == cw:
-            continue
-        if left == 1:
-            for var in (2 * i + 1, 2 * i + 2):
-                if not blocked >> var & 1:
-                    leaves.append(path + (var,))
-            continue
-        merged = comp.translate(merge[cu][cw])
-        now_touched = touched | ends[i]
-        for var in (2 * i + 1, 2 * i + 2):
-            if blocked >> var & 1:
-                continue
-            partners = triple[var]
-            now_blocked = blocked | pair[var]
-            for chosen in path:
-                now_blocked |= partners[chosen]
-            stack.append((i + 1, now_blocked, now_touched, merged, path + (var,)))
+        for u, w, both, ends, last, nxt, orients in data[i : m - left + 1]:
+            cu, cw = comp[u], comp[w]
+            if cu != cw and blocked & both != both:
+                if left == 1:
+                    for var, _, _ in orients:
+                        if not blocked >> var & 1:
+                            leaves.append(path + (var,))
+                else:
+                    merged = comp.translate(merge[cu][cw])
+                    now_touched = touched | ends
+                    for var, partners2, partners3 in orients:
+                        if blocked >> var & 1:
+                            continue
+                        now_blocked = blocked | partners2
+                        if partners3 is not None:
+                            for chosen in path:
+                                now_blocked |= partners3[chosen]
+                        stack.append((nxt, now_blocked, now_touched, merged, path + (var,)))
+            if last & ~touched:
+                break
     return leaves
 
 
@@ -162,10 +171,11 @@ def enumerate_standard_trees(
     """Directed spanning trees whose monomial avoids every leading term.
 
     The trees are grown edge by edge along ``edge_order(sig)``: a branch
-    adds an edge only when it joins two components, adds a variable only
-    when it completes no degree-2 or degree-3 leading monomial with those
-    already chosen, and stops as soon as too few edges remain for a
-    spanning tree or a vertex loses its last edge, so the work follows the
+    scans the later edges for the next one to add, adds an edge only when
+    it joins two components, adds a variable only when it completes no
+    degree-2 or degree-3 leading monomial with those already chosen, and
+    ends its scan before too few edges remain for a spanning tree and at the
+    last edge of a vertex no chosen edge touches, so the work follows the
     number of standard trees rather than the number of edge subsets.
 
     Deterministic order: undirected trees by sorted edge list, then

@@ -186,8 +186,14 @@ class TestHstar:
     def test_hstar_invariant_check_exits_3(self, capsys, monkeypatch):
         import sepkit.formulas as formulas
 
-        type_ii = formulas.hstar_type_ii
-        monkeypatch.setattr(formulas, "hstar_type_ii", lambda parts: type_ii(parts) + Poly.one())
+        type_ii = formulas._type_ii
+
+        def plus_one(parts):
+            coeffs = type_ii(parts)
+            coeffs[0] += 1
+            return coeffs
+
+        monkeypatch.setattr(formulas, "_type_ii", plus_one)
         code = main(["hstar", "--signature", "2,3", "--method", "formula"])
         assert code == EXIT_VERIFICATION
         assert capsys.readouterr().err == "verification failed: h* constant term must be 1\n"

@@ -161,6 +161,8 @@ class TestIntegerHStar:
             ("bipartite", lambda: hstar_bipartite(3, 4)),
             ("1mn", lambda: hstar_1mn(2, 3)),
             ("22n", lambda: hstar_22n(3)),
+            ("closed form", lambda: closed_form_hstar(Signature((2, 2, 1)))),
+            ("tripartite", lambda: hstar_tripartite(2, 2, 1)),
         ],
     )
     def test_integer_routes_build_no_fraction(self, monkeypatch, name, call):

@@ -1,5 +1,7 @@
 """Standard trees, the inedge statistic, facet-type splits, planar trees."""
 
+from itertools import permutations
+
 import pytest
 
 import treepure
@@ -19,6 +21,11 @@ from sepkit.triangulation import (
 )
 
 from test_graphs import signatures_with_total
+
+
+def class_orders(lo, hi):
+    """Every distinct order of the classes of each signature with total lo..hi."""
+    return [Signature(p) for p in sorted({p for s in signatures_with_total(lo, hi) for p in permutations(s.parts)})]
 
 
 def walk(edges, n, root=1):
@@ -47,6 +54,12 @@ class TestStandardTrees:
     def test_matches_brute_force(self, sig):
         """Same trees in the same order as the exhaustive test of every
         oriented (n-1)-subset of edges."""
+        assert [t.edges for t in enumerate_standard_trees(sig)] == treepure.standard_trees(sig)
+
+    @pytest.mark.parametrize("sig", class_orders(2, 6), ids=str)
+    def test_matches_brute_force_in_every_class_order(self, sig):
+        """The search prunes by the last edge of each vertex, which moves
+        with the class order, so the referee sees every order."""
         assert [t.edges for t in enumerate_standard_trees(sig)] == treepure.standard_trees(sig)
 
     def test_size_bound(self):
@@ -163,6 +176,10 @@ class TestHStarTriangulation:
         for tree in enumerate_standard_trees(sig):
             hist[walk(tree.edges, sig.total)[0]] += 1
         assert hstar_triangulation(sig).coefficients == tuple(hist)
+
+    @pytest.mark.parametrize("sig", class_orders(2, 7), ids=str)
+    def test_matches_closed_form_in_every_class_order(self, sig):
+        assert hstar_triangulation(sig) == closed_form_hstar(sig)
 
     @pytest.mark.parametrize(
         "sig",
