@@ -71,6 +71,8 @@ def cmd_hstar(args) -> int:
             raise ValueError(f"--max-dilation needs --method oracle or all, not {args.method}")
         if args.max_dilation < 0:
             raise ValueError(f"--max-dilation must be nonnegative, not {args.max_dilation}")
+    if args.bound is not None and args.method == "formula":
+        raise ValueError("--bound needs --method triangulation, oracle or all, not formula")
     compare = args.method == "all"
     methods = ["formula", "triangulation", "oracle"] if compare else [args.method]
     rows = []

@@ -16,9 +16,6 @@ The domain-specific operations:
   * h* -> Ehrhart polynomial via the binomial-coefficient basis
         E(x) = sum_i h_i * binom(d + x - i, d)
   * Ehrhart polynomial -> h* via truncating (1-t)^(d+1) * sum_k E(k) t^k
-  * the substitution u = 2x + 1 that centers the canonical line
-    Re(z) = -1/2, on which the roots layer tests the symmetry
-        (-1)^deg(E) * E(x) == E(-1-x)
   * gamma vector of a palindromic polynomial in the basis (1+t)^(d-2i) t^i,
     and its expansion back into coefficients
   * cross-polynomials C_n (Ehrhart polynomials of cross-polytopes) and the
@@ -440,22 +437,6 @@ def hstar_from_ehrhart(e: Poly, d: int) -> HStar:
         if c < 0:
             raise NegativeHStar(f"h*_{i} = {c} < 0")
     return HStar(h, d)
-
-
-def _centered(e: Poly) -> tuple[list[int], int]:
-    """(f, den) with 2^d E((u-1)/2) = f(u) / den, d = deg E, for nonzero E.
-
-    The substitution u = 2x + 1 centers the canonical line at u = 0, where
-    the symmetry equation says F(-u) = (-1)^d F(u).  With den E = sum a_i x^i,
-    den F(u) = sum a_i 2^(d-i) (u-1)^i, an integer Taylor shift by -1.
-    """
-    a, den = _numerators(e)
-    d = len(a) - 1
-    f = [c << (d - i) for i, c in enumerate(a)]
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            f[j] -= f[j + 1]
-    return f, den
 
 
 # ---------------------------------------------------------------------------

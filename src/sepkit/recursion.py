@@ -524,8 +524,11 @@ def conjecture_scan(max_total: int, max_n: int) -> dict:
     `closed_form_hstar`.  Every signature up to `max_total` has a row; past
     it, up to FORMULA_TOTAL, only the family signatures (k <= 3, or
     K_{1,1,1,n}) do.  The ones-family interlacing conjecture is certified
-    for K_{1^k,n} against K_{1^(k+1),n}, k = 1, 2, n <= max_n.
+    for K_{1^k,n} against K_{1^(k+1),n}, k = 1, 2, n <= max_n.  A negative
+    ``max_total`` or ``max_n`` raises ValueError.
     """
+    if max_total < 0 or max_n < 0:
+        raise ValueError(f"max_total and max_n must be nonnegative, not {max_total} and {max_n}")
     rows = []
     violations = 0
     for total in range(2, max(max_total, FORMULA_TOTAL) + 1):

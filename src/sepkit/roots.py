@@ -8,28 +8,32 @@ for a polynomial H of degree floor(d/2).  The roots of E lie on the
 canonical line exactly when every root of H is real and nonpositive, which
 Sturm counting certifies without any floating point.
 
-The path from E to the certificate runs on integers.  F comes from an
-integer Taylor shift of E's numerators, and E is symmetric exactly when F
-is even or odd.  The unit of work is a chain: the integer vectors of the
-primitive remainder sequence of a polynomial q and q' (Collins, 1967), q
-first.  Its members have the signs of the rational Sturm chain's, and the
-last is gcd(q, q'), so the chain of H also tells whether H is squarefree
-and, when it is, counts and isolates every root of H.  Which squarefree
-factor of H owns an isolated root is read off a sign change of the factor
-across the interval, with no chain of its own.
+The path from E to the verdict runs on integers.  F comes from an integer
+Taylor shift of E's numerators, and E is symmetric exactly when F is even
+or odd.  H is held as the integer vector h = den H, with den the common
+denominator of E, until a certificate reports it.  The unit of work is a
+chain: the integer vectors of the primitive remainder sequence of a
+polynomial q and q' (Collins, 1967), q first.  Its members have the signs
+of the rational Sturm chain's, and the last is gcd(q, q'), so the chain of
+H also tells whether H is squarefree and, when it is, counts and isolates
+every root of H.  Which squarefree factor of H owns an isolated root is
+read off a sign change of the factor across the interval, with no chain of
+its own.
 
 Every point the chain is evaluated at is dyadic, a/2^k held as the
-integers (a, k): the isolation starts at +-2^e, the least power of two at
-least the Cauchy bound, and splits intervals at dyadic points.  The sign
-of q at a/2^k is that of the integer 2^(k deg q) q(a/2^k), by homogeneous
-Horner with shifts, after a/2^k is put in lowest terms.  The chain is
-evaluated in full only while an interval holds more than one root.  Once
-it holds exactly one, the polynomial is squarefree and nonzero at both
-ends, so one sign of the polynomial at the split point decides the half
-that keeps the root, and the variation count at the new end follows.
-Integer gcds give the squarefree decomposition and the shared factor of an
-interlacing; fractions appear only in what a certificate reports: H, the
-brackets (whose denominators are powers of two) and the monic factors.
+integers (a, k).  The isolation starts at +-2^e, where the integer Cauchy
+exponent e makes 2^e the least power of two at least the Cauchy bound.  It
+splits intervals at dyadic points and visits the left half first, so the
+isolating intervals come out left to right.  The sign of q at a/2^k is
+that of the integer 2^(k deg q) q(a/2^k), by homogeneous Horner with
+shifts, after a/2^k is put in lowest terms.  The chain is evaluated in
+full only while an interval holds more than one root.  Once it holds
+exactly one, the polynomial is squarefree and nonzero at both ends, so one
+sign of the polynomial at the split point decides the half that keeps the
+root, and the variation count at the new end follows.  Integer gcds give
+the squarefree decomposition and the shared factor of an interlacing;
+fractions appear only in what a certificate reports: H, the brackets
+(whose denominators are powers of two) and the monic factors.
 
 Roots on the line are ordered by imaginary part.  A root of E at
 -1/2 + i s corresponds to w = u^2 = -4 s^2, so comparisons of imaginary
@@ -42,16 +46,16 @@ disjoint (shared roots are split off through a gcd first).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, isqrt
+from math import isqrt
 from typing import NamedTuple, Optional
 
 from .graphs import VerificationFailed
 from .polynomial import (
     Poly,
-    _centered,
     _exact_quo,
     _int_gcd,
     _numerators,
+    _poly_over,
     _primitive,
     _sturm_prs,
     fraction_str,
@@ -72,10 +76,12 @@ class RootCheckFailed(VerificationFailed, ArithmeticError):
 
 
 class CLTransform(NamedTuple):
-    """E repackaged as u^parity * H(u^2) in the variable u = 2x + 1."""
+    """E repackaged as u^parity * H(u^2) in the variable u = 2x + 1, with
+    H = h / den: h is an integer vector, constant term first, and den > 0."""
 
     parity: int
-    half_square: Poly  # H
+    h: tuple[int, ...]
+    den: int
 
 
 def _even_or_odd(f: list[int]) -> bool:
@@ -85,31 +91,34 @@ def _even_or_odd(f: list[int]) -> bool:
 
 def cl_transform(e: Poly) -> CLTransform:
     """Compute F(u) = 2^d E((u-1)/2) on integers, test the symmetry on its
-    parity, strip u^parity and decompress u^2 -> w."""
+    parity, strip u^parity and decompress u^2 -> w.
+
+    The substitution u = 2x + 1 centers the canonical line at u = 0, where
+    the symmetry equation says F(-u) = (-1)^d F(u).  With den E = sum a_i x^i,
+    den F(u) = sum a_i 2^(d-i) (u-1)^i, an integer Taylor shift by -1."""
     if e.is_zero():
         raise ValueError("zero polynomial")
-    f, den = _centered(e)
+    a, den = _numerators(e)
+    d = len(a) - 1
+    f = [c << (d - i) for i, c in enumerate(a)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            f[j] -= f[j + 1]
     if not _even_or_odd(f):
         raise NotSymmetric(f"{e} fails (-1)^d E(x) = E(-1-x)")
-    d = e.degree
     parity = d & 1
     # F has degree d, so an even or odd F is u^parity times an even polynomial
     if any(f[1 - parity :: 2]):
         raise RootCheckFailed(f"2^d E((u-1)/2) of {e} is not u^{parity} times an even polynomial")
-    h = Poly([Fraction(c, den) for c in f[parity::2]])
-    if h.degree != d // 2:
-        raise RootCheckFailed(f"H has degree {h.degree}, expected {d // 2}")
-    return CLTransform(parity, h)
+    h = tuple(f[parity::2])
+    if not h[-1]:
+        raise RootCheckFailed(f"H has degree {max((i for i, c in enumerate(h) if c), default=-1)}, expected {d // 2}")
+    return CLTransform(parity, h, den)
 
 
 # ---------------------------------------------------------------------------
 # Sturm machinery
 # ---------------------------------------------------------------------------
-
-
-def _ints(p: Poly) -> list[int]:
-    """The primitive integer vector of p: p times a positive constant."""
-    return _primitive(_numerators(p)[0])
 
 
 def _chain(a: list[int]) -> list[list[int]]:
@@ -150,9 +159,10 @@ def _variations_at_inf(chain: list[list[int]], positive: bool) -> int:
     return _changes([q[-1] if positive or len(q) % 2 else -q[-1] for q in chain])
 
 
-def cauchy_bound(a: list[int]) -> Fraction:
-    """Strict bound on the absolute value of every root of a, deg a >= 1."""
-    return 1 + Fraction(max(abs(c) for c in a[:-1]), abs(a[-1]))
+def cauchy_exponent(a: list[int]) -> int:
+    """The least e with 2^e at least Cauchy's strict bound 1 + max |a_i| / |lead a|
+    on the absolute values of the roots of a, deg a >= 1."""
+    return (-(-max(abs(c) for c in a[:-1]) // abs(a[-1]))).bit_length()
 
 
 def _split_point(p: list[int], a: int, b: int, k: int) -> tuple[int, int, int]:
@@ -217,13 +227,14 @@ class Isolation:
 
 def _isolate(chain: list[list[int]]) -> list[Isolation]:
     """Disjoint isolating intervals for all real roots of the chain's
-    squarefree polynomial, sorted left to right.  The search starts at
-    +-2^e, the least power of two at least the Cauchy bound, and evaluates
-    the chain in full only where an interval holds more than one root."""
+    squarefree polynomial, left to right.  The search starts at +-2^e,
+    e = cauchy_exponent(p), visits the left half of a split first, and
+    evaluates the chain in full only where an interval holds more than one
+    root."""
     p = chain[0]
     if len(p) < 2:
         return []
-    e = (ceil(cauchy_bound(p)) - 1).bit_length()
+    e = cauchy_exponent(p)
     out: list[Isolation] = []
     lo, hi = -1 << e, 1 << e
     sa, sb = _sign(p, lo, 0), _sign(p, hi, 0)
@@ -241,9 +252,8 @@ def _isolate(chain: list[list[int]]) -> list[Isolation]:
             m, j, sm = _split_point(p, a, b, k)
             a, b, k = a << j, b << j, k + j
             vm = _variations(chain, m, k, sm)
-            stack.append((a, m, k, va, vm, sa, sm))
             stack.append((m, b, k, vm, vb, sm, sb))
-    out.sort(key=lambda iv: iv.lo)
+            stack.append((a, m, k, va, vm, sa, sm))
     return out
 
 
@@ -375,7 +385,7 @@ def _w_data(e: Poly) -> Optional[_WData]:
         t = cl_transform(e)
     except NotSymmetric:
         return None
-    chain = _chain(_ints(t.half_square))
+    chain = _chain(list(t.h))
     decomp = _decompose(chain[0], chain[-1])
     if len(chain[-1]) > 1:
         chain = _chain(_exact_quo(chain[0], chain[-1]))
@@ -435,9 +445,8 @@ def is_cl(e: Poly) -> RootCertificate:
                 roots.append(WRoot(iso.lo, iso.hi, mult))
         if zero_mult:
             roots.append(WRoot(Fraction(0), Fraction(0), zero_mult, exact=Fraction(0)))
-        roots.sort(key=lambda r: r.hi)
     t = w.transform
-    return RootCertificate(e, True, w.on_cl, t.parity, t.half_square, roots, w.in_range)
+    return RootCertificate(e, True, w.on_cl, t.parity, _poly_over(t.h, t.den), roots, w.in_range)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +505,8 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
     refine_pairwise_disjoint([iso for _, iso in isos])
     for _, iso in isos:
         iso.refine_below_zero()
-    isos.sort(key=lambda pair: pair[1].lo)
+    top = max((iso.k for _, iso in isos), default=0)
+    isos.sort(key=lambda pair: pair[1].a << (top - pair[1].k))  # lo = a / 2^k, as a multiple of 2^-top
 
     # the distinct roots bottom-to-top along the line: negative w-roots by w
     # ascending, the center, then the same w-roots mirrored; deg f = deg g + 1

@@ -241,6 +241,12 @@ class TestHstar:
         assert code == EXIT_USAGE and captured.out == ""
         assert captured.err == f"error: --max-dilation needs --method oracle or all, not {method}\n"
 
+    def test_bound_with_formula_is_usage_error(self, capsys):
+        code = main(["hstar", "--signature", "2,2", "--method", "formula", "--bound", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == "error: --bound needs --method triangulation, oracle or all, not formula\n"
+
     def test_negative_max_dilation_is_usage_error(self, capsys):
         code = main(["hstar", "--signature", "2,2", "--method", "oracle", "--max-dilation", "-1"])
         captured = capsys.readouterr()
@@ -445,6 +451,13 @@ class TestScan:
         code, out = run(capsys, "scan", "--kind", "conjecture", "--max-total", "5", "--max-n", "3")
         assert code == EXIT_OK
         assert json.loads(out)["result"]["violations"] == 0
+
+    @pytest.mark.parametrize("max_total,max_n", [(-3, -2), (-1, 2), (4, -1)])
+    def test_negative_conjecture_range_is_usage_error(self, capsys, max_total, max_n):
+        code = main(["scan", "--kind", "conjecture", "--max-total", str(max_total), "--max-n", str(max_n)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == f"error: max_total and max_n must be nonnegative, not {max_total} and {max_n}\n"
 
     def test_not_palindromic_exits_3(self, capsys, monkeypatch):
         from sepkit.polynomial import HStar

@@ -326,6 +326,14 @@ class TestConjectureScan:
         assert rows["1,1"]["cross_degree"] == 0
         assert rows["1,2,2"]["bounds"] == [1, 3] and rows["1,2,2"]["ok"]
 
+    def test_negative_range(self):
+        """A negative range checks nothing, so it must not report a passing
+        scan."""
+        for max_total, max_n in ((-3, -2), (-1, 2), (4, -1)):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                conjecture_scan(max_total, max_n)
+        assert conjecture_scan(0, 0)["interlacings"] == []
+
     def test_full_sum_reading_reported(self):
         rep = conjecture_scan(4, 2)
         star = next(r for r in rep["rows"] if r["signature"] == "1,3")

@@ -9,8 +9,9 @@ from math import lcm
 import pytest
 
 import fraction_routes as fr
+from test_polynomial import _count_fractions
 from sepkit.formulas import ehrhart_111n, ehrhart_1mn, ehrhart_22n, ehrhart_bipartite, hstar_tripartite
-from sepkit.polynomial import HStar, Poly, cross_polynomial, ehrhart_from_hstar
+from sepkit.polynomial import HStar, Poly, _numerators, _primitive, cross_polynomial, ehrhart_from_hstar
 import sepkit.roots as roots
 from sepkit.roots import (
     NotCL,
@@ -26,14 +27,24 @@ from sepkit.roots import (
 F = Fraction
 
 
+def ints(p):
+    """The primitive integer vector of p: p times a positive constant."""
+    return _primitive(_numerators(p)[0])
+
+
+def half_square(t):
+    """The H of a CL transform, h / den."""
+    return Poly([F(c, t.den) for c in t.h])
+
+
 def isolate(p):
     """Isolating intervals of the real roots of squarefree p, left to right."""
-    return roots._isolate(roots._chain(roots._ints(p)))
+    return roots._isolate(roots._chain(ints(p)))
 
 
 def decompose(p):
     """The squarefree decomposition of p: integer factors and multiplicities."""
-    a = roots._ints(p)
+    a = ints(p)
     return roots._decompose(a, roots._int_gcd(a, [i * c for i, c in enumerate(a)][1:]))
 
 
@@ -54,7 +65,7 @@ def count(p, lo, hi):
     p, with den the common denominator of the ends, so the ends become
     integers."""
     den = lcm(*(x.denominator for x in (lo, hi) if x is not None))
-    chain = roots._chain(roots._ints(Poly([c * den ** (p.degree - i) for i, c in enumerate(p.coeffs)])))
+    chain = roots._chain(ints(Poly([c * den ** (p.degree - i) for i, c in enumerate(p.coeffs)])))
     va = roots._variations_at_inf(chain, False) if lo is None else roots._variations(chain, int(lo * den), 0)
     vb = roots._variations_at_inf(chain, True) if hi is None else roots._variations(chain, int(hi * den), 0)
     return va - vb
@@ -63,15 +74,15 @@ def count(p, lo, hi):
 class TestCLTransform:
     def test_quadratic(self):
         t = cl_transform(Poly((1, 2, 2)))
-        assert t.parity == 0 and t.half_square == Poly((2, 2))
+        assert t.parity == 0 and half_square(t) == Poly((2, 2))
 
     def test_linear(self):
         t = cl_transform(Poly((1, 2)))
-        assert t.parity == 1 and t.half_square.degree == 0
+        assert t.parity == 1 and half_square(t).degree == 0
 
     def test_cross_three(self):
         t = cl_transform(cross_polynomial(3))
-        h = t.half_square
+        h = half_square(t)
         assert t.parity == 1 and h.degree == 1
         assert -h[0] / h[1] == -5  # root w = -5, so roots -1/2 +- i sqrt(5)/2
 
@@ -106,7 +117,7 @@ class TestSturm:
             for r in known:
                 p = p * Poly((-r, 1))
             p = p * F(rnd.choice((-1, 1)) * rnd.randint(1, 50), rnd.randint(1, 50))
-            chain = roots._chain(roots._ints(p))
+            chain = roots._chain(ints(p))
             assert all(type(c) is int for q in chain for c in q)
             between = [known[0] - 1] + [(a + b) / 2 for a, b in zip(known, known[1:])] + [known[-1] + 1]
             points = [None] + sorted(known + between) + [None]
@@ -114,6 +125,18 @@ class TestSturm:
                 for hi in points[i + 1:]:
                     want = sum(1 for r in known if (lo is None or lo < r) and (hi is None or r <= hi))
                     assert count(p, lo, hi) == want
+
+    def test_cauchy_exponent(self):
+        """2^e is the least power of two at least 1 + max |a_i| / |lead a|."""
+        rnd = random.Random(3)
+        vectors = [[0, 1], [4, 4], [-3, 1], [8, 0, -2]]  # bounds 1, 2, 4 and 5
+        for _ in range(2000):
+            lead = rnd.choice((-1, 1)) * rnd.randint(1, 40)
+            vectors.append([rnd.randint(-99, 99) for _ in range(rnd.randint(1, 6))] + [lead])
+        for a in vectors:
+            bound = 1 + F(max(map(abs, a[:-1])), abs(a[-1]))
+            e = roots.cauchy_exponent(a)
+            assert 2**e >= bound and (e == 0 or 2 ** (e - 1) < bound), a
 
     def test_isolation(self):
         p = Poly((-2, 1)) * Poly((1, 1)) * Poly((5, 1))  # roots 2, -1, -5
@@ -147,7 +170,7 @@ class TestSturm:
         already has at the start and at every split point: no chain member
         is evaluated twice at one point."""
         p = Poly((-5, 1)) * Poly((1, 1)) * Poly((-1, 3)) * Poly((-2, 1)) * Poly((-9, 4)) * Poly((1, 0, 1))
-        chain = roots._chain(roots._ints(p))
+        chain = roots._chain(ints(p))
         real_sign = roots._sign
         calls = []
         monkeypatch.setattr(roots, "_sign", lambda q, a, k: calls.append((tuple(q), F(a, 2**k))) or real_sign(q, a, k))
@@ -213,13 +236,13 @@ class TestIntegerReferees:
         rnd = random.Random(11)
         for e in SYMMETRIC:
             t = cl_transform(e)
-            assert (t.parity, list(t.half_square.coeffs)) == fr.cl_transform(list(e.coeffs))
+            assert (t.parity, list(half_square(t).coeffs)) == fr.cl_transform(list(e.coeffs))
         # E(x) = G(2x + 1) with G even or odd is symmetric; most others are not
         for k in range(1, 9):
             g = [random_rational(rnd) if i % 2 == k % 2 else 0 for i in range(k)] + [F(rnd.randint(1, 5))]
             e = compose(Poly(g), Poly((1, 2)))
             t = cl_transform(e)
-            assert (t.parity, list(t.half_square.coeffs)) == fr.cl_transform(list(e.coeffs))
+            assert (t.parity, list(half_square(t).coeffs)) == fr.cl_transform(list(e.coeffs))
             other = e + Poly((0,) * (k - 1) + (1,))
             if fr.is_symmetric(list(other.coeffs)):
                 assert cl_transform(other).parity == k & 1
@@ -229,8 +252,8 @@ class TestIntegerReferees:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sturm_chain_member_by_member(self, seed):
-        for p in list(random_polys(seed)) + [cl_transform(e).half_square for e in SYMMETRIC]:
-            assert roots._chain(roots._ints(p)) == fr.sturm_chain(list(p.coeffs))
+        for p in list(random_polys(seed)) + [half_square(cl_transform(e)) for e in SYMMETRIC]:
+            assert roots._chain(ints(p)) == fr.sturm_chain(list(p.coeffs))
 
     def test_sturm_chain_with_degree_gaps(self):
         # x^n + a x + b: the remainder of p by p' is linear, so the chain
@@ -239,13 +262,55 @@ class TestIntegerReferees:
         for n in (4, 5, 6, 7):
             for a, b in ((1, 1), (3, -2), (-1, 5), (F(1, 3), F(-7, 2))):
                 p = Poly([b, a] + [0] * (n - 2) + [1])
-                assert roots._chain(roots._ints(p)) == fr.sturm_chain(list(p.coeffs))
+                assert roots._chain(ints(p)) == fr.sturm_chain(list(p.coeffs))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_squarefree_decomposition_against_fraction_gcd(self, seed):
         for p in random_polys(seed):
             want = fr.squarefree_decomposition(list(p.coeffs))
             assert monic(decompose(p)) == want
+
+
+class TestIntegerVerdict:
+    """The verdict path builds no Fraction: H stays an integer vector from
+    E's numerators through its chains, and the isolation holds its dyadic
+    ends as integers."""
+
+    @pytest.mark.parametrize(
+        "e,multiplicities",
+        [
+            pytest.param(ehrhart_bipartite(16, 16), [1], id="16,16"),
+            pytest.param(ehrhart_111n(9), [1], id="1,1,1,9"),
+            # E(x) = H((2x + 1)^2) with H = (w + 1)^2 (w + 3)
+            pytest.param(
+                compose(Poly((3, 7, 5, 1)), compose(Poly((0, 0, 1)), Poly((1, 2)))), [1, 2], id="not-squarefree"
+            ),
+            pytest.param(Poly((1, 1)), None, id="asymmetric"),
+        ],
+    )
+    def test_w_data_builds_no_fraction(self, monkeypatch, e, multiplicities):
+        built, w = _count_fractions(monkeypatch, lambda: roots._w_data(e))
+        assert built == 0
+        if multiplicities is None:
+            assert w is None
+        else:
+            assert w.on_cl and [m for _, m in w.decomp] == multiplicities
+
+    def test_isolation_builds_no_fraction(self, monkeypatch):
+        # (w + 1/1000)(w + 3)(w + 5): refining below 0 bisects the interval
+        # of -1/1000 many times
+        chain = roots._chain(ints(Poly((F(1, 1000), 1)) * Poly((3, 1)) * Poly((5, 1))))
+
+        def call():
+            isos = roots._isolate(chain)
+            for iso in isos:
+                iso.refine_below_zero()
+                iso.refine_to_width(6)
+            return [(iso.a, iso.b, iso.k) for iso in isos]
+
+        built, ends = _count_fractions(monkeypatch, call)
+        assert built == 0
+        assert [F(a, 2**k) < r < F(b, 2**k) <= 0 for (a, b, k), r in zip(ends, (-5, -3, F(-1, 1000)))] == [True] * 3
 
 
 class TestIsCL:
@@ -509,10 +574,9 @@ class TestInvariantChecks:
             cl_transform(Poly((1, 0, 1)))
 
     def test_transform_degree(self, monkeypatch):
-        def drop_top(coeffs):
-            return Poly(coeffs[:-1] if isinstance(coeffs, list) else coeffs)
-
-        monkeypatch.setattr(roots, "Poly", drop_top)
+        # the numerators of E = 1 + 2x padded to degree 3: F = 8 E((u-1)/2)
+        # is odd, but its u^3 coefficient vanishes
+        monkeypatch.setattr(roots, "_numerators", lambda e: ([1, 2, 0, 0], 1))
         with pytest.raises(RootCheckFailed, match="H has degree 0, expected 1"):
             cl_transform(ehrhart_bipartite(2, 2))
 
@@ -521,7 +585,7 @@ class TestInvariantChecks:
         p = Poly.one()
         for j in range(1, 7):
             p = p * Poly((1 - F(2, 2**j), 1))
-        monkeypatch.setattr(roots, "cauchy_bound", lambda q: F(1))
+        monkeypatch.setattr(roots, "cauchy_exponent", lambda q: 0)
         with pytest.raises(RootCheckFailed, match="no split point"):
             isolate(p)
 
@@ -530,7 +594,7 @@ class TestInvariantChecks:
         p = Poly.one()
         for j in range(1, 7):
             p = p * Poly((-F(1, 2**j), 1))
-        iso = roots.Isolation(0, 1, 0, 1, roots._ints(p))
+        iso = roots.Isolation(0, 1, 0, 1, ints(p))
         with pytest.raises(RootCheckFailed, match="no split point"):
             iso.bisect()
 

@@ -28,7 +28,7 @@ FROZEN = {
     "CLTransform": (
         lambda: roots.cl_transform(Poly((1, 2, 2))),
         roots.cl_transform(Poly((1, 2))),
-        ("parity", "half_square"),
+        ("parity", "h", "den"),
     ),
 }
 
