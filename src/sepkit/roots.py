@@ -1,5 +1,5 @@
 """Certified root location on the canonical line Re(z) = -1/2 and certified
-interlacing, by exact Sturm-sequence root isolation.
+interlacing, by an exact Sturm verdict and Budan-Fourier root isolation.
 
 For a symmetric Ehrhart polynomial E of degree d (meaning
 (-1)^d E(x) = E(-1-x)), the substitution u = 2x + 1 gives
@@ -11,36 +11,48 @@ Sturm counting certifies without any floating point.
 The path from E to the verdict runs on integers.  F comes from an integer
 Taylor shift of E's numerators, and E is symmetric exactly when F is even
 or odd.  H is held as the integer vector h = den H, with den the common
-denominator of E, until a certificate reports it.  The unit of work is a
-chain: the integer vectors of the primitive remainder sequence of a
-polynomial q and q' (Collins, 1967), q first.  Its members have the signs
-of the rational Sturm chain's, and the last is gcd(q, q'), so the chain of
-H also tells whether H is squarefree and, when it is, counts and isolates
-every root of H.  Which squarefree factor of H owns an isolated root is
-read off a sign change of the factor across the interval, with no chain of
-its own.
+denominator of E, until a certificate reports it.  The verdict reads one
+chain: the integer vectors of the primitive remainder sequence of H and
+H' (Collins, 1967), H first.  Its members have the signs of the rational
+Sturm chain's, and the last is gcd(H, H'), so the chain also tells
+whether H is squarefree; when it is not, the squarefree part gets a chain
+of its own.  The verdict is V(-inf) - V(0) on the chain of the squarefree
+part, read off leading coefficients and constant terms.  No chain is built
+or evaluated after it.
 
-Every point the chain is evaluated at is dyadic, a/2^k held as the
-integers (a, k).  The isolation starts at +-2^e, where the integer Cauchy
-exponent e makes 2^e the least power of two at least the Cauchy bound.  It
-splits intervals at dyadic points and visits the left half first, so the
-isolating intervals come out left to right.  The sign of q at a/2^k is
-that of the integer 2^(k deg q) q(a/2^k), by homogeneous Horner with
-shifts, after a/2^k is put in lowest terms.  The chain is evaluated in
-full only while an interval holds more than one root.  Once it holds
-exactly one, the polynomial is squarefree and nonzero at both ends, so one
-sign of the polynomial at the split point decides the half that keeps the
-root, and the variation count at the new end follows.  Integer gcds give
-the squarefree decomposition and the shared factor of an interlacing;
-fractions appear only in what a certificate reports: H, the brackets
-(whose denominators are powers of two) and the monic factors.
+Once the verdict holds, the squarefree part p is real-rooted, and then so
+is every derivative of p, with its roots inside p's root range.  So the
+Budan-Fourier count V(a) - V(b), where V(x) is the number of sign
+variations of the Taylor coefficients p(x), p'(x), p''(x)/2!, ..., is
+exactly the number of roots of p in (a, b], the same number a Sturm count
+gives.  The Taylor coefficients at x = a/2^k have the signs of one integer
+Taylor shift by a of 2^(k deg p) p(y/2^k).
+
+Every point p is expanded at is dyadic, a/2^k held as the integers (a, k).
+The isolation starts at +-2^e, where the integer Cauchy exponent e makes
+2^e the least power of two at least the Cauchy bound; there V is deg p and
+0.  It splits intervals at dyadic points and visits the left half first, so
+the isolating intervals come out left to right.  The sign of p at a/2^k is
+that of the integer 2^(k deg p) p(a/2^k), by homogeneous Horner with
+shifts, after a/2^k is put in lowest terms.  Taylor coefficients are read
+only while an interval holds more than one root.  Once it holds exactly
+one, the polynomial is squarefree and nonzero at both ends, so one sign of
+the polynomial at the split point decides the half that keeps the root.
+An interval that still counts two roots when it is narrower than the
+Mahler-Mignotte root separation bound of p proves p is not squarefree and
+real-rooted, and the isolation stops there.  Which squarefree factor of H
+owns an isolated root is read off a sign change of the factor across the
+interval.  Integer gcds give the squarefree decomposition and the shared
+factor of an interlacing; fractions appear only in what a certificate
+reports: H, the brackets (whose denominators are powers of two) and the
+monic factors.
 
 Roots on the line are ordered by imaginary part.  A root of E at
 -1/2 + i s corresponds to w = u^2 = -4 s^2, so comparisons of imaginary
 parts reduce to exact comparisons of w-roots, performed on isolating
-intervals.  The intervals of one chain are disjoint by construction; those
-of the different chains of an interlacing are refined until pairwise
-disjoint (shared roots are split off through a gcd first).
+intervals.  The intervals of one polynomial are disjoint by construction;
+those of the different polynomials of an interlacing are refined until
+pairwise disjoint (shared roots are split off through a gcd first).
 """
 
 from __future__ import annotations
@@ -63,7 +75,11 @@ from .polynomial import (
 
 
 class NotSymmetric(ValueError):
-    """Input lacks the reflexive functional equation; no CL transform exists."""
+    """Input lacks the reflexive functional equation; no CL transform exists.
+    It holds E and formats it into the message only when that is read."""
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} fails (-1)^d E(x) = E(-1-x)"
 
 
 class NotCL(ValueError):
@@ -105,7 +121,7 @@ def cl_transform(e: Poly) -> CLTransform:
         for j in range(d - 1, i - 1, -1):
             f[j] -= f[j + 1]
     if not _even_or_odd(f):
-        raise NotSymmetric(f"{e} fails (-1)^d E(x) = E(-1-x)")
+        raise NotSymmetric(e)
     parity = d & 1
     # F has degree d, so an even or odd F is u^parity times an even polynomial
     if any(f[1 - parity :: 2]):
@@ -117,13 +133,13 @@ def cl_transform(e: Poly) -> CLTransform:
 
 
 # ---------------------------------------------------------------------------
-# Sturm machinery
+# Sturm verdict and Budan-Fourier isolation
 # ---------------------------------------------------------------------------
 
 
 def _chain(a: list[int]) -> list[list[int]]:
     """The Sturm chain of the integer vector a: the primitive remainder
-    sequence of a and a'."""
+    sequence of a and a'.  Only the verdict builds one."""
     return _sturm_prs(a, [i * c for i, c in enumerate(a)][1:])
 
 
@@ -146,23 +162,46 @@ def _changes(values: list[int]) -> int:
     return sum((a < 0) != (b < 0) for a, b in zip(nonzero, nonzero[1:]))
 
 
-def _variations(chain: list[list[int]], a: int, k: int, s: Optional[int] = None) -> int:
-    """V(a / 2^k): the sign variations of the chain there; s is the sign of
-    chain[0] there when the caller already has it."""
-    first = _sign(chain[0], a, k) if s is None else s
-    return _changes([first] + [_sign(q, a, k) for q in chain[1:]])
+def _nonpositive_roots(chain: list[list[int]]) -> int:
+    """The distinct real roots of chain[0] in (-inf, 0]: V(-inf) - V(0) of
+    its Sturm chain.  At -inf a member takes the sign of its leading
+    coefficient, opposite when its degree is odd; at 0 that of its constant
+    term."""
+    return _changes([q[-1] if len(q) % 2 else -q[-1] for q in chain]) - _changes([q[0] for q in chain])
 
 
-def _variations_at_inf(chain: list[list[int]], positive: bool) -> int:
-    """V(+inf) or V(-inf), read off the leading coefficients; at -inf a
-    member of odd degree takes the opposite sign."""
-    return _changes([q[-1] if positive or len(q) % 2 else -q[-1] for q in chain])
+def _taylor_variations(p: list[int], a: int, k: int) -> int:
+    """V(a / 2^k), k >= 0: the sign variations of the Taylor coefficients
+    p(x), p'(x), p''(x)/2!, ... of p at x = a / 2^k.  They have the signs of
+    the coefficients of P(a + t), where P(y) = 2^(k deg p) p(y / 2^k) is an
+    integer vector, so one integer Taylor shift by a gives them.  a / 2^k
+    is first put in lowest terms, which keeps the powers of 2^k short."""
+    z = min(k, (a & -a).bit_length() - 1) if a else k
+    a, k = a >> z, k - z
+    n = len(p) - 1
+    f = [c << (k * (n - i)) for i, c in enumerate(p)] if k else list(p)
+    if a:
+        for i in range(n):
+            acc = f[n]
+            for j in range(n - 1, i - 1, -1):
+                acc = f[j] = f[j] + a * acc
+    return _changes(f)
 
 
 def cauchy_exponent(a: list[int]) -> int:
     """The least e with 2^e at least Cauchy's strict bound 1 + max |a_i| / |lead a|
     on the absolute values of the roots of a, deg a >= 1."""
     return (-(-max(abs(c) for c in a[:-1]) // abs(a[-1]))).bit_length()
+
+
+def _separation_exponent(p: list[int]) -> int:
+    """An s with 2^-s below the Mahler-Mignotte bound
+    sqrt(3) n^(-(n+2)/2) ||p||_2^(1-n) on the distance between two roots of
+    the squarefree integer vector p of degree n >= 1.  With
+    ||p||_2 <= sqrt(n+1) 2^B, B the largest bit length of a coefficient, and
+    n + 1 < 2^L, that bound exceeds 2^-((n-1) B + (n+1) L)."""
+    n = len(p) - 1
+    return (n - 1) * max(abs(c).bit_length() for c in p) + (n + 1) * (n + 1).bit_length()
 
 
 def _split_point(p: list[int], a: int, b: int, k: int) -> tuple[int, int, int]:
@@ -225,20 +264,25 @@ class Isolation:
             self.bisect()
 
 
-def _isolate(chain: list[list[int]]) -> list[Isolation]:
-    """Disjoint isolating intervals for all real roots of the chain's
-    squarefree polynomial, left to right.  The search starts at +-2^e,
-    e = cauchy_exponent(p), visits the left half of a split first, and
-    evaluates the chain in full only where an interval holds more than one
-    root."""
-    p = chain[0]
-    if len(p) < 2:
+def _isolate(p: list[int]) -> list[Isolation]:
+    """Disjoint isolating intervals for the roots of the squarefree,
+    real-rooted integer vector p, left to right.  The search starts at
+    +-2^e, e = cauchy_exponent(p), where the Budan-Fourier count V is deg p
+    and 0, visits the left half of a split first, and expands p at a split
+    point only where an interval holds more than one root.
+
+    Input that is not squarefree or not real-rooted raises RootCheckFailed:
+    an interval narrower than the root separation bound still counting two
+    or more roots stops the search, which ends in a check that every root
+    of p was isolated."""
+    n = len(p) - 1
+    if n < 1:
         return []
     e = cauchy_exponent(p)
+    s = _separation_exponent(p)
     out: list[Isolation] = []
     lo, hi = -1 << e, 1 << e
-    sa, sb = _sign(p, lo, 0), _sign(p, hi, 0)
-    stack = [(lo, hi, 0, _variations(chain, lo, 0, sa), _variations(chain, hi, 0, sb), sa, sb)]
+    stack = [(lo, hi, 0, n, 0, _sign(p, lo, 0), _sign(p, hi, 0))]
     while stack:
         a, b, k, va, vb, sa, sb = stack.pop()
         if va - vb == 1:
@@ -249,11 +293,18 @@ def _isolate(chain: list[list[int]]) -> list[Isolation]:
                 )
             out.append(Isolation(a, b, k, sa, p))
         elif va - vb > 1:
+            if k - (b - a).bit_length() >= s:
+                raise RootCheckFailed(
+                    f"({Fraction(a, 1 << k)}, {Fraction(b, 1 << k)}) is narrower than 2^-{s} and still counts "
+                    f"{va - vb} roots: {p} is not squarefree and real-rooted"
+                )
             m, j, sm = _split_point(p, a, b, k)
             a, b, k = a << j, b << j, k + j
-            vm = _variations(chain, m, k, sm)
+            vm = _taylor_variations(p, m, k)
             stack.append((m, b, k, vm, vb, sm, sb))
             stack.append((a, m, k, va, vm, sa, sm))
+    if len(out) != n:
+        raise RootCheckFailed(f"{len(out)} isolating intervals for the {n} roots of {p}")
     return out
 
 
@@ -366,12 +417,12 @@ class _WData(NamedTuple):
 
     transform: CLTransform
     decomp: list[tuple[list[int], int]]  # squarefree decomposition of H
-    chain: list[list[int]]  # of the product of its factors, up to sign
+    part: list[int]  # the product of its factors, up to sign
     in_range: int  # distinct roots of H in (-inf, 0]
 
     @property
     def on_cl(self) -> bool:
-        return self.in_range == len(self.chain[0]) - 1
+        return self.in_range == len(self.part) - 1
 
 
 def _w_data(e: Poly) -> Optional[_WData]:
@@ -380,7 +431,7 @@ def _w_data(e: Poly) -> Optional[_WData]:
 
     The chain of H ends in g = gcd(H, H'), and H / g is the squarefree part.
     When g is a constant, that is H itself and the chain is its chain;
-    otherwise the squarefree part gets its own chain."""
+    otherwise the squarefree part gets its own chain for the verdict."""
     try:
         t = cl_transform(e)
     except NotSymmetric:
@@ -389,16 +440,16 @@ def _w_data(e: Poly) -> Optional[_WData]:
     decomp = _decompose(chain[0], chain[-1])
     if len(chain[-1]) > 1:
         chain = _chain(_exact_quo(chain[0], chain[-1]))
-    return _WData(t, decomp, chain, _variations_at_inf(chain, False) - _variations(chain, 0, 0))
+    return _WData(t, decomp, chain[0], _nonpositive_roots(chain))
 
 
-def _split_zero(w: _WData) -> tuple[list[list[int]], int]:
-    """The chain of the squarefree part without its root w = 0 (the line's
-    center), and that root's multiplicity in H (0 when w = 0 is no root)."""
-    s = w.chain[0]
+def _split_zero(w: _WData) -> tuple[list[int], int]:
+    """The squarefree part without its root w = 0 (the line's center), and
+    that root's multiplicity in H (0 when w = 0 is no root)."""
+    s = w.part
     if s[0] != 0:
-        return w.chain, 0
-    return _chain(s[1:]), next(m for f, m in w.decomp if f[0] == 0)
+        return s, 0
+    return s[1:], next(m for f, m in w.decomp if f[0] == 0)
 
 
 def _factor_at(factors: list[tuple[list[int], int]], iso: Isolation) -> tuple[int, Optional[Fraction]]:
@@ -424,8 +475,8 @@ def is_cl(e: Poly) -> RootCertificate:
 
     The verdict is positive exactly when E satisfies the symmetry equation
     and the squarefree part of H has deg(H)-many distinct real roots, all in
-    (-inf, 0].  The isolating intervals of one chain are disjoint; each is
-    refined to avoid straddling 0.
+    (-inf, 0].  The isolating intervals of the squarefree part are
+    disjoint; each is refined to avoid straddling 0.
     """
     w = _w_data(e)
     if w is None:
@@ -434,8 +485,8 @@ def is_cl(e: Poly) -> RootCertificate:
         )
     roots: list[WRoot] = []
     if w.on_cl:
-        chain, zero_mult = _split_zero(w)
-        for iso in _isolate(chain):
+        part, zero_mult = _split_zero(w)
+        for iso in _isolate(part):
             iso.refine_below_zero()
             iso.refine_to_width(6)
             mult, exact = _factor_at(w.decomp, iso)
@@ -488,20 +539,16 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
     if wf is None or wg is None or not (wf.on_cl and wg.on_cl):
         raise NotCL("both polynomials must have all roots on the canonical line")
 
-    cf, zf = _split_zero(wf)
-    cg, zg = _split_zero(wg)
+    pf, zf = _split_zero(wf)
+    pg, zg = _split_zero(wg)
 
-    shared = _int_gcd(cf[0], cg[0])
+    shared = _int_gcd(pf, pg)
     if len(shared) > 1:
-        parts = [
-            ("shared", _chain(shared)),
-            ("f", _chain(_exact_quo(cf[0], shared))),
-            ("g", _chain(_exact_quo(cg[0], shared))),
-        ]
+        parts = [("shared", shared), ("f", _exact_quo(pf, shared)), ("g", _exact_quo(pg, shared))]
     else:
-        parts = [("f", cf), ("g", cg)]
+        parts = [("f", pf), ("g", pg)]
 
-    isos = [(tag, iso) for tag, chain in parts for iso in _isolate(chain)]
+    isos = [(tag, iso) for tag, p in parts for iso in _isolate(p)]
     refine_pairwise_disjoint([iso for _, iso in isos])
     for _, iso in isos:
         iso.refine_below_zero()

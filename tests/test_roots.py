@@ -1,10 +1,10 @@
-"""Sturm counting, canonical-line certificates, interlacing."""
+"""Sturm verdicts, Budan-Fourier isolation, canonical-line certificates,
+interlacing."""
 
 import hashlib
 import json
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -38,8 +38,9 @@ def half_square(t):
 
 
 def isolate(p):
-    """Isolating intervals of the real roots of squarefree p, left to right."""
-    return roots._isolate(roots._chain(ints(p)))
+    """Isolating intervals of the roots of squarefree, real-rooted p, left
+    to right."""
+    return roots._isolate(ints(p))
 
 
 def decompose(p):
@@ -59,16 +60,20 @@ def monic(decomp):
 
 def count(p, lo, hi):
     """Distinct real roots of squarefree p in (lo, hi], None meaning an
-    infinity, read off the variation counts of a chain.  With zeros skipped,
-    V(a) - V(b) counts the roots in (a, b] even when a or b is a root.  The
-    chain is that of den^deg p(x / den), whose roots are den times those of
-    p, with den the common denominator of the ends, so the ends become
-    integers."""
-    den = lcm(*(x.denominator for x in (lo, hi) if x is not None))
-    chain = roots._chain(ints(Poly([c * den ** (p.degree - i) for i, c in enumerate(p.coeffs)])))
-    va = roots._variations_at_inf(chain, False) if lo is None else roots._variations(chain, int(lo * den), 0)
-    vb = roots._variations_at_inf(chain, True) if hi is None else roots._variations(chain, int(hi * den), 0)
-    return va - vb
+    infinity, read off the variation counts of the rational Sturm chain of
+    tests/fraction_routes.py.  With zeros skipped, V(a) - V(b) counts the
+    roots in (a, b] even when a or b is a root.  At -inf a member of odd
+    degree takes the opposite sign of its leading coefficient."""
+    chain = fr.sturm_chain(list(p.coeffs))
+    return sturm_variations(chain, lo, -1) - sturm_variations(chain, hi, 1)
+
+
+def sturm_variations(chain, x, at_inf=1):
+    """V(x) of a rational Sturm chain, zeros skipped; x None is at_inf
+    times infinity."""
+    values = [q[-1] * at_inf ** (len(q) - 1) for q in chain] if x is None else [fr.value(q, x) for q in chain]
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 class TestCLTransform:
@@ -87,8 +92,9 @@ class TestCLTransform:
         assert -h[0] / h[1] == -5  # root w = -5, so roots -1/2 +- i sqrt(5)/2
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(NotSymmetric) as caught:
             cl_transform(Poly((1, 1)))
+        assert str(caught.value) == f"{Poly((1, 1))} fails (-1)^d E(x) = E(-1-x)"
 
 
 class TestSturm:
@@ -119,12 +125,15 @@ class TestSturm:
             p = p * F(rnd.choice((-1, 1)) * rnd.randint(1, 50), rnd.randint(1, 50))
             chain = roots._chain(ints(p))
             assert all(type(c) is int for q in chain for c in q)
+            assert roots._nonpositive_roots(chain) == sum(1 for r in known if r <= 0)
             between = [known[0] - 1] + [(a + b) / 2 for a, b in zip(known, known[1:])] + [known[-1] + 1]
             points = [None] + sorted(known + between) + [None]
+            rational = fr.sturm_chain(list(p.coeffs))
+            v = [sturm_variations(rational, x, -1 if i == 0 else 1) for i, x in enumerate(points)]
             for i, lo in enumerate(points[:-1]):
-                for hi in points[i + 1:]:
+                for j, hi in enumerate(points[i + 1:], i + 1):
                     want = sum(1 for r in known if (lo is None or lo < r) and (hi is None or r <= hi))
-                    assert count(p, lo, hi) == want
+                    assert v[i] - v[j] == want
 
     def test_cauchy_exponent(self):
         """2^e is the least power of two at least 1 + max |a_i| / |lead a|."""
@@ -147,41 +156,57 @@ class TestSturm:
         spans = [(iso.lo, iso.hi) for iso in isos]
         assert spans == sorted(spans)
 
+    def test_isolation_of_close_roots(self):
+        # 1/1001 and 1/1000 lie about 2^-20 apart; the separation guard
+        # lets the bisection go on until they are apart, at width 2^-17
+        known = (F(-7, 3), F(1, 1001), F(1, 1000), F(5, 2))
+        p = Poly.one()
+        for r in known:
+            p = p * Poly((-r, 1))
+        isos = isolate(p)
+        assert [iso.lo < r < iso.hi for iso, r in zip(isos, known)] == [True] * 4
+        assert isos[1].hi - isos[1].lo == F(1, 2**17)
+
     def test_refinement_evaluates_one_sign(self, monkeypatch):
         """A refinement step evaluates only the polynomial, at its split
         point, and the half it keeps still isolates the root."""
-        chain = roots._chain([-2, 0, 1])
-        iso = roots._isolate(chain)[1]  # sqrt(2); no split point is a root
-        real_sign, real_variations = roots._sign, roots._variations
+        p = [-2, 0, 1]
+        iso = roots._isolate(p)[1]  # sqrt(2); no split point is a root
+        real_sign, variations = roots._sign, roots._taylor_variations
         calls = []
         monkeypatch.setattr(roots, "_sign", lambda q, a, k: calls.append((q, F(a, 2**k))) or real_sign(q, a, k))
         for _ in range(20):
             lo, hi = iso.lo, iso.hi
             del calls[:]
             iso.bisect()
-            assert calls == [(chain[0], (lo + hi) / 2)]
+            assert calls == [(p, (lo + hi) / 2)]
             assert (iso.lo, iso.hi) in ((lo, (lo + hi) / 2), ((lo + hi) / 2, hi))
-            assert real_variations(chain, iso.a, iso.k) - real_variations(chain, iso.b, iso.k) == 1
-            assert iso.sign_lo == real_sign(chain[0], iso.a, iso.k)
+            assert variations(p, iso.a, iso.k) - variations(p, iso.b, iso.k) == 1
+            assert iso.sign_lo == real_sign(p, iso.a, iso.k)
         assert iso.lo ** 2 < 2 < iso.hi ** 2
 
-    def test_isolation_evaluates_each_sign_once(self, monkeypatch):
+    def test_isolation_expands_each_split_point_once(self, monkeypatch):
         """The isolation tree reuses the sign of the polynomial that it
-        already has at the start and at every split point: no chain member
-        is evaluated twice at one point."""
-        p = Poly((-5, 1)) * Poly((1, 1)) * Poly((-1, 3)) * Poly((-2, 1)) * Poly((-9, 4)) * Poly((1, 0, 1))
-        chain = roots._chain(ints(p))
-        real_sign = roots._sign
-        calls = []
-        monkeypatch.setattr(roots, "_sign", lambda q, a, k: calls.append((tuple(q), F(a, 2**k))) or real_sign(q, a, k))
-        isos = roots._isolate(chain)
+        already has at the start and at every split point, and the Taylor
+        expansion at every split point: p is never evaluated twice at one
+        point, nor expanded twice at one point."""
+        p = ints(Poly((-5, 1)) * Poly((1, 1)) * Poly((-1, 3)) * Poly((-2, 1)) * Poly((-9, 4)))
+        real_sign, real_variations = roots._sign, roots._taylor_variations
+        signs, expansions = [], []
+        monkeypatch.setattr(roots, "_sign", lambda q, a, k: signs.append((tuple(q), F(a, 2**k))) or real_sign(q, a, k))
+        monkeypatch.setattr(
+            roots, "_taylor_variations", lambda q, a, k: expansions.append(F(a, 2**k)) or real_variations(q, a, k)
+        )
+        isos = roots._isolate(p)
         assert [iso.lo < r < iso.hi for iso, r in zip(isos, (-1, F(1, 3), 2, F(9, 4), 5))] == [True] * 5
-        assert len(calls) > 5 * len(chain)  # the tree split several times
-        assert len(calls) == len(set(calls))
+        assert len(expansions) > 5  # the tree split several times
+        assert len(expansions) == len(set(expansions))
+        assert len(signs) == len(set(signs))
+        assert set(expansions) <= {x for _, x in signs}  # a split point is first tried by its sign
 
     def test_lone_factor_evaluates_no_sign(self, monkeypatch):
         """The one factor of a decomposition owns every isolated root."""
-        iso = roots._isolate(roots._chain([-2, 0, 1]))[1]
+        iso = roots._isolate([-2, 0, 1])[1]
         calls = []
         monkeypatch.setattr(roots, "_sign", lambda *a: calls.append(a))
         assert roots._factor_at([([-2, 0, 1], 3)], iso) == (3, None)
@@ -191,7 +216,7 @@ class TestSturm:
     def test_factor_lookup_evaluates_the_ends(self, monkeypatch):
         """With several factors, each factor is evaluated at lo and hi only,
         until one changes sign across the interval."""
-        iso = roots._isolate(roots._chain([-2, 0, 1]))[1]
+        iso = roots._isolate([-2, 0, 1])[1]
         real = roots._sign
         points = []
         monkeypatch.setattr(roots, "_sign", lambda q, a, k: points.append((tuple(q), F(a, 2**k))) or real(q, a, k))
@@ -273,7 +298,7 @@ class TestIntegerReferees:
 
 class TestIntegerVerdict:
     """The verdict path builds no Fraction: H stays an integer vector from
-    E's numerators through its chains, and the isolation holds its dyadic
+    E's numerators through its chain, and the isolation holds its dyadic
     ends as integers."""
 
     @pytest.mark.parametrize(
@@ -299,10 +324,10 @@ class TestIntegerVerdict:
     def test_isolation_builds_no_fraction(self, monkeypatch):
         # (w + 1/1000)(w + 3)(w + 5): refining below 0 bisects the interval
         # of -1/1000 many times
-        chain = roots._chain(ints(Poly((F(1, 1000), 1)) * Poly((3, 1)) * Poly((5, 1))))
+        p = ints(Poly((F(1, 1000), 1)) * Poly((3, 1)) * Poly((5, 1)))
 
         def call():
-            isos = roots._isolate(chain)
+            isos = roots._isolate(p)
             for iso in isos:
                 iso.refine_below_zero()
                 iso.refine_to_width(6)
@@ -311,6 +336,25 @@ class TestIntegerVerdict:
         built, ends = _count_fractions(monkeypatch, call)
         assert built == 0
         assert [F(a, 2**k) < r < F(b, 2**k) <= 0 for (a, b, k), r in zip(ends, (-5, -3, F(-1, 1000)))] == [True] * 3
+
+
+def wh(e):
+    """The H of E, as a Poly."""
+    return half_square(cl_transform(e))
+
+
+def from_half_square(h, parity):
+    """E(x) = u^parity H(u^2) with u = 2x + 1."""
+    u = Poly((1, 2))
+    return compose(h, compose(Poly((0, 0, 1)), u)) * (u if parity else Poly.one())
+
+
+# H_g = (w + 1)(w + 4) and H_f = (w + 1)(w + 9) share the root w = -1; with
+# the center, f's roots -9, -1, 0 then bracket g's -4 and -1 along the line
+SHARED_PAIR = (
+    from_half_square(Poly((1, 1)) * Poly((4, 1)), 0),
+    from_half_square(Poly((1, 1)) * Poly((9, 1)), 1),
+)
 
 
 class TestIsCL:
@@ -374,17 +418,27 @@ class TestIsCL:
             "reason": "",
         }
 
-    def test_one_chain_per_squarefree_polynomial(self, monkeypatch):
-        """The chain of H that tells it is squarefree is the chain that
-        counts and isolates its roots."""
-        built = []
-        real = roots._chain
-        monkeypatch.setattr(roots, "_chain", lambda a: built.append(a) or real(a))
+    def test_chains_only_for_the_verdict(self, monkeypatch):
+        """The chain of H that tells it is squarefree gives the verdict, and
+        the isolation builds no chain: is_cl builds one chain for a
+        squarefree H, and interlaces_on_cl builds the two verdict chains
+        and, when the squarefree parts share a factor, one gcd of them."""
+        built, gcds = [], []
+        real_chain, real_gcd = roots._chain, roots._int_gcd
+        monkeypatch.setattr(roots, "_chain", lambda a: built.append(a) or real_chain(a))
+        monkeypatch.setattr(roots, "_int_gcd", lambda a, b: gcds.append((a, b)) or real_gcd(a, b))
         assert is_cl(ehrhart_bipartite(16, 16)).on_cl
         assert len(built) == 1
         del built[:]
         assert interlaces_on_cl(ehrhart_bipartite(4, 4), ehrhart_bipartite(4, 5)).interlaces
         assert len(built) == 2
+        del built[:], gcds[:]
+        g, f = SHARED_PAIR
+        cert = interlaces_on_cl(g, f)
+        assert cert.interlaces and cert.shared_factor == Poly((1, 1))
+        assert len(built) == 2
+        # the decomposition of a squarefree H takes its gcd with a constant
+        assert [(a, b) for a, b in gcds if len(a) > 1 and len(b) > 1] == [(ints(wh(f)), ints(wh(g)))]
 
     def test_serialization_round_trips(self):
         cert = is_cl(ehrhart_bipartite(2, 3))
@@ -555,6 +609,58 @@ class TestBracketReferee:
         assert self.check_is_cl(ehrhart_bipartite(40, 40)) == 39
 
 
+def cl_certify_families():
+    """Every Ehrhart polynomial the benchmark's cl-certify workload can
+    draw: K_{m,m}, K_{a,b} with a + b = 25 or 27 and a >= 6, K_{a,b,c} with
+    a + b + c = 12 or 15, K_{1,m,n} with m + n = 16 or 20, K_{1,1,1,n} and
+    K_{2,2,n} with n = 12 or 16."""
+    polys = [ehrhart_bipartite(m, m) for m in (10, 12, 14, 16)]
+    polys += [ehrhart_bipartite(a, s - a) for s in (25, 27) for a in range(6, s // 2 + 1)]
+    polys += [
+        ehrhart_from_hstar(hstar_tripartite(a, b, s - a - b))
+        for s in (12, 15)
+        for a in range(1, s // 3 + 1)
+        for b in range(a, (s - a) // 2 + 1)
+    ]
+    polys += [ehrhart_1mn(m, s - m) for s in (16, 20) for m in range(1, s // 2 + 1)]
+    return polys + [ehrhart_111n(n) for n in (12, 16)] + [ehrhart_22n(n) for n in (12, 16)]
+
+
+class TestBudanFourierReferee:
+    """The isolation's Budan-Fourier counts against Sturm counts on the
+    rational chain of tests/fraction_routes.py, for the squarefree part of
+    every H that is on the line in the sweep and the cl-certify families:
+    V(x) - V(y) counts the roots in (x, y] both ways, at seeded random
+    dyadic points x < y inside the Cauchy bound, at 0 and at its ends."""
+
+    def test_counts_equal_sturm_counts(self):
+        polys, pairs = sweep()
+        parts = {}
+        for e in polys + [e for pair in pairs for e in pair] + cl_certify_families():
+            w = roots._w_data(e)
+            if w.on_cl and len(w.part) > 1:
+                parts[tuple(w.part)] = None
+        rnd = random.Random(27)
+        checked = 0
+        for part in parts:
+            p = list(part)
+            chain = fr.sturm_chain([F(c) for c in p])
+            e = roots.cauchy_exponent(p)
+            points = {(0, 0), (-1 << e, 0), (1 << e, 0)}
+            for _ in range(6):
+                k = rnd.randint(0, 12)
+                points.add((rnd.randint(-1 << (e + k), 1 << (e + k)), k))
+            points = sorted(points, key=lambda x: F(x[0], 2 ** x[1]))
+            bf = [roots._taylor_variations(p, a, k) for a, k in points]
+            sturm = [sturm_variations(chain, F(a, 2**k)) for a, k in points]
+            assert (bf[0], bf[-1]) == (len(p) - 1, 0)
+            for i in range(len(points)):
+                for j in range(i + 1, len(points)):
+                    assert bf[i] - bf[j] == sturm[i] - sturm[j], (p, points[i], points[j])
+                    checked += 1
+        assert len(parts) > 200 and checked > 20 * len(parts)
+
+
 class TestBounds:
     def test_sqrt_bounds(self):
         lo, hi = sqrt_bounds(F(3))
@@ -598,11 +704,36 @@ class TestInvariantChecks:
         with pytest.raises(RootCheckFailed, match="no split point"):
             iso.bisect()
 
-    def test_isolation_end_signs(self):
-        # (x - 1)^2 is not squarefree: its chain counts one distinct root in
-        # (-3, 3), but the polynomial is positive at both ends
+    def test_isolation_end_signs(self, monkeypatch):
+        # (x - 1)^2 on (-4, 4), split at 0: a count of one root in (-4, 0],
+        # where the polynomial is positive at both ends
+        monkeypatch.setattr(roots, "_taylor_variations", lambda p, a, k: 1)
         with pytest.raises(RootCheckFailed, match="signs 1 and 1 at the ends"):
-            roots._isolate(roots._chain([1, -2, 1]))
+            roots._isolate([1, -2, 1])
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            pytest.param([1, 0, 1], id="x^2+1"),
+            pytest.param([2, -3, 0, 1], id="(x-1)^2(x+2)"),
+            pytest.param(ints(Poly((1, 1)) * Poly((3, 1, 1)) * Poly((-2, 1)) ** 3), id="complex-pair-and-triple-root"),
+        ],
+    )
+    def test_isolation_needs_squarefree_real_roots(self, p):
+        # Budan-Fourier overcounts near a complex pair or a repeated root;
+        # the separation bound ends the bisection there
+        with pytest.raises(RootCheckFailed, match="is not squarefree and real-rooted"):
+            roots._isolate(p)
+
+    def test_isolation_root_count(self, monkeypatch):
+        # x^2 - 2 with the counts and signs of a polynomial that has three
+        # roots in (0, 4): three isolating intervals for two roots
+        variations = {F(0): 3, F(2): 2, F(3): 1}
+        signs = {F(-4): 1, F(0): -1, F(2): 1, F(3): -1, F(4): 1}
+        monkeypatch.setattr(roots, "_taylor_variations", lambda p, a, k: variations[F(a, 2**k)])
+        monkeypatch.setattr(roots, "_sign", lambda p, a, k: signs[F(a, 2**k)])
+        with pytest.raises(RootCheckFailed, match="3 isolating intervals for the 2 roots"):
+            roots._isolate([-2, 0, 1])
 
     def test_factor_lookup(self):
         factors = decompose(Poly((2, 1)) * Poly((3, 1)) ** 2)  # roots -2, -3

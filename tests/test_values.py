@@ -33,7 +33,7 @@ FROZEN = {
 }
 
 MUTABLE = {
-    "Isolation": lambda: roots._isolate(roots._chain([-2, 0, 1]))[1],
+    "Isolation": lambda: roots._isolate([-2, 0, 1])[1],
     "WRoot": lambda: roots.WRoot(F(-1), F(0), 1),
     "RootCertificate": lambda: roots.is_cl(Poly((1, 2, 2))),
     "InterlaceCertificate": lambda: roots.interlaces_on_cl(ehrhart_bipartite(1, 2), ehrhart_bipartite(1, 3)),
