@@ -252,8 +252,24 @@ def cmd_gb(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
+# the options each scan kind reads, with their defaults; another kind's
+# option is a usage error, not silently ignored
+SCAN_OPTIONS = {
+    "conjecture": {"max_total": 6, "max_n": 8},
+    "corollary": {"m": 4, "max_n": 8},
+    "k222": {"orders": 100, "seed": 7},
+}
+
+
 def cmd_scan(args) -> int:
     started = time.monotonic()
+    used = SCAN_OPTIONS[args.kind]
+    for name in ("max_total", "max_n", "m", "seed", "orders"):
+        if name in used:
+            if getattr(args, name) is None:
+                setattr(args, name, used[name])
+        elif getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to --kind {args.kind}")
     if args.kind == "conjecture":
         from .recursion import conjecture_scan
 
@@ -324,11 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="conjecture / corollary / K222 order scans")
     p.add_argument("--kind", choices=["conjecture", "corollary", "k222"], required=True)
-    p.add_argument("--max-total", type=int, default=6)
-    p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--m", type=int, default=4, help="corollary scan row parameter")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--orders", type=int, default=100)
+    p.add_argument("--max-total", type=int, help="conjecture: largest total with every signature (default 6)")
+    p.add_argument("--max-n", type=int, help="conjecture: largest n of the interlacings; corollary: n (default 8)")
+    p.add_argument("--m", type=int, help="corollary: row parameter (default 4)")
+    p.add_argument("--seed", type=int, help="k222: seed of the random orders (default 7)")
+    p.add_argument("--orders", type=int, help="k222: number of random edge orders (default 100)")
     common(p, fmt=("json", "plain"))
     p.set_defaults(func=cmd_scan)
     return parser

@@ -1,11 +1,21 @@
 """Closed-form h*-polynomials of symmetric edge polytopes of complete
 multipartite graphs K_{a_1,...,a_k}, for every k >= 2.
 
-`closed_form_hstar` answers for every signature with the sum of the two
-facet-type contributions, added as integer lists; `hstar_type_i` and
-`hstar_type_ii` return each of them as a `Poly`.  The family forms
-(complete bipartite graphs, K_{1,m,n}, K_{1,1,1,n}, K_{2,2,n} and the
-tripartite split) stay as referees.
+`closed_form_hstar` answers for every signature on n vertices with
+
+    h*(K_{a_1,...,a_k})_i = binom(n-1, i)^2 + sum_j T_n(a_j)_i,
+
+where binom(n-1, i)^2 is h* of K_n, the type-A root polytope (Ardila, Beck,
+Hosten, Pfeifle and Seashore, 2011), and the class term T_n(a)
+(`_class_terms`) depends only on n and the class size a, with T_n(1) = 0.
+The class term is the type-(i) sum of one class less that class's Hall
+deficit in the type-(ii) sum, so the two facet-type contributions, which
+`hstar_type_i` and `hstar_type_ii` return as a `Poly`, are sums over the
+same per-class helpers.  A scan passes one table of class terms to
+`_closed_form` for all its rows.  The facet-type parts stay the referee of the enumerated
+triangulation's facet-type split.  The family forms (complete bipartite
+graphs, K_{1,m,n}, K_{1,1,1,n}, K_{2,2,n} and the tripartite split) stay
+as referees too.
 
 Each family's closed form is its gamma vector: h* = sum_i gamma_i t^i
 (1+t)^(d-2i), the basis in which gamma-positivity is read (Ohsugi and
@@ -34,6 +44,7 @@ binom(x - y + j - i - 2, j - 1) for every class, the first class included.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -142,26 +153,29 @@ def hstar_type_i(parts: Sequence[int]) -> Poly:
 
 
 def _type_i(parts: Sequence[int]) -> list[int]:
-    """Type-(i) contribution for any number of classes, as integer
-    coefficients:
+    """Type-(i) contribution for any number of classes, vertex 1 in
+    parts[0], as integer coefficients: the sum of `_class_type_i` over the
+    classes, with shift 1 on the first class only."""
+    n = sum(parts)
+    return [sum(c) for c in zip(*(_class_type_i(n, a, 1 if m == 0 else 0) for m, a in enumerate(parts)))]
 
-        sum over the mixed class A_m of
-        sum_{i,j} p(a, a_m, i, j) binom(a - a_m + j - i - 2, j - 1)
-                  (t^(i + j + [m = 1]) + t^(a - i - j - 1 - [m = 1]))
 
-    where a is the total vertex count.  The exponent shift on the first
-    class only accounts for the root being 1-labeled there.
-    """
-    a = sum(parts)
-    total = [0] * a
-    for m, am in enumerate(parts):
-        shift = 1 if m == 0 else 0
-        for i in range(a - am):
-            for j in range(1, am):
-                coeff = aux_p(a, am, i, j) * binom(a - am + j - i - 2, j - 1)
-                if coeff:
-                    total[i + j + shift] += coeff
-                    total[a - i - j - 1 - shift] += coeff
+def _class_type_i(n: int, a: int, shift: int) -> list[int]:
+    """The type-(i) terms of a class of size a, as the mixed class, among n
+    vertices:
+
+        sum_{i,j} p(n, a, i, j) binom(n - a + j - i - 2, j - 1)
+                  (t^(i + j + shift) + t^(n - i - j - 1 - shift))
+
+    The shift is 1 when the class holds vertex 1, whose 1-label is the
+    root's, and 0 otherwise."""
+    total = [0] * n
+    for i in range(n - a):
+        for j in range(1, a):
+            coeff = aux_p(n, a, i, j) * binom(n - a + j - i - 2, j - 1)
+            if coeff:
+                total[i + j + shift] += coeff
+                total[n - i - j - 1 - shift] += coeff
     return total
 
 
@@ -186,6 +200,12 @@ def hstar_type_ii(parts: Sequence[int]) -> Poly:
     return Poly(_type_ii(parts))
 
 
+def _root_hstar(n: int) -> list[int]:
+    """binom(n-1, i)^2 for i = 0..n-1: h* of K_n, the type-A root polytope
+    (Ardila, Beck, Hosten, Pfeifle and Seashore, 2011)."""
+    return [comb(n - 1, i) ** 2 for i in range(n)]
+
+
 def _type_ii(parts: Sequence[int]) -> list[int]:
     """Type-(ii) contribution for any number of classes, vertex 1 in
     parts[0], as integer coefficients:
@@ -207,25 +227,45 @@ def _type_ii(parts: Sequence[int]) -> list[int]:
         c_Z = binom(n-2, Z-1) binom(n-1, Z)
               - sum_i sum_{z>=1} binom(cap_i, z) binom(n-1-cap_i, Z-z) E(z, a_i - z).
 
-    A labeling whose H is not connected needs no term of its own: the zeros
-    of one component see too few ones, so no vector meets every bound.
-    The cost is O(n^3) binomials, whatever the class sizes.
+    The first sum, over Z, is binom(n-1, i)^2 at t^i (`_root_hstar`), and
+    each class subtracts its `_class_deficit`.  A labeling whose H is not
+    connected needs no term of its own: the zeros of one component see too
+    few ones, so no vector meets every bound.  The cost is O(n^3)
+    binomials, whatever the class sizes.
     """
     n = sum(parts)
-    caps = (parts[0] - 1, *parts[1:])
+    deficits = [_class_deficit(n, a, a - 1 if m == 0 else a) for m, a in enumerate(parts)]
+    return [x - sum(d) for x, *d in zip(_root_hstar(n), *deficits)]
+
+
+def _class_deficit(n: int, a: int, cap: int) -> list[int]:
+    """The Hall deficit of one class of size a among n vertices, cap of
+    whose vertices can be zeros (a, or a - 1 when the class holds vertex 1,
+    which is labeled 1):
+
+        sum_Z sum_{z>=1} binom(cap, z) binom(n-1-cap, Z-z) E(z, a - z)
+              (t^Z + t^(n-1-Z))"""
     total = [0] * n
     for zeros in range(1, n):
         ones = n - zeros
-        full = comb(n - 2, zeros - 1)
-        c = full * comb(n - 1, zeros)
-        for a, cap in zip(parts, caps):
-            for z in range(1, min(cap, zeros) + 1):
-                q = comb(cap, z) * comb(n - 1 - cap, zeros - z)
-                if q:
-                    c -= q * _hall_excess(z, a - z, zeros, ones)
+        c = 0
+        for z in range(1, min(cap, zeros) + 1):
+            q = comb(cap, z) * comb(n - 1 - cap, zeros - z)
+            if q:
+                c += q * _hall_excess(z, a - z, zeros, ones)
         total[zeros] += c
         total[n - 1 - zeros] += c
     return total
+
+
+def _class_terms(n: int, a: int) -> list[int]:
+    """D_n(a) negated: what a class of size a adds to binom(n-1, i)^2, the
+    h* of K_n, at total n.  It is the type-(i) terms of a class without
+    vertex 1 less its Hall deficit.  The class holding vertex 1 gives the
+    same list, since h* does not depend on the class order and both lists
+    are zero for a = 1."""
+    deficit = _class_deficit(n, a, a)
+    return [x - y for x, y in zip(_class_type_i(n, a, 0), deficit)]
 
 
 def hstar_tripartite_parts(a: int, b: int, c: int) -> tuple[Poly, Poly]:
@@ -277,9 +317,24 @@ def ehrhart_22n(n: int) -> Poly:
 
 
 def closed_form_hstar(sig: Signature) -> HStar:
-    """h* of K_{a_1,...,a_k} for any k >= 2: the type-(i) plus the type-(ii)
-    contribution, with vertex 1 in the first class.  The result is
-    order-independent, as it must be."""
+    """h* of K_{a_1,...,a_k} for any k >= 2: binom(n-1, i)^2 plus one
+    `_class_terms` list per class, so the result is order-independent."""
+    return _closed_form(sig, {})
+
+
+def _closed_form(sig: Signature, terms: dict[tuple[int, int], list[int]]) -> HStar:
+    """`closed_form_hstar`, with the class terms read from and added to
+    `terms`, keyed by (total, class size).  A scan passes one dict to every
+    row, so each class term is built once per total."""
     if sig.k < 2:
         raise ValueError("need at least two classes")
-    return HStar([x + y for x, y in zip(_type_i(sig.parts), _type_ii(sig.parts))], sig.dim)
+    n = sig.total
+    h = _root_hstar(n)
+    for a, r in Counter(sig.parts).items():
+        if a > 1:
+            t = terms.get((n, a))
+            if t is None:
+                t = terms[(n, a)] = _class_terms(n, a)
+            for i, c in enumerate(t):
+                h[i] += r * c
+    return HStar(h, sig.dim)

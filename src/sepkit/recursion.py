@@ -19,7 +19,7 @@ from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .formulas import (
-    closed_form_hstar,
+    _closed_form,
     ehrhart_111n,
     ehrhart_1mn,
     ehrhart_22n,
@@ -33,7 +33,7 @@ from .polynomial import (
     fraction_str,
     gamma_vector,
 )
-from .roots import interlaces_on_cl
+from .roots import _interlace, _w_data, interlaces_on_cl
 
 
 class DegreeMismatch(ValueError):
@@ -521,23 +521,25 @@ def conjecture_scan(max_total: int, max_n: int) -> dict:
     K_{1,n}; the report carries that reading as `full_sum_ok` for
     reference.)  The rows run over every signature with k >= 2 classes by
     total, then k, then lexicographically, each with the h* of
-    `closed_form_hstar`.  Every signature up to `max_total` has a row; past
-    it, up to FORMULA_TOTAL, only the family signatures (k <= 3, or
-    K_{1,1,1,n}) do.  The ones-family interlacing conjecture is certified
-    for K_{1^k,n} against K_{1^(k+1),n}, k = 1, 2, n <= max_n.  A negative
+    `closed_form_hstar`; the rows share one table of class terms.  Every
+    signature up to `max_total` has a row; past it, up to FORMULA_TOTAL,
+    only the family signatures (k <= 3, or K_{1,1,1,n}) do.  The
+    ones-family interlacing conjecture is certified for K_{1^k,n} against
+    K_{1^(k+1),n}, k = 1, 2, n <= max_n.  A negative
     ``max_total`` or ``max_n`` raises ValueError.
     """
     if max_total < 0 or max_n < 0:
         raise ValueError(f"max_total and max_n must be nonnegative, not {max_total} and {max_n}")
     rows = []
     violations = 0
+    terms: dict[tuple[int, int], list[int]] = {}  # class terms by (total, class size)
     for total in range(2, max(max_total, FORMULA_TOTAL) + 1):
         for k in range(2, total + 1):
             for parts in _partitions(total, k):
                 if total > max_total and not (k <= 3 or (k == 4 and parts[:3] == (1, 1, 1))):
                     continue
                 sig = Signature(parts)
-                h = closed_form_hstar(sig)
+                h = _closed_form(sig, terms)
                 m = gamma_vector(h).degree
                 s = total - parts[-1]
                 lower, upper = s // 2, s
@@ -555,12 +557,16 @@ def conjecture_scan(max_total: int, max_n: int) -> dict:
                     }
                 )
 
+    # E(1^k, n) for k = 1, 2, 3, each transformed once: the middle family
+    # is interlaced by the first and interlaces the last
+    families = [
+        [_w_data(e) for e in (ehrhart_bipartite(1, n), ehrhart_1mn(1, n), ehrhart_111n(n))]
+        for n in range(1, max_n + 1)
+    ]
     interlacings = []
     for k in (1, 2):
-        for n in range(1, max_n + 1):
-            g = ehrhart_bipartite(1, n) if k == 1 else ehrhart_1mn(1, n)
-            f = ehrhart_1mn(1, n) if k == 1 else ehrhart_111n(n)
-            cert = interlaces_on_cl(g, f)
+        for n, w in enumerate(families, 1):
+            cert = _interlace(w[k - 1], w[k])
             interlacings.append(
                 {
                     "statement": f"E(1^{k},{n}) interlaces E(1^{k + 1},{n})",

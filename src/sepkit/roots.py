@@ -424,6 +424,11 @@ class _WData(NamedTuple):
     def on_cl(self) -> bool:
         return self.in_range == len(self.part) - 1
 
+    @property
+    def degree(self) -> int:
+        """The degree of E: F = u^parity H(u^2) has the degree of E."""
+        return 2 * (len(self.transform.h) - 1) + self.transform.parity
+
 
 def _w_data(e: Poly) -> Optional[_WData]:
     """The CL transform of E and what both certificates read off H, or None
@@ -535,7 +540,13 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
     roots (the gcd factor) counted once in each sequence."""
     if f.degree != g.degree + 1:
         raise NotCL(f"degree ladder broken: deg f = {f.degree}, deg g = {g.degree}")
-    wf, wg = _w_data(f), _w_data(g)
+    return _interlace(_w_data(g), _w_data(f))
+
+
+def _interlace(wg: Optional[_WData], wf: Optional[_WData]) -> InterlaceCertificate:
+    """`interlaces_on_cl` on the `_w_data` of g and f, whose degrees the
+    caller has checked; a scan that certifies one polynomial against two
+    others builds its data once."""
     if wf is None or wg is None or not (wf.on_cl and wg.on_cl):
         raise NotCL("both polynomials must have all roots on the canonical line")
 
@@ -573,9 +584,9 @@ def interlaces_on_cl(g: Poly, f: Poly) -> InterlaceCertificate:
     a_keys = [key for key, r in enumerate(order) for _ in range(r["in_f"])]
     b_keys = [key for key, r in enumerate(order) for _ in range(r["in_g"])]
 
-    if len(a_keys) != f.degree or len(b_keys) != g.degree:
+    if len(a_keys) != wf.degree or len(b_keys) != wg.degree:
         raise RootCheckFailed(
-            f"root count mismatch: {len(a_keys)} of {f.degree} roots of f, {len(b_keys)} of {g.degree} of g"
+            f"root count mismatch: {len(a_keys)} of {wf.degree} roots of f, {len(b_keys)} of {wg.degree} of g"
         )
     ok = all(
         a_keys[i] <= b_keys[i] <= a_keys[i + 1] for i in range(len(b_keys))

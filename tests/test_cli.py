@@ -186,14 +186,14 @@ class TestHstar:
     def test_hstar_invariant_check_exits_3(self, capsys, monkeypatch):
         import sepkit.formulas as formulas
 
-        type_ii = formulas._type_ii
+        class_terms = formulas._class_terms
 
-        def plus_one(parts):
-            coeffs = type_ii(parts)
+        def plus_one(n, a):
+            coeffs = class_terms(n, a)
             coeffs[0] += 1
             return coeffs
 
-        monkeypatch.setattr(formulas, "_type_ii", plus_one)
+        monkeypatch.setattr(formulas, "_class_terms", plus_one)
         code = main(["hstar", "--signature", "2,3", "--method", "formula"])
         assert code == EXIT_VERIFICATION
         assert capsys.readouterr().err == "verification failed: h* constant term must be 1\n"
@@ -463,11 +463,21 @@ class TestScan:
         from sepkit.polynomial import HStar
 
         # 1 + t is palindromic for 1,1 (d = 1) and not for 1,2 (d = 2)
-        monkeypatch.setattr("sepkit.recursion.closed_form_hstar", lambda sig: HStar((1, 1), sig.dim))
+        monkeypatch.setattr("sepkit.recursion._closed_form", lambda sig, terms: HStar((1, 1), sig.dim))
         code = main(["scan", "--kind", "conjecture", "--max-total", "4"])
         err = capsys.readouterr().err
         assert code == EXIT_VERIFICATION
         assert err.startswith("verification failed: h* = ") and err.endswith(" is not palindromic of degree 2\n")
+
+    @pytest.mark.parametrize(
+        "kind,option",
+        [("conjecture", "--m"), ("corollary", "--max-total"), ("k222", "--max-n")],
+    )
+    def test_option_of_another_kind_is_usage_error(self, capsys, kind, option):
+        code = main(["scan", "--kind", kind, option, "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == f"error: {option} does not apply to --kind {kind}\n"
 
     def test_corollary(self, capsys):
         code, out = run(capsys, "scan", "--kind", "corollary", "--m", "4", "--max-n", "5")

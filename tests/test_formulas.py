@@ -6,6 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
+import sepkit.formulas as formulas
 from sepkit.counting import hstar_oracle
 from sepkit.formulas import (
     aux_p,
@@ -26,6 +27,7 @@ from sepkit.formulas import (
 )
 from sepkit.graphs import Signature
 from sepkit.polynomial import Poly, gamma_vector
+from sepkit.recursion import _partitions
 from sepkit.triangulation import hstar_split_by_facet_type
 
 import tripartite_table as table
@@ -186,6 +188,44 @@ class TestTypeII:
         for a, b in product(range(1, 14), repeat=2):
             if a + b <= 14:
                 assert hstar_type_i((a, b)) + hstar_type_ii((a, b)) == Poly(hstar_bipartite(a - 1, b - 1).coefficients), (a, b)
+
+
+def sorted_signatures(lo, hi):
+    """Every sorted signature with k >= 2 and total lo..hi."""
+    return [Signature(p) for total in range(lo, hi + 1) for k in range(2, total + 1) for p in _partitions(total, k)]
+
+
+class TestClassTerms:
+    """binom(n-1, i)^2 plus one term per class against the two facet-type
+    parts, which put vertex 1 in the first class."""
+
+    @staticmethod
+    def both_parts(parts):
+        return [x + y for x, y in zip(formulas._type_i(parts), formulas._type_ii(parts))]
+
+    def test_every_class_order_up_to_eight(self):
+        orders = {p for sig in sorted_signatures(2, 8) for p in permutations(sig.parts)}
+        assert len(orders) == 247
+        for parts in orders:
+            assert list(closed_form_hstar(Signature(parts)).coefficients) == self.both_parts(parts), parts
+
+    def test_sorted_signatures_up_to_sixteen(self):
+        for sig in sorted_signatures(9, 16):
+            assert list(closed_form_hstar(sig).coefficients) == self.both_parts(sig.parts), sig
+
+    def test_a_class_of_one_adds_nothing(self):
+        for n in range(2, 31):
+            assert formulas._class_terms(n, 1) == [0] * n, n
+
+    def test_all_ones_is_the_type_a_root_polytope(self):
+        for n in range(2, 30):
+            assert closed_form_hstar(Signature((1,) * n)).coefficients == tuple(binom(n - 1, i) ** 2 for i in range(n))
+
+    def test_one_shared_table_gives_the_fresh_answer(self):
+        terms = {}
+        for sig in sorted_signatures(2, 12):
+            assert formulas._closed_form(sig, terms) == closed_form_hstar(sig), sig
+        assert sorted(terms) == [(n, a) for n in range(2, 13) for a in range(2, n)]
 
 
 class TestIdentities:

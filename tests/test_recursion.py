@@ -315,6 +315,23 @@ class TestConjectureScan:
         assert len(rep["rows"]) == 102 and len(rep["interlacings"]) == 16
         assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == self.DIGEST
 
+    def test_each_family_is_transformed_once(self, monkeypatch):
+        """E(1^k, n), k = 1, 2, 3, n = 1..8: 24 polynomials, each given one
+        CL transform, though E(1,1,n) enters two interlacings."""
+        import sepkit.roots as roots
+
+        seen = []
+        w_data = roots._w_data
+
+        def counted(e):
+            seen.append(e)
+            return w_data(e)
+
+        monkeypatch.setattr(roots, "_w_data", counted)
+        monkeypatch.setattr(recursion, "_w_data", counted)
+        conjecture_scan(6, 8)
+        assert len(seen) == len(set(seen)) == 24
+
     def test_twelve_vertices(self):
         rep = conjecture_scan(12, 2)
         assert len(rep["rows"]) == 259
