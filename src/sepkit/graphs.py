@@ -9,17 +9,20 @@ numbering; the Groebner basis and the triangulation depend on it.
 
 A labeling lambda: V -> Z supports the facet <lambda, x> <= 1 of P_G exactly
 when every edge has |lambda(u) - lambda(v)| <= 1 and the edges with
-difference exactly 1 form a connected spanning subgraph.  Complete
-multipartite graphs have diameter <= 2, so after normalizing min(lambda) = 0
-the values lie in {0, 1, 2}; we enumerate that box directly and cross-check
-the count against the closed facet-count formula in the tests.
+difference exactly 1 form a connected spanning subgraph.  The first half is
+``is_facet_labeling``, checked class by class rather than edge by edge; the
+enumeration adds the second, and the triangulation gets it from a tree whose
+edges all have difference 1.  Complete multipartite graphs have diameter
+<= 2, so after normalizing min(lambda) = 0 the values lie in {0, 1, 2}; we
+enumerate that box directly and cross-check the count against the closed
+facet-count formula in the tests.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from itertools import product
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Sequence
 
 
 class DirectedEdge(NamedTuple):
@@ -179,34 +182,49 @@ def _connected_spanning(n: int, edges: list[tuple[int, int]]) -> bool:
     return len(seen) == n
 
 
+def is_facet_labeling(sig: Signature, values: Sequence[Optional[int]]) -> bool:
+    """Whether a labeling whose difference-1 edges span the vertices
+    supports a facet: every vertex has a label (``values[v-1]`` is not
+    None) and every difference across two classes is at most 1.
+
+    A spread of at most 1 always fits, and one of 3 or more never does
+    when k >= 2.  A spread of 2 fits when it lies within one class and
+    every other class is constant at the middle label: one class at most
+    is mixed.  So the test takes O(n + k) steps, class by class, not edge
+    by edge."""
+    if None in values:
+        return False
+    low, high = min(values), max(values)
+    if high - low != 2:
+        return high - low <= 1
+    mixed = False
+    lo = 0
+    for a in sig.parts:
+        if values[lo : lo + a].count(low + 1) < a:
+            if mixed:
+                return False
+            mixed = True
+        lo += a
+    return True
+
+
 def enumerate_facet_labelings(sig: Signature) -> list[FacetLabeling]:
     """All facet-defining labelings, normalized to min 0, each exactly once.
 
     Values range over {0, 1, 2}: min 0 plus edge differences <= 1 plus
-    diameter <= 2 bound every label by 2.  A labeling qualifies when all
-    inter-class differences are <= 1 and the unit-difference edges form a
+    diameter <= 2 bound every label by 2.  A labeling qualifies when it
+    passes ``is_facet_labeling`` and its unit-difference edges form a
     connected spanning subgraph.
     """
     if sig.k < 2:
         raise ValueError("facets need at least two classes")
     n = sig.total
-    table = sig.class_table()
     edges = edge_order(sig)
     out = []
     for values in product((0, 1, 2), repeat=n):
-        if min(values) != 0:
+        if min(values) != 0 or not is_facet_labeling(sig, values):
             continue
-        ok = True
-        unit = []
-        for u, w in edges:
-            diff = abs(values[u - 1] - values[w - 1])
-            if diff > 1:
-                ok = False
-                break
-            if diff == 1:
-                unit.append((u, w))
-        if not ok:
-            continue
+        unit = [(u, w) for u, w in edges if abs(values[u - 1] - values[w - 1]) == 1]
         if _connected_spanning(n, unit):
             out.append(FacetLabeling(values))
     return out

@@ -37,9 +37,11 @@ its signed distance from vertex 1, counting +1 along an edge's direction.
 That labeling is the facet of the tree's simplex: the unique labeling whose
 tight edges (those with label increasing by one along the edge) contain all
 tree edges, fixed up to a shift by a spanning tree.  The h* functions fill
-their histograms from the read without building tree objects, and splitting
+their histograms from the read without building tree objects.  Splitting
 the histogram by the facet's type reproduces the two summands of the closed
-tripartite formula.  The test suite checks the read against the definitions
+tripartite formula; the split reads each tree's facet off its labels,
+and checks and classifies each distinct labeling once, so it enumerates no
+facet list.  The test suite checks the read against the definitions
 of the inedge statistic and the labels.
 
 The planar spanning trees between two ordered sets are counted in closed
@@ -54,12 +56,13 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import (
     DirectedEdge,
+    FacetLabeling,
     FacetType,
     Signature,
     SizeExceeded,
     VerificationFailed,
     classify_labeling,
-    enumerate_facet_labelings,
+    is_facet_labeling,
 )
 from .grobner import DEFAULT_TREE_MAX_TOTAL, VarTable, _lead_partners, build_basis
 from .polynomial import HStar, Poly
@@ -237,24 +240,29 @@ def hstar_split_by_facet_type(
     sig: Signature, max_total: Optional[int] = None
 ) -> tuple[Poly, Poly]:
     """Inedge histograms (h_type_i, h_type_ii) split by the facet type of
-    each standard tree's simplex.  Requires k >= 3."""
+    each standard tree's simplex.  Requires k >= 3.
+
+    Each tree's facet is read off the labels of its walk from vertex 1.
+    Every tree edge is tight in them, so they span, and they support a
+    facet when ``is_facet_labeling`` holds; each distinct labeling is
+    checked and classified once."""
     if sig.k < 3:
         raise ValueError("facet-type split needs k >= 3")
     tail, head, leaves = _search(sig, max_total)
     n = sig.total
-    # whether each facet is of type (i), keyed by its labels minus that of
-    # vertex 1, which is how the walk from vertex 1 labels a tree
-    type_i = {
-        tuple(x - lam.values[0] for x in lam.values): classify_labeling(sig, lam) is FacetType.TYPE_I
-        for lam in enumerate_facet_labelings(sig)
-    }
+    # whether each facet met so far is of type (i), keyed by the walk's labels
+    type_i: dict[tuple[Optional[int], ...], bool] = {}
     hist_i = [0] * (sig.dim + 1)
     hist_ii = [0] * (sig.dim + 1)
     for mono in leaves:
         ins, lam = _walk(mono, tail, head, n, 0)
-        kind = type_i.get(tuple(lam))
+        key = tuple(lam)
+        kind = type_i.get(key)
         if kind is None:
-            raise AmbiguousFacet(f"tree {tree_dump(_tree(tail, head, mono))} lies in no facet, expected 1")
+            if not is_facet_labeling(sig, key):
+                raise AmbiguousFacet(f"tree {tree_dump(_tree(tail, head, mono))} lies in no facet, expected 1")
+            low = min(key)
+            kind = type_i[key] = classify_labeling(sig, FacetLabeling(tuple(x - low for x in key))) is FacetType.TYPE_I
         (hist_i if kind else hist_ii)[ins] += 1
     return Poly(hist_i), Poly(hist_ii)
 

@@ -5,10 +5,10 @@ from itertools import permutations
 import pytest
 
 import treepure
-from sepkit import triangulation
+from sepkit import graphs, triangulation
 from sepkit.counting import SizeExceeded, hstar_oracle
 from sepkit.formulas import closed_form_hstar, hstar_type_i
-from sepkit.graphs import DirectedEdge, Signature, enumerate_facet_labelings
+from sepkit.graphs import DirectedEdge, FacetType, Signature, classify_labeling, enumerate_facet_labelings
 from sepkit.polynomial import Poly
 from sepkit.triangulation import (
     AmbiguousFacet,
@@ -228,14 +228,53 @@ class TestFacetSplit:
             lam = walk(tree.edges, sig.total)[1]
             assert tight == [tuple(x - min(lam) for x in lam)]
 
+    def test_split_equals_the_enumeration_route(self, monkeypatch):
+        """The split reads facets off the trees and never enumerates them,
+        yet equals the histograms that classify the enumerated facet list,
+        on every class order with k >= 3 up to total 7."""
+        orders = [sig for sig in class_orders(3, 7) if sig.k >= 3]
+        assert len(orders) == 99
+        monkeypatch.setattr(graphs, "enumerate_facet_labelings", refuse)
+        monkeypatch.setattr(triangulation, "enumerate_facet_labelings", refuse, raising=False)
+        for sig in orders:
+            assert hstar_split_by_facet_type(sig) == split_by_enumeration(sig), sig
+
     def test_split_raises_on_a_missing_facet(self, monkeypatch):
-        """A tree whose facet the lookup lacks raises."""
+        """A tree whose labels are no facet raises: the last vertex sits two
+        above vertex 1, in another class, or the walk never reaches it."""
         sig = Signature((1, 1, 2, 2))
-        labelings = enumerate_facet_labelings(sig)
         assert sum(hstar_split_by_facet_type(sig), Poly.zero()) == Poly(hstar_triangulation(sig).coefficients)
-        monkeypatch.setattr(triangulation, "enumerate_facet_labelings", lambda s: labelings[1:])
-        with pytest.raises(AmbiguousFacet, match="lies in no facet"):
-            hstar_split_by_facet_type(sig)
+        read = triangulation._walk
+        for label in (2, None):
+
+            def misread(*args):
+                ins, lam = read(*args)
+                lam[-1] = label
+                return ins, lam
+
+            monkeypatch.setattr(triangulation, "_walk", misread)
+            with pytest.raises(AmbiguousFacet, match="lies in no facet, expected 1"):
+                hstar_split_by_facet_type(sig)
+
+
+def refuse(sig):
+    raise AssertionError("the split enumerated the facet labelings")
+
+
+def split_by_enumeration(sig):
+    """The facet-type split through the full facet list: each facet's type
+    keyed by its labels less vertex 1's, as the walk from vertex 1 labels a
+    tree."""
+    tail, head, leaves = triangulation._search(sig, None)
+    type_i = {
+        tuple(x - lam.values[0] for x in lam.values): classify_labeling(sig, lam) is FacetType.TYPE_I
+        for lam in enumerate_facet_labelings(sig)
+    }
+    hists = {True: [0] * sig.total, False: [0] * sig.total}
+    for mono in leaves:
+        ins, lam = triangulation._walk(mono, tail, head, sig.total, 0)
+        hists[type_i[tuple(lam)]][ins] += 1
+    return Poly(hists[True]), Poly(hists[False])
 
 
 class TestPlanarTrees:
