@@ -32,8 +32,8 @@ EXIT_BOUND = 2
 EXIT_VERIFICATION = 3
 
 # vertex bound of `roots` and `interlace`, not an option: at 100 vertices
-# `is_cl` takes about 1.5 to 2.5 s, half of it the Sturm verdict (Python
-# 3.11.7 on a 2-core host)
+# `is_cl` takes about 0.25 to 1.1 s, almost all of it the Sturm verdict
+# (Python 3.11.7 on a 2-core host)
 ROOTS_MAX_TOTAL = 100
 
 

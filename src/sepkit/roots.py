@@ -30,11 +30,19 @@ Taylor shift by a of 2^(k deg p) p(y/2^k).
 
 Every point p is expanded at is dyadic, a/2^k held as the integers (a, k).
 The isolation starts at +-2^e, where the integer Cauchy exponent e makes
-2^e the least power of two at least the Cauchy bound; there V is deg p and
-0.  It splits intervals at dyadic points and visits the left half first, so
-the isolating intervals come out left to right.  The sign of p at a/2^k is
-that of the integer 2^(k deg p) p(a/2^k), by homogeneous Horner with
-shifts, after a/2^k is put in lowest terms.  Taylor coefficients are read
+2^e the least power of two at least the Cauchy bound.  The roots mostly lie
+much closer to 0: the least r >= 0 with
+|lead p| 2^(r n) > sum_(i<n) |p_i| 2^(r i), n = deg p, puts every root of p,
+real or complex, in the disc |z| < 2^r, and r <= e.  At a point x outside
+the disc, |x| >= 2^r, every root of p(x + t) lies in one open half-plane,
+so its Taylor coefficients all share one sign right of the disc and
+strictly alternate left of it.  There V is 0 and deg p, and the sign of p
+is that of its leading coefficient, times (-1)^(deg p) on the left, with
+nothing computed.  The isolation splits intervals at dyadic points and
+visits the left half first, so the isolating intervals come out left to
+right.  Inside the disc, the sign of p at a/2^k is that of the integer
+2^(k deg p) p(a/2^k), by homogeneous Horner with shifts, after a/2^k is put
+in lowest terms.  Taylor coefficients are read only inside the disc and
 only while an interval holds more than one root.  Once it holds exactly
 one, the polynomial is squarefree and nonzero at both ends, so one sign of
 the polynomial at the split point decides the half that keeps the root.
@@ -194,6 +202,24 @@ def cauchy_exponent(a: list[int]) -> int:
     return (-(-max(abs(c) for c in a[:-1]) // abs(a[-1]))).bit_length()
 
 
+def disc_exponent(a: list[int]) -> int:
+    """The least r >= 0 with |lead a| 2^(r n) > sum_(i<n) |a_i| 2^(r i),
+    n = deg a >= 1.  Then every root z of a, real or complex, has
+    |z| < 2^r, and r <= cauchy_exponent(a).  The search starts at the
+    least r that beats each term alone, |lead a| 2^(r (n-i)) > |a_i|."""
+    n = len(a) - 1
+    lead = abs(a[-1])
+    bits = lead.bit_length()
+    r = max([0] + [-((bits - abs(c).bit_length()) // (n - i)) for i, c in enumerate(a[:-1]) if c])
+    while True:
+        acc = 0
+        for c in reversed(a[:-1]):
+            acc = (acc << r) + abs(c)
+        if lead << (r * n) > acc:
+            return r
+        r += 1
+
+
 def _separation_exponent(p: list[int]) -> int:
     """An s with 2^-s below the Mahler-Mignotte bound
     sqrt(3) n^(-(n+2)/2) ||p||_2^(1-n) on the distance between two roots of
@@ -267,9 +293,13 @@ class Isolation:
 def _isolate(p: list[int]) -> list[Isolation]:
     """Disjoint isolating intervals for the roots of the squarefree,
     real-rooted integer vector p, left to right.  The search starts at
-    +-2^e, e = cauchy_exponent(p), where the Budan-Fourier count V is deg p
-    and 0, visits the left half of a split first, and expands p at a split
-    point only where an interval holds more than one root.
+    +-2^e, e = cauchy_exponent(p), visits the left half of a split first,
+    and expands p at a split point only where an interval holds more than
+    one root.  Outside the root disc |z| < 2^r, r = disc_exponent(p), the
+    Budan-Fourier count V is deg p on the left and 0 on the right, and the
+    sign of p is known: there a midpoint is taken as it is, with no sign or
+    expansion computed.  It is never a root, so _split_point would take it
+    too, and the intervals are those of a search that computes every count.
 
     Input that is not squarefree or not real-rooted raises RootCheckFailed:
     an interval narrower than the root separation bound still counting two
@@ -279,10 +309,12 @@ def _isolate(p: list[int]) -> list[Isolation]:
     if n < 1:
         return []
     e = cauchy_exponent(p)
+    r = disc_exponent(p)
     s = _separation_exponent(p)
+    right = (p[-1] > 0) - (p[-1] < 0)  # the sign of p right of the disc
+    left = -right if n & 1 else right
     out: list[Isolation] = []
-    lo, hi = -1 << e, 1 << e
-    stack = [(lo, hi, 0, n, 0, _sign(p, lo, 0), _sign(p, hi, 0))]
+    stack = [(-1 << e, 1 << e, 0, n, 0, left, right)]
     while stack:
         a, b, k, va, vb, sa, sb = stack.pop()
         if va - vb == 1:
@@ -298,9 +330,13 @@ def _isolate(p: list[int]) -> list[Isolation]:
                     f"({Fraction(a, 1 << k)}, {Fraction(b, 1 << k)}) is narrower than 2^-{s} and still counts "
                     f"{va - vb} roots: {p} is not squarefree and real-rooted"
                 )
-            m, j, sm = _split_point(p, a, b, k)
+            m, j = a + b, 1  # the midpoint m / 2^(k+1)
+            if abs(m) >> (k + 1 + r):  # outside the disc
+                sm, vm = (left, n) if m < 0 else (right, 0)
+            else:
+                m, j, sm = _split_point(p, a, b, k)
+                vm = _taylor_variations(p, m, k + j)
             a, b, k = a << j, b << j, k + j
-            vm = _taylor_variations(p, m, k)
             stack.append((m, b, k, vm, vb, sm, sb))
             stack.append((a, m, k, va, vm, sa, sm))
     if len(out) != n:

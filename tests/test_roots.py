@@ -554,6 +554,31 @@ class TestSweepDigest:
         assert hashlib.sha256(json.dumps(certs).encode()).hexdigest() == self.DIGEST
 
 
+class TestCertificatePins:
+    """sha256 of the certificates' JSON beyond the sweep, taken before the
+    isolation knew the root disc: the 100-vertex K_{1,99}, K_{30,30}, and
+    one large pair of the K_{m,m} < K_{m,m+1} ladder."""
+
+    @staticmethod
+    def digest(cert):
+        return hashlib.sha256(json.dumps(cert.as_dict()).encode()).hexdigest()
+
+    def test_is_cl_1_99(self):
+        assert self.digest(is_cl(ehrhart_bipartite(1, 99))) == (
+            "2e7a5cfa564e77e53162d2f3ed74743aacadebddb5a408d25cea08ed0d3fda5e"
+        )
+
+    def test_is_cl_30_30(self):
+        assert self.digest(is_cl(ehrhart_bipartite(30, 30))) == (
+            "6c656519ef540feb05a48db38d170271c0ec23b3e04d35ad72ae7e675b8f2719"
+        )
+
+    def test_interlace_30_30_in_30_31(self):
+        assert self.digest(interlaces_on_cl(ehrhart_bipartite(30, 30), ehrhart_bipartite(30, 31))) == (
+            "f8b8d8875f1fe904dd7cee9d6c4a03710f02950642cf0a4218f5339643d78d02"
+        )
+
+
 def squarefree_chain(h):
     """The rational Sturm chain of the squarefree part of H, whose gcd with
     H' is the last member of H's own chain."""
@@ -661,6 +686,93 @@ class TestBudanFourierReferee:
         assert len(parts) > 200 and checked > 20 * len(parts)
 
 
+def disc_holds(a, r):
+    """|lead a| 2^(r n) > sum_(i<n) |a_i| 2^(r i), n = deg a."""
+    n = len(a) - 1
+    return abs(a[-1]) * 2 ** (r * n) > sum(abs(c) * 2 ** (r * i) for i, c in enumerate(a[:-1]))
+
+
+def isolation_inputs():
+    """Every vector that is_cl and interlaces_on_cl isolate over the sweep
+    and the cl-certify families, in call order, without repeats."""
+    polys, pairs = sweep()
+    inputs = {}
+    real = roots._isolate
+    roots._isolate = lambda p: inputs.setdefault(tuple(p)) or real(p)
+    try:
+        for e in polys + cl_certify_families():
+            is_cl(e)
+        for g, f in pairs:
+            interlaces_on_cl(g, f)
+    finally:
+        roots._isolate = real
+    return [list(p) for p in inputs]
+
+
+class TestRootDisc:
+    """Outside the disc |z| < 2^r, r = disc_exponent(p), the isolation
+    knows V and the sign of p without computing them."""
+
+    def test_disc_exponent(self):
+        """r is the least exponent of the disc inequality, at most the
+        Cauchy exponent, and at +-2^r V is deg p and 0, also for vectors
+        that are not real-rooted."""
+        rnd = random.Random(31)
+        vectors = [[0, 1], [5, 0, 1], [-2, 0, 1], [1, 0, 0, 0, 0, 0, 0, 1]]
+        for _ in range(2000):
+            lead = rnd.choice((-1, 1)) * rnd.randint(1, 40)
+            big = rnd.choice((9, 99, 10**6))
+            vectors.append([rnd.randint(-big, big) for _ in range(rnd.randint(1, 9))] + [lead])
+        polys, pairs = sweep()
+        for e in polys + [e for pair in pairs for e in pair]:
+            w = roots._w_data(e)
+            vectors += [v for v in (list(w.transform.h), w.part) if len(v) > 1]
+        assert len(vectors) > 2300
+        for a in vectors:
+            r = roots.disc_exponent(a)
+            assert r <= roots.cauchy_exponent(a), a
+            assert disc_holds(a, r) and (r == 0 or not disc_holds(a, r - 1)), a
+            assert roots._taylor_variations(a, -1 << r, 0) == len(a) - 1, a
+            assert roots._taylor_variations(a, 1 << r, 0) == 0, a
+
+    def test_shortcut_against_the_old_walk(self, monkeypatch):
+        """With the disc exponent raised to the Cauchy exponent no split
+        point lies outside the disc, so the walk computes every sign and V,
+        as it did before the disc; both give the same intervals.  No sign or
+        V is computed at a point outside the disc."""
+        inputs = isolation_inputs()
+        assert len(inputs) > 200
+        real_sign, real_variations = roots._sign, roots._taylor_variations
+        points = []
+        monkeypatch.setattr(roots, "_sign", lambda q, a, k: points.append((a, k)) or real_sign(q, a, k))
+        monkeypatch.setattr(
+            roots, "_taylor_variations", lambda q, a, k: points.append((a, k)) or real_variations(q, a, k)
+        )
+        fast, computed = [], 0
+        for p in inputs:
+            del points[:]
+            fast.append([(iso.a, iso.b, iso.k, iso.sign_lo) for iso in roots._isolate(p)])
+            r = roots.disc_exponent(p)
+            assert all(abs(a) < 1 << (k + r) for a, k in points), p
+            computed += len(points)
+        del points[:]
+        monkeypatch.setattr(roots, "disc_exponent", roots.cauchy_exponent)
+        old = [[(iso.a, iso.b, iso.k, iso.sign_lo) for iso in roots._isolate(p)] for p in inputs]
+        assert fast == old
+        assert 2 * computed < len(points)  # the disc saves most of the walk
+
+    def test_k16_expansions(self, monkeypatch):
+        """The roots of the squarefree part of H(K_{16,16}) lie inside 2^12,
+        its Cauchy bound is 2^87: 19 expansions, one per split point."""
+        p, _ = roots._split_zero(roots._w_data(ehrhart_bipartite(16, 16)))
+        assert (roots.cauchy_exponent(p), roots.disc_exponent(p)) == (87, 12)
+        real = roots._taylor_variations
+        expansions = []
+        monkeypatch.setattr(roots, "_taylor_variations", lambda q, a, k: expansions.append((a, k)) or real(q, a, k))
+        assert len(roots._isolate(p)) == len(p) - 1
+        assert len(expansions) == 19
+
+
 class TestBounds:
     def test_sqrt_bounds(self):
         lo, hi = sqrt_bounds(F(3))
@@ -727,13 +839,24 @@ class TestInvariantChecks:
 
     def test_isolation_root_count(self, monkeypatch):
         # x^2 - 2 with the counts and signs of a polynomial that has three
-        # roots in (0, 4): three isolating intervals for two roots
+        # roots in (0, 4): three isolating intervals for two roots.  Such a
+        # polynomial has its roots in a disc wider than that of x^2 - 2,
+        # radius 2, so the disc grows to the start (-4, 4) of the search
         variations = {F(0): 3, F(2): 2, F(3): 1}
         signs = {F(-4): 1, F(0): -1, F(2): 1, F(3): -1, F(4): 1}
+        monkeypatch.setattr(roots, "disc_exponent", roots.cauchy_exponent)
         monkeypatch.setattr(roots, "_taylor_variations", lambda p, a, k: variations[F(a, 2**k)])
         monkeypatch.setattr(roots, "_sign", lambda p, a, k: signs[F(a, 2**k)])
         with pytest.raises(RootCheckFailed, match="3 isolating intervals for the 2 roots"):
             roots._isolate([-2, 0, 1])
+
+    def test_isolation_wrong_disc(self, monkeypatch):
+        # a disc of radius 1 for the roots -3, -5, -7: the walk takes V = 3
+        # at -64, -32, ..., -1 and computes V(-1/2) = 0, so (-1, -1/2) seems
+        # to hold all three roots until it is narrower than their separation
+        monkeypatch.setattr(roots, "disc_exponent", lambda q: 0)
+        with pytest.raises(RootCheckFailed, match="is not squarefree and real-rooted"):
+            isolate(Poly((3, 1)) * Poly((5, 1)) * Poly((7, 1)))
 
     def test_factor_lookup(self):
         factors = decompose(Poly((2, 1)) * Poly((3, 1)) ** 2)  # roots -2, -3
