@@ -19,7 +19,8 @@ from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .formulas import (
-    _closed_form,
+    IdentityFailed,
+    _closed_gamma,
     ehrhart_111n,
     ehrhart_1mn,
     ehrhart_22n,
@@ -31,7 +32,6 @@ from .polynomial import (
     Poly,
     cross_coefficients,
     fraction_str,
-    gamma_vector,
 )
 from .roots import _interlace, _w_data, interlaces_on_cl
 
@@ -520,27 +520,33 @@ def conjecture_scan(max_total: int, max_n: int) -> dict:
     display might suggest, is falsified already by the cross-polytopes
     K_{1,n}; the report carries that reading as `full_sum_ok` for
     reference.)  The rows run over every signature with k >= 2 classes by
-    total, then k, then lexicographically, each with the h* of
-    `closed_form_hstar`; the rows share one table of class terms.  Every
-    signature up to `max_total` has a row; past it, up to FORMULA_TOTAL,
-    only the family signatures (k <= 3, or K_{1,1,1,n}) do.  The
-    ones-family interlacing conjecture is certified for K_{1^k,n} against
-    K_{1^(k+1),n}, k = 1, 2, n <= max_n.  A negative
+    total, then k, then lexicographically, each with the cross-degree read
+    as the index of the last nonzero entry of the gamma vector that
+    `closed_form_hstar` expands (`_closed_gamma`).  Each row checks two
+    facts that hold for every symmetric edge polytope, gamma_0 = 1 and
+    gamma_1 = 2(|E| - n + 1) from h*_1 = 2|E| + 1 - n, and raises
+    IdentityFailed on a mismatch.  Every signature up to `max_total` has a
+    row; past it, up to FORMULA_TOTAL, only the family signatures (k <= 3,
+    or K_{1,1,1,n}) do.  The ones-family interlacing conjecture is certified
+    for K_{1^k,n} against K_{1^(k+1),n}, k = 1, 2, n <= max_n.  A negative
     ``max_total`` or ``max_n`` raises ValueError.
     """
     if max_total < 0 or max_n < 0:
         raise ValueError(f"max_total and max_n must be nonnegative, not {max_total} and {max_n}")
     rows = []
     violations = 0
-    terms: dict[tuple[int, int], list[int]] = {}  # class terms by (total, class size)
     for total in range(2, max(max_total, FORMULA_TOTAL) + 1):
         for k in range(2, total + 1):
             for parts in _partitions(total, k):
                 if total > max_total and not (k <= 3 or (k == 4 and parts[:3] == (1, 1, 1))):
                     continue
                 sig = Signature(parts)
-                h = _closed_form(sig, terms)
-                m = gamma_vector(h).degree
+                gamma = _closed_gamma(sig)
+                edges = (total * total - sum(a * a for a in parts)) // 2
+                head, want = (gamma + [0])[:2], [1, 2 * (edges - total + 1)]
+                if head != want:
+                    raise IdentityFailed(f"K_({sig}): gamma_0, gamma_1 = {head}, not {want} for |E| = {edges}")
+                m = len(gamma) - 1
                 s = total - parts[-1]
                 lower, upper = s // 2, s
                 ok = lower <= m + 1 <= upper

@@ -186,14 +186,14 @@ class TestHstar:
     def test_hstar_invariant_check_exits_3(self, capsys, monkeypatch):
         import sepkit.formulas as formulas
 
-        class_terms = formulas._class_terms
+        closed_gamma = formulas._closed_gamma
 
-        def plus_one(n, a):
-            coeffs = class_terms(n, a)
-            coeffs[0] += 1
-            return coeffs
+        def plus_one(sig):
+            gamma = closed_gamma(sig)
+            gamma[0] += 1
+            return gamma
 
-        monkeypatch.setattr(formulas, "_class_terms", plus_one)
+        monkeypatch.setattr(formulas, "_closed_gamma", plus_one)
         code = main(["hstar", "--signature", "2,3", "--method", "formula"])
         assert code == EXIT_VERIFICATION
         assert capsys.readouterr().err == "verification failed: h* constant term must be 1\n"
@@ -459,15 +459,21 @@ class TestScan:
         assert code == EXIT_USAGE and captured.out == ""
         assert captured.err == f"error: max_total and max_n must be nonnegative, not {max_total} and {max_n}\n"
 
-    def test_not_palindromic_exits_3(self, capsys, monkeypatch):
-        from sepkit.polynomial import HStar
+    def test_gamma_guard_exits_3(self, capsys, monkeypatch):
+        import sepkit.recursion as recursion
 
-        # 1 + t is palindromic for 1,1 (d = 1) and not for 1,2 (d = 2)
-        monkeypatch.setattr("sepkit.recursion._closed_form", lambda sig, terms: HStar((1, 1), sig.dim))
+        closed_gamma = recursion._closed_gamma
+
+        def wrong_gamma_1(sig):
+            # K_(1,1) is one edge, |E| = n - 1, so its gamma_1 is 0
+            gamma = closed_gamma(sig) + [0]
+            gamma[1] += 2
+            return gamma
+
+        monkeypatch.setattr(recursion, "_closed_gamma", wrong_gamma_1)
         code = main(["scan", "--kind", "conjecture", "--max-total", "4"])
-        err = capsys.readouterr().err
         assert code == EXIT_VERIFICATION
-        assert err.startswith("verification failed: h* = ") and err.endswith(" is not palindromic of degree 2\n")
+        assert capsys.readouterr().err == "verification failed: K_(1,1): gamma_0, gamma_1 = [1, 2], not [1, 0] for |E| = 1\n"
 
     @pytest.mark.parametrize(
         "kind,option",

@@ -17,6 +17,7 @@ from sepkit.counting import (
 from sepkit.formulas import closed_form_hstar
 from sepkit.graphs import Signature, edge_order, enumerate_facet_labelings
 from sepkit.polynomial import Poly, ehrhart_from_hstar
+from sepkit.recursion import _partitions
 
 from test_graphs import signatures_with_total
 
@@ -136,6 +137,14 @@ class TestHStarOracle:
         Seashore, Root polytopes: triangulations and Ehrhart theory, 2011)."""
         h = hstar_oracle(Signature((1,) * n))
         assert h.coefficients == tuple(comb(n - 1, i) ** 2 for i in range(n))
+
+    def test_closed_form_on_every_signature_up_to_fourteen(self):
+        """The closed form's gamma sum is checked, not proved; here against
+        the oracle on all 493 sorted signatures with k >= 2 up to total 14."""
+        sigs = [Signature(p) for total in range(2, 15) for k in range(2, total + 1) for p in _partitions(total, k)]
+        assert len(sigs) == 493
+        for sig in sigs:
+            assert hstar_oracle(sig) == closed_form_hstar(sig), sig
 
     @pytest.mark.parametrize("parts", [(9, 9), (4, 4, 4), (1, 1, 1, 9)], ids=str)
     def test_closed_form_past_old_bound(self, parts):

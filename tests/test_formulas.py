@@ -26,7 +26,7 @@ from sepkit.formulas import (
     suspension_weight_poly,
 )
 from sepkit.graphs import Signature
-from sepkit.polynomial import Poly, gamma_vector
+from sepkit.polynomial import Poly, gamma_expand, gamma_vector
 from sepkit.recursion import _partitions
 from sepkit.triangulation import hstar_split_by_facet_type
 
@@ -195,9 +195,20 @@ def sorted_signatures(lo, hi):
     return [Signature(p) for total in range(lo, hi + 1) for k in range(2, total + 1) for p in _partitions(total, k)]
 
 
+def class_terms(n, a):
+    """D_n(a) negated: what a class of size a adds to binom(n-1, i)^2, the
+    h* of K_n, at total n.  It is the type-(i) terms of a class without
+    vertex 1 less its Hall deficit.  The class holding vertex 1 gives the
+    same list, since h* does not depend on the class order and both lists
+    are zero for a = 1.  A referee of the closed form's gamma sum."""
+    deficit = formulas._class_deficit(n, a, a)
+    return [x - y for x, y in zip(formulas._class_type_i(n, a, 0), deficit)]
+
+
 class TestClassTerms:
-    """binom(n-1, i)^2 plus one term per class against the two facet-type
-    parts, which put vertex 1 in the first class."""
+    """The closed form against the two facet-type parts, which put vertex 1
+    in the first class, and against binom(n-1, i)^2 plus one class term per
+    class."""
 
     @staticmethod
     def both_parts(parts):
@@ -215,17 +226,54 @@ class TestClassTerms:
 
     def test_a_class_of_one_adds_nothing(self):
         for n in range(2, 31):
-            assert formulas._class_terms(n, 1) == [0] * n, n
+            assert class_terms(n, 1) == [0] * n, n
 
     def test_all_ones_is_the_type_a_root_polytope(self):
         for n in range(2, 30):
             assert closed_form_hstar(Signature((1,) * n)).coefficients == tuple(binom(n - 1, i) ** 2 for i in range(n))
 
-    def test_one_shared_table_gives_the_fresh_answer(self):
+    def test_class_terms_equal_the_gamma_sum_up_to_sixteen(self):
         terms = {}
-        for sig in sorted_signatures(2, 12):
-            assert formulas._closed_form(sig, terms) == closed_form_hstar(sig), sig
-        assert sorted(terms) == [(n, a) for n in range(2, 13) for a in range(2, n)]
+        for sig in sorted_signatures(2, 16):
+            n = sig.total
+            h = [binom(n - 1, i) ** 2 for i in range(n)]
+            for a in sig.parts:
+                if (n, a) not in terms:
+                    terms[(n, a)] = class_terms(n, a)
+                h = [x + y for x, y in zip(h, terms[(n, a)])]
+            assert h == gamma_expand(formulas._closed_gamma(sig), sig.dim), sig
+
+
+class TestGammaSum:
+    """What `_closed_gamma` says about every signature, independent of the
+    sum: two entries fixed by |E|, and the singleton count."""
+
+    def test_first_two_entries_up_to_thirty(self):
+        """gamma_0 = 1 and gamma_1 = 2(|E| - n + 1), from h*_1 = 2|E| + 1 - n."""
+        sigs = sorted_signatures(2, 30)
+        assert len(sigs) == 28598
+        for sig in sigs:
+            n = sig.total
+            edges = (n * n - sum(a * a for a in sig.parts)) // 2
+            assert (formulas._closed_gamma(sig) + [0])[:2] == [1, 2 * (edges - n + 1)], sig
+
+    def test_singleton_count_up_to_twelve(self):
+        """With a singleton class {v}, gamma_i / binom(2i, i) counts the
+        2i-subsets of the other n - 1 vertices that meet each class in at
+        most i vertices."""
+        sigs = [sig for sig in sorted_signatures(2, 12) if 1 in sig.parts]
+        assert len(sigs) == 194
+        for sig in sigs:
+            rest = list(sig.parts)
+            rest.remove(1)
+            owner = [m for m, a in enumerate(rest) for _ in range(a)]
+            counts = [0] * (len(owner) // 2 + 1)
+            for subset in range(1 << len(owner)):
+                members = [owner[v] for v in range(len(owner)) if subset >> v & 1]
+                if len(members) % 2 == 0 and all(2 * members.count(m) <= len(members) for m in set(members)):
+                    counts[len(members) // 2] += 1
+            gamma = formulas._closed_gamma(sig)
+            assert gamma + [0] * (len(counts) - len(gamma)) == [binom(2 * i, i) * c for i, c in enumerate(counts)], sig
 
 
 class TestIdentities:

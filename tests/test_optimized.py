@@ -30,7 +30,7 @@ INJECTED = [
     "tests/test_cli.py::TestHstar::test_odd_count_check_exits_3",
     "tests/test_cli.py::TestHstar::test_hstar_invariant_check_exits_3",
     "tests/test_cli.py::TestRootsAndInterlace::test_inexact_division_exits_3",
-    "tests/test_cli.py::TestScan::test_not_palindromic_exits_3",
+    "tests/test_cli.py::TestScan::test_gamma_guard_exits_3",
     "tests/test_counting.py::TestCounts::test_dilation_count_invariants",
     "tests/test_graphs.py::TestSignature::test_parse",
 ]
