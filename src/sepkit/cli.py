@@ -214,6 +214,12 @@ def cmd_gb(args) -> int:
     started = time.monotonic()
     sig = Signature.parse(args.signature)
     checks = args.checks.split(",") if args.checks else ["reduced", "lead", "degree", "membership"]
+    for name, default in SCAN_OPTIONS["k222"].items():
+        if "k222" in checks:
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+        elif getattr(args, name) is not None:
+            raise ValueError(f"--{name} does not apply without --checks k222")
     vt = VarTable(sig)
     basis = build_basis(sig, vt)
     result: dict = {"signature": str(sig), "size": len(basis)}
@@ -253,7 +259,8 @@ def cmd_gb(args) -> int:
 
 
 # the options each scan kind reads, with their defaults; another kind's
-# option is a usage error, not silently ignored
+# option is a usage error, not silently ignored.  `gb` reads the k222 ones
+# under --checks k222 alone
 SCAN_OPTIONS = {
     "conjecture": {"max_total": 6, "max_n": 8},
     "corollary": {"m": 4, "max_n": 8},
@@ -333,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gb", help="Groebner basis construction and verification")
     p.add_argument("--signature", required=True)
     p.add_argument("--checks", default="", help="comma list: reduced,lead,degree,membership,buchberger,k222,export")
-    p.add_argument("--seed", type=int, default=7, help="seed for randomized order scans")
-    p.add_argument("--orders", type=int, default=100, help="number of random edge orders")
+    p.add_argument("--seed", type=int, help="k222: seed of the random orders (default 7)")
+    p.add_argument("--orders", type=int, help="k222: number of random edge orders (default 100)")
     common(p, fmt=("json", "plain"))
     p.set_defaults(func=cmd_gb)
 

@@ -51,7 +51,6 @@ binom(x - y + j - i - 2, j - 1) for every class, the first class included.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import comb
 from typing import Sequence
 
@@ -103,13 +102,13 @@ def hstar_1mn(m: int, n: int) -> HStar:
 def suspension_weight_poly(n: int) -> Poly:
     """The cut-sum polynomial behind the K_{1,1,1,n} suspension:
     3(n-1)n/16 t^2 + (2n+1)/2 t + 1."""
-    return Poly((1, Fraction(2 * n + 1, 2), Fraction(3 * (n - 1) * n, 16)))
+    return Poly.over((16, 8 * (2 * n + 1), 3 * (n - 1) * n), 16)
 
 
 def suspension_substitute(f: Poly, d: int) -> Poly:
     """(1+t)^d f(4t / (1+t)^2), expanded exactly: the gamma vector f_i 4^i.
     Needs d >= 2 deg(f)."""
-    return Poly(gamma_expand([c * 4**i for i, c in enumerate(f.coeffs)], d))
+    return Poly.over(gamma_expand([c << 2 * i for i, c in enumerate(f.num)], d), f.den)
 
 
 def hstar_111n(n: int) -> HStar:

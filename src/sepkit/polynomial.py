@@ -3,13 +3,14 @@ and the Ehrhart-side conversions between them.
 
 Everything here is exact and there is no floating point anywhere.  An
 `HStar` holds Python ints, as every h* is integral (Stanley, 1980).  A
-`Poly` holds `fractions.Fraction` coefficients, but its products and the
-Ehrhart-side conversions run on lists of Python ints scaled by one common
-denominator: d! E has integer coefficients, so E is built as an integer
-vector and divided once at the end.  Division and gcds exist only on those
-integer vectors (pseudo-division and the primitive remainder sequence),
-which the roots layer shares.  Degrees run to about 100 (the Ehrhart
-polynomial of K_{50,50} has degree 99), and the coefficients are dense.
+`Poly` holds integer numerators over one denominator, so its arithmetic
+and the Ehrhart-side conversions run on Python ints: d! E has integer
+coefficients, so E is built as an integer vector over d!.  `Fraction`s
+appear only where a caller reads single coefficients.  Division and gcds
+exist only on integer vectors (pseudo-division and the primitive remainder
+sequence), which the roots layer shares.  Degrees run to about 100 (the
+Ehrhart polynomial of K_{50,50} has degree 99), and the coefficients are
+dense.
 
 The domain-specific operations:
 
@@ -55,24 +56,38 @@ class InexactDivision(VerificationFailed, ArithmeticError):
     """An integer polynomial division that must be exact left a remainder."""
 
 
-def _frac(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
-
-
 class Poly:
-    """Immutable dense univariate polynomial with Fraction coefficients.
+    """Immutable dense univariate polynomial over the rationals, held as
+    integer numerators over one denominator.
 
-    ``coeffs[i]`` is the coefficient of x^i; trailing zeros are stripped, and
-    the zero polynomial has an empty coefficient tuple and degree -1.
+    The coefficient of x^i is ``num[i] / den``: `num` is a tuple of ints with
+    no trailing zero, ``den > 0``, and gcd(den, *num) = 1, so equal
+    polynomials hold equal integers.  The zero polynomial has ``num == ()``,
+    ``den == 1`` and degree -1.  `Poly(coeffs)` takes ints and Fractions;
+    `Poly.over(num, den)` is the one normaliser.  `coeffs`, ``p[i]`` and
+    iteration give Fractions, built on read.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs: Iterable = ()):
+        cs = list(coeffs)
+        den = lcm(*[c.denominator for c in cs])
+        return cls.over([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def over(cls, num: Iterable[int], den: int = 1) -> "Poly":
+        """The Poly num / den, for ints num and den != 0, in lowest terms."""
+        if not den:
+            raise ZeroDivisionError("Poly over 0")
+        a = list(num)
+        while a and not a[-1]:
+            a.pop()
+        g = gcd(den, *a) if den > 0 else -gcd(den, *a)
+        p = object.__new__(cls)
+        object.__setattr__(p, "num", tuple(a) if g == 1 else tuple([c // g for c in a]))
+        object.__setattr__(p, "den", den // g)
+        return p
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("Poly is immutable")
@@ -81,26 +96,28 @@ class Poly:
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return Poly.over(())
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((1,))
+        return Poly.over((1,))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(c, self.den) for c in self.num])
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        return Fraction(self.num[i] if 0 <= i < len(self.num) else 0, self.den)
 
     def __iter__(self):
         # without it, iteration would run `__getitem__` past the end forever
@@ -108,13 +125,13 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == Poly((other,))
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -136,13 +153,19 @@ class Poly:
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly((other,))
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self[i] + other[i] for i in range(n))
+        den = lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.num]
+        b = [c * (den // other.den) for c in other.num]
+        if len(a) < len(b):
+            a, b = b, a
+        for i, c in enumerate(b):
+            a[i] += c
+        return Poly.over(a, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return Poly.over([-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -154,20 +177,17 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly(c * other for c in self.coeffs)
+            return Poly.over([c * other.numerator for c in self.num], self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly.zero()
-        a, da = _numerators(self)
-        b, db = _numerators(other)
-        return _poly_over(_int_mul(a, b), da * db)
+        return Poly.over(_int_mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Poly":
-        s = _frac(scalar)
-        return Poly(c / s for c in self.coeffs)
+        return Poly.over([c * scalar.denominator for c in self.num], self.den * scalar.numerator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -183,17 +203,7 @@ class Poly:
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    # -- number-theoretic helpers -----------------------------------------
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self / self.coeffs[-1]
+        return Fraction(_int_eval(self.num, x), self.den)
 
 
 ONE_PLUS_T = Poly((1, 1))
@@ -205,21 +215,8 @@ TWO_X_PLUS_1 = Poly((1, 2))
 # ---------------------------------------------------------------------------
 #
 # An integer vector is a list of ints, constant term first, whose last entry
-# is nonzero; [] is the zero polynomial.  `_numerators` and `_poly_over`
-# convert between a Poly and an integer vector over one common denominator.
-
-
-def _numerators(p: Poly) -> tuple[list[int], int]:
-    """(a, den) with p = a / den, den > 0 the lcm of p's denominators."""
-    den = lcm(*[c.denominator for c in p.coeffs])
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
-
-
-def _poly_over(a: list[int], den: int) -> Poly:
-    """The Poly a / den."""
-    if den == 1:
-        return Poly(a)
-    return Poly(Fraction(c, den) for c in a)
+# is nonzero; [] is the zero polynomial.  A Poly's `num` is one, as a tuple,
+# over `den`.
 
 
 def _int_mul(a: list[int], b: list[int]) -> list[int]:
@@ -344,7 +341,7 @@ def _ehrhart(h: Sequence[int], d: int) -> Poly:
             total = [t + hi * c for t, c in zip(total, p)]
         if i < len(h) - 1:
             p = _div_linear(_times_linear(p, -i), d - i)
-    return _poly_over(total, factorial(d))
+    return Poly.over(total, factorial(d))
 
 
 class HStar:
@@ -397,8 +394,7 @@ def ehrhart_from_hstar(h: HStar) -> Poly:
 
 def _values(e: Poly, d: int) -> tuple[list[int], int]:
     """(v, den) with E(k) = v[k] / den for k = 0..d."""
-    a, den = _numerators(e)
-    return [_int_eval(a, k) for k in range(d + 1)], den
+    return [_int_eval(e.num, k) for k in range(d + 1)], e.den
 
 
 def _series(values: list[int], d: int) -> list[int]:
@@ -417,7 +413,7 @@ def series_numerator(e: Poly, d: int) -> Poly:
     if e.degree > d:
         raise ValueError(f"degree {e.degree} exceeds stated dimension {d}")
     values, den = _values(e, d)
-    return _poly_over(_series(values, d), den)
+    return Poly.over(_series(values, d), den)
 
 
 def hstar_from_ehrhart(e: Poly, d: int) -> HStar:
@@ -473,11 +469,10 @@ def gamma_of_palindromic(h: Poly, d: int) -> Poly:
     """
     if h.degree > d:
         raise ValueError("degree exceeds stated dimension")
-    a, den = _numerators(h)
-    a += [0] * (d + 1 - len(a))
+    a = list(h.num) + [0] * (d + 1 - len(h.num))
     if a != a[::-1]:
         raise NotPalindromic(f"not palindromic w.r.t. degree {d}: {h}")
-    return _gamma_solve(a, den)
+    return _gamma_solve(a, h.den)
 
 
 def _gamma_solve(a: list[int], den: int) -> Poly:
@@ -493,8 +488,8 @@ def _gamma_solve(a: list[int], den: int) -> Poly:
     # recombination exact, which is checked.
     recombined = gamma_expand(gammas, d)
     if recombined != a:
-        raise RecombinationFailed(f"gamma vector of {_poly_over(a, den)} recombines to {_poly_over(recombined, den)}")
-    return _poly_over(gammas, den)
+        raise RecombinationFailed(f"gamma vector of {Poly.over(a, den)} recombines to {Poly.over(recombined, den)}")
+    return Poly.over(gammas, den)
 
 
 def gamma_vector(h: HStar) -> Poly:
@@ -521,16 +516,11 @@ def cross_coefficients(e: Poly, d: int) -> Poly:
     so that E = sum_i (-1)^i c_i C_{d-2i}.  The degree of the returned
     polynomial is the cross-degree of E.
     """
-    h = series_numerator(e, d)
-    gamma = gamma_of_palindromic(h, d)  # raises NotPalindromic
-    m = gamma.degree
-    cs = []
-    for i in range(m + 1):
-        ci = Fraction(0)
-        for j in range(i, m + 1):
-            ci += comb(j, i) * gamma[j] / Fraction(4**j)
-        cs.append((-1) ** i * ci)
-    return Poly(cs)
+    gamma = gamma_of_palindromic(series_numerator(e, d), d)  # raises NotPalindromic
+    g, m = gamma.num, gamma.degree
+    # 4^m den c_i = sum_(j>=i) binom(j,i) num_j 4^(m-j)
+    cs = [(-1) ** i * sum(comb(j, i) * g[j] << 2 * (m - j) for j in range(i, m + 1)) for i in range(m + 1)]
+    return Poly.over(cs, gamma.den << 2 * m) if cs else gamma
 
 
 def cross_recombine(cross: Poly, d: int) -> Poly:
@@ -576,7 +566,6 @@ def gammalemma_check(d: int, n: int) -> bool:
 
 def fraction_str(x: Fraction) -> str:
     """Exact decimal-free rendering, e.g. '3/2' or '-1' (never a float)."""
-    x = _frac(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -584,4 +573,4 @@ def fraction_str(x: Fraction) -> str:
 
 def poly_str(p: Poly) -> list[str]:
     """Coefficient list as exact fraction strings, degree 0 first."""
-    return [fraction_str(c) for c in p.coeffs] if p.coeffs else ["0"]
+    return [fraction_str(c) for c in p.coeffs] if p.num else ["0"]

@@ -96,19 +96,15 @@ def _exact_div(num: int, den: int) -> int:
 def _solve_exact(columns: Sequence[Poly], rhs: Poly) -> RecursionSolution:
     """Solve sum_j x_j columns[j] = rhs by fraction-free elimination.
 
-    Coefficients are compared degree by degree; the integer matrix (after
-    clearing denominators row-wise) goes through Bareiss elimination, which
-    keeps every intermediate value an exact integer.
+    Coefficients are compared degree by degree; the integer matrix, each
+    column's numerators over one common denominator, goes through Bareiss
+    elimination, which keeps every intermediate value an exact integer.
     """
     ncols = len(columns)
     nrows = 1 + max([rhs.degree] + [c.degree for c in columns])
-    mat: list[list[int]] = []
-    for i in range(nrows):
-        row_f = [c[i] for c in columns] + [rhs[i]]
-        denom = 1
-        for v in row_f:
-            denom = lcm(denom, v.denominator)
-        mat.append([int(v * denom) for v in row_f])
+    den = lcm(rhs.den, *[c.den for c in columns])
+    cols = [[x * (den // p.den) for x in p.num] + [0] * (nrows - len(p.num)) for p in (*columns, rhs)]
+    mat = [list(row) for row in zip(*cols)]
 
     # one-step fraction-free Gauss-Jordan elimination with row pivoting:
     # every non-pivot row is rewritten as (pivot * row - row[col] * pivot_row)

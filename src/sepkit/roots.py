@@ -74,8 +74,6 @@ from .polynomial import (
     Poly,
     _exact_quo,
     _int_gcd,
-    _numerators,
-    _poly_over,
     _primitive,
     _sturm_prs,
     fraction_str,
@@ -120,14 +118,11 @@ def cl_transform(e: Poly) -> CLTransform:
     The substitution u = 2x + 1 centers the canonical line at u = 0, where
     the symmetry equation says F(-u) = (-1)^d F(u).  With den E = sum a_i x^i,
     den F(u) = sum a_i 2^(d-i) (u-1)^i, an integer Taylor shift by -1."""
-    if e.is_zero():
+    if not e.num:
         raise ValueError("zero polynomial")
-    a, den = _numerators(e)
-    d = len(a) - 1
-    f = [c << (d - i) for i, c in enumerate(a)]
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            f[j] -= f[j + 1]
+    d = len(e.num) - 1
+    f = [c << (d - i) for i, c in enumerate(e.num)]
+    _taylor_shift(f, -1)
     if not _even_or_odd(f):
         raise NotSymmetric(e)
     parity = d & 1
@@ -137,7 +132,17 @@ def cl_transform(e: Poly) -> CLTransform:
     h = tuple(f[parity::2])
     if not h[-1]:
         raise RootCheckFailed(f"H has degree {max((i for i, c in enumerate(h) if c), default=-1)}, expected {d // 2}")
-    return CLTransform(parity, h, den)
+    return CLTransform(parity, h, e.den)
+
+
+def _taylor_shift(f: list[int], a: int) -> None:
+    """f(x) -> f(x + a) in place, for an integer vector f and an integer a,
+    by repeated synthetic division: n (n + 1) / 2 multiply-adds."""
+    n = len(f) - 1
+    for i in range(n):
+        acc = f[n]
+        for j in range(n - 1, i - 1, -1):
+            acc = f[j] = f[j] + a * acc
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +194,7 @@ def _taylor_variations(p: list[int], a: int, k: int) -> int:
     n = len(p) - 1
     f = [c << (k * (n - i)) for i, c in enumerate(p)] if k else list(p)
     if a:
-        for i in range(n):
-            acc = f[n]
-            for j in range(n - 1, i - 1, -1):
-                acc = f[j] = f[j] + a * acc
+        _taylor_shift(f, a)
     return _changes(f)
 
 
@@ -538,7 +540,7 @@ def is_cl(e: Poly) -> RootCertificate:
         if zero_mult:
             roots.append(WRoot(Fraction(0), Fraction(0), zero_mult, exact=Fraction(0)))
     t = w.transform
-    return RootCertificate(e, True, w.on_cl, t.parity, _poly_over(t.h, t.den), roots, w.in_range)
+    return RootCertificate(e, True, w.on_cl, t.parity, Poly.over(t.h, t.den), roots, w.in_range)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +630,7 @@ def _interlace(wg: Optional[_WData], wf: Optional[_WData]) -> InterlaceCertifica
         a_keys[i] <= b_keys[i] <= a_keys[i + 1] for i in range(len(b_keys))
     )
     reason = "" if ok else "alternation chain broken"
-    return InterlaceCertificate(ok, Poly(shared).monic(), order, reason)
+    return InterlaceCertificate(ok, Poly.over(shared, shared[-1]), order, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,15 @@ class TestGb:
         assert code == EXIT_USAGE and captured.out == ""
         assert captured.err == "error: the number of random orders must be nonnegative, not -3\n"
 
+    @pytest.mark.parametrize("option", ["--seed", "--orders"])
+    def test_order_options_need_k222(self, capsys, option):
+        """--seed and --orders drive only the k222 check; without it they
+        are refused, not ignored."""
+        code = main(["gb", "--signature", "1,1,2", "--checks", "reduced", option, "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == f"error: {option} does not apply without --checks k222\n"
+
     def test_export(self, capsys):
         code, out = run(capsys, "gb", "--signature", "1,1", "--checks", "export")
         assert code == EXIT_OK
@@ -552,7 +561,8 @@ def test_closed_stdout_exits_quietly(fmt):
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     proc.stdout.close()  # before the scan can print anything
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=120) == EXIT_USAGE
     assert err == b""
 

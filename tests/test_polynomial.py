@@ -11,7 +11,7 @@ import pytest
 
 import fraction_routes as fr
 from sepkit.counting import hstar_oracle
-from sepkit.formulas import closed_form_hstar, hstar_111n, hstar_1mn, hstar_22n, hstar_bipartite, hstar_tripartite
+from sepkit.formulas import closed_form_hstar, ehrhart_bipartite, hstar_111n, hstar_1mn, hstar_22n, hstar_bipartite, hstar_tripartite
 from sepkit.graphs import Signature
 from sepkit.polynomial import (
     HStar,
@@ -23,7 +23,6 @@ from sepkit.polynomial import (
     Poly,
     TWO_X_PLUS_1,
     _falling,
-    _numerators,
     _pseudo_divmod,
     _sturm_prs,
     cross_coefficients,
@@ -38,8 +37,9 @@ from sepkit.polynomial import (
     hstar_from_ehrhart,
     series_numerator,
 )
+import sepkit.roots as roots
 from sepkit.roots import NotSymmetric, cl_transform
-from sepkit.triangulation import hstar_triangulation
+from sepkit.triangulation import hstar_split_by_facet_type, hstar_triangulation
 
 
 def symmetric(e):
@@ -101,6 +101,27 @@ class TestPolyCore:
         p = Poly((1, 2))
         assert list(islice(iter(p), 5)) == [1, 2]
 
+    def test_canonical_form(self):
+        """Integer numerators over the least positive denominator, so equal
+        polynomials hold equal integers and hash alike."""
+        p = Poly((Fraction(1, 2), Fraction(1, 3)))
+        assert (p.num, p.den) == ((3, 2), 6)
+        assert (Poly.zero().num, Poly.zero().den) == ((), 1)
+        assert (Poly((4, 0)) * 0).den == 1
+        q = p / -3
+        assert (q.num, q.den) == ((-3, -2), 18) and q.coeffs == (Fraction(-1, 6), Fraction(-1, 9))
+        assert Poly.over((6, 4, 0), -12) == Poly((Fraction(-1, 2), Fraction(-1, 3)))
+        with pytest.raises(ZeroDivisionError):
+            p / 0
+        routes = [
+            p,
+            Poly.over((9, 6), 18),
+            Poly((1, 0, 1)) * p - Poly((0, 0, Fraction(1, 2), Fraction(1, 3))),
+            (Poly((3, 2)) * Poly((1, 1)) - Poly((0, 3, 2))) / 6,
+        ]
+        assert {(r.num, r.den) for r in routes} == {((3, 2), 6)}
+        assert {hash(r) for r in routes} == {hash(p)}
+
 
 class TestHStarValidation:
     """Each invariant raises InvalidHStar with its own message."""
@@ -142,6 +163,20 @@ def _count_fractions(monkeypatch, call):
 
 def _is_integral(h):
     return len(h.coefficients) == h.dim + 1 and all(type(c) is int for c in h.coefficients)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: roots._w_data(ehrhart_bipartite(30, 30)),
+        lambda: cl_transform(ehrhart_from_hstar(closed_form_hstar(Signature((3, 4, 5))))),
+        lambda: hstar_split_by_facet_type(Signature((1, 1, 2, 3))),
+    ],
+    ids=["w_data 30,30", "cl_transform 3,4,5", "facet split 1,1,2,3"],
+)
+def test_poly_routes_build_no_fraction(monkeypatch, call):
+    """A Poly is built, combined and transformed on its integer numerators."""
+    assert _count_fractions(monkeypatch, call)[0] == 0
 
 
 class TestIntegerHStar:
@@ -439,12 +474,12 @@ class TestIntegerReferees:
             assert list((a - 1).coeffs) == fr.add(list(a.coeffs), [-1])
             assert list((1 - a).coeffs) == fr.add([1], [-x for x in a.coeffs])
             # division and gcds on the integer numerators, the larger degree first
-            ai, bi = sorted((_numerators(a)[0], _numerators(b)[0]), key=len, reverse=True)
+            ai, bi = sorted((list(a.num), list(b.num)), key=len, reverse=True)
             q, r, scale = _pseudo_divmod(ai, bi)
             quo, rem = fr.divmod_(fr.strip(ai), fr.strip(bi))
             assert (fr.strip(q), fr.strip(r)) == ([x * scale for x in quo], [x * scale for x in rem])
             # a common factor c, so the gcd is not always 1
-            ac, bc = sorted((_numerators(a * c)[0], _numerators(b * c)[0]), key=len, reverse=True)
+            ac, bc = sorted((list((a * c).num), list((b * c).num)), key=len, reverse=True)
             assert fr.monic(fr.strip(_sturm_prs(ac, bc)[-1])) == fr.gcd_(fr.strip(ac), fr.strip(bc))
             assert fr.monic(fr.strip(_sturm_prs(ai, [])[-1])) == fr.monic(fr.strip(ai))
 

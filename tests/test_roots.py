@@ -5,13 +5,14 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import fraction_routes as fr
 from test_polynomial import _count_fractions
 from sepkit.formulas import ehrhart_111n, ehrhart_1mn, ehrhart_22n, ehrhart_bipartite, hstar_tripartite
-from sepkit.polynomial import HStar, Poly, _numerators, _primitive, cross_polynomial, ehrhart_from_hstar
+from sepkit.polynomial import HStar, Poly, _primitive, cross_polynomial, ehrhart_from_hstar
 import sepkit.roots as roots
 from sepkit.roots import (
     NotCL,
@@ -29,7 +30,7 @@ F = Fraction
 
 def ints(p):
     """The primitive integer vector of p: p times a positive constant."""
-    return _primitive(_numerators(p)[0])
+    return _primitive(list(p.num))
 
 
 def half_square(t):
@@ -149,7 +150,7 @@ class TestSturm:
 
     def test_isolation(self):
         p = Poly((-2, 1)) * Poly((1, 1)) * Poly((5, 1))  # roots 2, -1, -5
-        isos = isolate(p.monic())
+        isos = isolate(p)
         assert len(isos) == 3
         for iso in isos:
             assert count(p, iso.lo, iso.hi) == 1
@@ -791,12 +792,12 @@ class TestInvariantChecks:
         with pytest.raises(RootCheckFailed, match="even polynomial"):
             cl_transform(Poly((1, 0, 1)))
 
-    def test_transform_degree(self, monkeypatch):
-        # the numerators of E = 1 + 2x padded to degree 3: F = 8 E((u-1)/2)
-        # is odd, but its u^3 coefficient vanishes
-        monkeypatch.setattr(roots, "_numerators", lambda e: ([1, 2, 0, 0], 1))
+    def test_transform_degree(self):
+        # a stand-in for E = 1 + 2x with numerators padded to degree 3:
+        # F = 8 E((u-1)/2) is odd, but its u^3 coefficient vanishes
+        padded = SimpleNamespace(num=(1, 2, 0, 0), den=1)
         with pytest.raises(RootCheckFailed, match="H has degree 0, expected 1"):
-            cl_transform(ehrhart_bipartite(2, 2))
+            cl_transform(padded)
 
     def test_isolation_split_point(self, monkeypatch):
         # the search starts at (-1, 1); roots at -1 + 2/2^j, j = 1..6
