@@ -36,6 +36,15 @@ EXIT_VERIFICATION = 3
 # (Python 3.11.7 on a 2-core host)
 ROOTS_MAX_TOTAL = 100
 
+# dilation bound of `hstar --max-dilation`, not an option and not lifted by
+# --bound: the count grows about as k^4, and at 36 the worst signatures
+# within the counting bound of 36 vertices, 2^18 and 1^36, take 7 to 9 s
+# for `--method all` (Python 3.11.7 on a 2-core host)
+HSTAR_MAX_DILATION = 36
+
+# the checks of `gb`, in the order of its --checks help
+GB_CHECKS = ("reduced", "lead", "degree", "membership", "buchberger", "k222", "export")
+
 
 def _envelope(command: str, params: dict, result: dict, started: float, timing: bool) -> dict:
     return {
@@ -72,6 +81,8 @@ def cmd_hstar(args) -> int:
             raise ValueError(f"--max-dilation needs --method oracle or all, not {args.method}")
         if args.max_dilation < 0:
             raise ValueError(f"--max-dilation must be nonnegative, not {args.max_dilation}")
+        if args.max_dilation > HSTAR_MAX_DILATION:
+            raise SizeExceeded(f"--max-dilation {args.max_dilation} exceeds bound {HSTAR_MAX_DILATION}")
     if args.bound is not None and args.method == "formula":
         raise ValueError("--bound needs --method triangulation, oracle or all, not formula")
     compare = args.method == "all"
@@ -220,6 +231,10 @@ def cmd_gb(args) -> int:
                 setattr(args, name, default)
         elif getattr(args, name) is not None:
             raise ValueError(f"--{name} does not apply without --checks k222")
+    for check in checks:
+        if check not in GB_CHECKS:
+            print(f"unknown check {check!r}", file=sys.stderr)
+            return EXIT_USAGE
     vt = VarTable(sig)
     basis = build_basis(sig, vt)
     result: dict = {"signature": str(sig), "size": len(basis)}
@@ -249,11 +264,8 @@ def cmd_gb(args) -> int:
                 "seed": scan["seed"],
             }
             ok &= scan["all_orders_obstructed"]
-        elif check == "export":
+        else:  # export
             result["basis"] = basis_to_text(sig, basis).splitlines()
-        else:
-            print(f"unknown check {check!r}", file=sys.stderr)
-            return EXIT_USAGE
     _emit(args, _envelope("gb", {"signature": str(sig), "checks": checks}, result, started, args.timing))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -339,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gb", help="Groebner basis construction and verification")
     p.add_argument("--signature", required=True)
-    p.add_argument("--checks", default="", help="comma list: reduced,lead,degree,membership,buchberger,k222,export")
+    p.add_argument("--checks", default="", help="comma list: " + ",".join(GB_CHECKS))
     p.add_argument("--seed", type=int, help="k222: seed of the random orders (default 7)")
     p.add_argument("--orders", type=int, help="k222: number of random edge orders (default 100)")
     common(p, fmt=("json", "plain"))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .formulas import (
     IdentityFailed,
@@ -52,29 +52,17 @@ class ExactSolveFailed(VerificationFailed, ArithmeticError):
     """The exact solver broke one of its own invariants."""
 
 
-class RecursionSolution:
+class RecursionSolution(NamedTuple):
     """Outcome of solving f = alpha (2x+1) g + sum alpha_i h_i exactly."""
 
-    __slots__ = ("alpha", "alphas", "status", "kernel_dim", "particular", "kernel")
-    __hash__ = None  # mutable
-
-    def __init__(
-        self,
-        alpha: Optional[Fraction],
-        alphas: Optional[list[Fraction]] = None,  # a fresh empty list when None
-        status: str = "unique",  # unique | none | underdetermined
-        kernel_dim: int = 0,
-        # for underdetermined systems: one solution plus a kernel basis, so
-        # that callers can reason about the whole solution set exactly
-        particular: Optional[list[Fraction]] = None,
-        kernel: Optional[list[list[Fraction]]] = None,
-    ):
-        self.alpha = alpha
-        self.alphas = [] if alphas is None else alphas
-        self.status = status
-        self.kernel_dim = kernel_dim
-        self.particular = particular
-        self.kernel = kernel
+    alpha: Optional[Fraction]
+    alphas: list[Fraction]
+    status: str  # unique | none | underdetermined
+    kernel_dim: int = 0
+    # for underdetermined systems: one solution plus a kernel basis, so
+    # that callers can reason about the whole solution set exactly
+    particular: Optional[list[Fraction]] = None
+    kernel: Optional[list[list[Fraction]]] = None
 
     @property
     def coefficients(self) -> list[Fraction]:
@@ -197,9 +185,10 @@ def _fourier_motzkin_feasible(
             uppers.append(([x / c for x in rest], b / c))
     for (al, bl) in lowers:
         for (au, bu) in uppers:
-            # bl - al.t <= t_last <= bu - au.t  requires (al - au).t <= bu - bl
-            keep.append(([au[i] - al[i] for i in range(nvars - 1)], bl - bu))
-    rest_point = _fourier_motzkin_feasible(keep)
+            # bl - al.t <= t_last <= bu - au.t  requires (al - au).t >= bl - bu
+            keep.append(([al[i] - au[i] for i in range(nvars - 1)], bl - bu))
+    # with no row left, any point of the other variables will do
+    rest_point = _fourier_motzkin_feasible(keep) if keep else [Fraction(0)] * (nvars - 1)
     if rest_point is None:
         return None
     lo = [bl - sum(a[i] * rest_point[i] for i in range(nvars - 1)) for a, bl in lowers]
@@ -298,7 +287,7 @@ def solve_recursion_cross(f: Poly, g: Poly, hs: Sequence[Poly]) -> RecursionSolu
         recomposed = recomposed + a * h
     if recomposed != f:
         return RecursionSolution(None, [], status="none")
-    return RecursionSolution(alpha, [a for a in alphas], status="unique")
+    return RecursionSolution(alpha, alphas, status="unique")
 
 
 # ---------------------------------------------------------------------------

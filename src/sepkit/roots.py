@@ -77,6 +77,7 @@ from .polynomial import (
     _primitive,
     _sturm_prs,
     fraction_str,
+    poly_str,
 )
 
 
@@ -386,18 +387,14 @@ def _decompose(a: list[int], g: list[int]) -> list[tuple[list[int], int]]:
 # ---------------------------------------------------------------------------
 
 
-class WRoot:
+class WRoot(NamedTuple):
     """A distinct root of the transformed polynomial H, with exact rational
     bracketing and its multiplicity in H."""
 
-    __slots__ = ("lo", "hi", "multiplicity", "exact")
-    __hash__ = None  # mutable
-
-    def __init__(self, lo: Fraction, hi: Fraction, multiplicity: int, exact: Optional[Fraction] = None):
-        self.lo = lo
-        self.hi = hi
-        self.multiplicity = multiplicity
-        self.exact = exact  # set when the root is rational
+    lo: Fraction
+    hi: Fraction
+    multiplicity: int
+    exact: Optional[Fraction] = None  # set when the root is rational
 
     def as_dict(self) -> dict:
         return {
@@ -408,37 +405,19 @@ class WRoot:
         }
 
 
-class RootCertificate:
+class RootCertificate(NamedTuple):
     """Verdict on canonical-line membership plus exact isolation data."""
 
-    __slots__ = (
-        "source", "symmetric", "on_cl", "parity", "half_square", "w_roots", "distinct_real_in_range", "reason"
-    )
-    __hash__ = None  # mutable
-
-    def __init__(
-        self,
-        source: Poly,
-        symmetric: bool,
-        on_cl: bool,
-        parity: int,
-        half_square: Optional[Poly],
-        w_roots: list[WRoot],
-        distinct_real_in_range: int,
-        reason: str = "",
-    ):
-        self.source = source
-        self.symmetric = symmetric
-        self.on_cl = on_cl
-        self.parity = parity
-        self.half_square = half_square
-        self.w_roots = w_roots
-        self.distinct_real_in_range = distinct_real_in_range
-        self.reason = reason
+    source: Poly
+    symmetric: bool
+    on_cl: bool
+    parity: int
+    half_square: Optional[Poly]
+    w_roots: list[WRoot]
+    distinct_real_in_range: int
+    reason: str = ""
 
     def as_dict(self) -> dict:
-        from .polynomial import poly_str
-
         return {
             "degree": self.source.degree,
             "symmetric": self.symmetric,
@@ -548,21 +527,15 @@ def is_cl(e: Poly) -> RootCertificate:
 # ---------------------------------------------------------------------------
 
 
-class InterlaceCertificate:
+class InterlaceCertificate(NamedTuple):
     """Witness of the weak alternation of two CL root sequences."""
 
-    __slots__ = ("interlaces", "shared_factor", "order", "reason")
-    __hash__ = None  # mutable
-
-    def __init__(self, interlaces: bool, shared_factor: Poly, order: list[dict], reason: str = ""):
-        self.interlaces = interlaces
-        self.shared_factor = shared_factor
-        self.order = order  # merged root symbols bottom-to-top along the line
-        self.reason = reason
+    interlaces: bool
+    shared_factor: Poly
+    order: list[dict]  # merged root symbols bottom-to-top along the line
+    reason: str = ""
 
     def as_dict(self) -> dict:
-        from .polynomial import poly_str
-
         return {
             "interlaces": self.interlaces,
             "shared_factor": poly_str(self.shared_factor),

@@ -256,6 +256,25 @@ class TestHstar:
         assert code == EXIT_OK
         assert json.loads(out)["result"]["dilation_counts"] == [{"k": 0, "count": 1}]
 
+    def test_max_dilation_bound(self, capsys, monkeypatch):
+        """A dilation above HSTAR_MAX_DILATION exits 2 before any count runs,
+        with --bound or without; the bound itself is accepted."""
+        import sepkit.counting as counting
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("dilation_counts reached")
+
+        monkeypatch.setattr(counting, "dilation_counts", unreachable)
+        for extra in ([], ["--bound", "100"]):
+            for method in ("oracle", "all"):
+                code = main(["hstar", "--signature", "1,2", "--method", method, "--max-dilation", "37", *extra])
+                captured = capsys.readouterr()
+                assert code == EXIT_BOUND and captured.out == ""
+                assert captured.err == "size bound exceeded: --max-dilation 37 exceeds bound 36\n"
+        monkeypatch.undo()
+        code, out = run(capsys, "hstar", "--signature", "1,2", "--method", "oracle", "--max-dilation", "36")
+        assert code == EXIT_OK and len(json.loads(out)["result"]["dilation_counts"]) == 37
+
     def test_skipped_oracle_reports_dropped_dilation_counts(self, capsys):
         """With the oracle skipped by its bound, its reason stands in for
         the counts; with the oracle run, the counts are there and no reason."""
@@ -418,6 +437,21 @@ class TestGb:
     def test_unknown_check(self, capsys):
         code, _ = run(capsys, "gb", "--signature", "1,1", "--checks", "bogus")
         assert code == EXIT_USAGE
+
+    def test_unknown_check_refused_before_any_check(self, capsys, monkeypatch):
+        """The whole --checks list is read before the basis is built, so a
+        bad name after a costly check costs nothing."""
+        import sepkit.grobner as grobner
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("check reached")
+
+        monkeypatch.setattr(grobner, "build_basis", unreachable)
+        monkeypatch.setattr(grobner, "buchberger_verify", unreachable)
+        code = main(["gb", "--signature", "2,2,3,3", "--checks", "buchberger,bogus"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == "unknown check 'bogus'\n"
 
     def test_buchberger_bound(self, capsys):
         """The certificate covers every signature with at most 10 vertices,

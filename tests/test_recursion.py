@@ -4,6 +4,7 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import mul
 
 import pytest
 
@@ -378,3 +379,39 @@ class TestSolverInvariants:
         monkeypatch.setattr(recursion, "_fourier_motzkin_feasible", lambda rows: [F(5)])
         with pytest.raises(ExactSolveFailed, match="negative coordinate"):
             nonnegative_solution(sol)
+
+
+class TestTwoFreeVariables:
+    """Fourier-Motzkin over a kernel of dimension 2, which no catalogued
+    relation reaches: solutions x = p + t1 k1 + t2 k2 in the shape
+    `_solve_exact` reports them, pivots on coordinates 0 and 1 and the free
+    coordinates 2 and 3 carrying t1 and t2."""
+
+    @staticmethod
+    def underdetermined(p, k1, k2):
+        kernel = [[F(c) for c in k1], [F(c) for c in k2]]
+        return RecursionSolution(None, [], "underdetermined", 2, [F(c) for c in p], kernel)
+
+    def test_feasible(self):
+        # x = (-1 + t1 + t2, 2 - t1 - 3 t2, t1, t2): x >= 0 is the triangle
+        # with corners (1, 0), (2, 0) and (1/2, 1/2), and p itself is negative
+        p, k1, k2 = (-1, 2, 0, 0), (1, -1, 1, 0), (1, -3, 0, 1)
+        point = nonnegative_solution(self.underdetermined(p, k1, k2))
+        assert point is not None and all(c >= 0 for c in point)
+        t1, t2 = point[2], point[3]
+        assert point == [p[i] + t1 * k1[i] + t2 * k2[i] for i in range(4)]
+
+    def test_infeasible(self):
+        # x = (1 - 2 t1 + t2, -2 + t1 - 2 t2, t1, t2); each coordinate alone
+        # can be made nonnegative, but y = (1, 1, 1, 1) >= 0 has y.k1 = y.k2 = 0
+        # and y.p = -1, so y.x = -1 for every t and some coordinate is negative
+        p, k1, k2 = (1, -2, 0, 0), (-2, 1, 1, 0), (1, -2, 0, 1)
+        y = (1, 1, 1, 1)
+        assert min(y) >= 0 and all(sum(map(mul, y, v)) == 0 for v in (k1, k2)) and sum(map(mul, y, p)) < 0
+        assert nonnegative_solution(self.underdetermined(p, k1, k2)) is None
+
+    def test_last_variable_in_every_row(self):
+        """No row survives the elimination of t2, so t1 is free."""
+        rows = [([F(1), F(1)], F(1)), ([F(-1), F(2)], F(0))]
+        t = recursion._fourier_motzkin_feasible(rows)
+        assert t is not None and all(sum(map(mul, row, t)) >= b for row, b in rows)

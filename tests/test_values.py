@@ -1,6 +1,7 @@
 """Value semantics of the result types of every layer: the immutable ones
-compare and hash by their fields and refuse assignment, the mutable records
-are unhashable and change in place."""
+compare by their fields, hash by them when no field is a list, and refuse
+assignment; the one mutable record, Isolation, is unhashable and narrows
+in place."""
 
 from fractions import Fraction
 
@@ -30,14 +31,30 @@ FROZEN = {
         roots.cl_transform(Poly((1, 2))),
         ("parity", "h", "den"),
     ),
+    "WRoot": (
+        lambda: roots.WRoot(F(-1), F(0), 1),
+        roots.WRoot(F(-2), F(-1), 2, exact=F(-1)),
+        ("lo", "hi", "multiplicity", "exact"),
+    ),
+    "RootCertificate": (
+        lambda: roots.is_cl(Poly((1, 2, 2))),
+        roots.is_cl(Poly((1, 2))),
+        ("source", "symmetric", "on_cl", "parity", "half_square", "w_roots", "distinct_real_in_range", "reason"),
+    ),
+    "InterlaceCertificate": (
+        lambda: roots.interlaces_on_cl(ehrhart_bipartite(1, 2), ehrhart_bipartite(1, 3)),
+        roots.interlaces_on_cl(ehrhart_bipartite(1, 1), ehrhart_bipartite(1, 2)),
+        ("interlaces", "shared_factor", "order", "reason"),
+    ),
+    "RecursionSolution": (
+        lambda: RecursionSolution(None, [], "underdetermined", 1, [F(1), F(1)], [[F(1), F(-1)]]),
+        RecursionSolution(F(1), [F(2)], "unique"),
+        ("alpha", "alphas", "status", "kernel_dim", "particular", "kernel"),
+    ),
 }
 
 MUTABLE = {
     "Isolation": lambda: roots._isolate([-2, 0, 1])[1],
-    "WRoot": lambda: roots.WRoot(F(-1), F(0), 1),
-    "RootCertificate": lambda: roots.is_cl(Poly((1, 2, 2))),
-    "InterlaceCertificate": lambda: roots.interlaces_on_cl(ehrhart_bipartite(1, 2), ehrhart_bipartite(1, 3)),
-    "RecursionSolution": lambda: RecursionSolution(None),
 }
 
 
@@ -46,7 +63,9 @@ def test_value_semantics(name):
     if name in FROZEN:
         make, other, fields = FROZEN[name]
         x, y = make(), make()
-        assert x is not y and x == y and hash(x) == hash(y)
+        assert x is not y and x == y
+        if not any(isinstance(getattr(x, field), list) for field in fields):
+            assert hash(x) == hash(y)
         assert x != other
         for field in fields:
             with pytest.raises(AttributeError):
@@ -56,14 +75,7 @@ def test_value_semantics(name):
     x = MUTABLE[name]()
     with pytest.raises(TypeError):
         hash(x)
-    if name == "Isolation":
-        lo, hi = x.lo, x.hi
-        x.bisect()
-        assert x.hi - x.lo == (hi - lo) / 2 and lo <= x.lo < x.hi <= hi
-        assert x.lo ** 2 < 2 < x.hi ** 2
-    if name == "RecursionSolution":
-        y = RecursionSolution(None)
-        x.alphas.append(F(1))
-        assert y.alphas == [] and x.alphas == [F(1)]
-        x.status = "none"
-        assert x.status == "none" and y.status == "unique"
+    lo, hi = x.lo, x.hi
+    x.bisect()
+    assert x.hi - x.lo == (hi - lo) / 2 and lo <= x.lo < x.hi <= hi
+    assert x.lo ** 2 < 2 < x.hi ** 2
