@@ -10,6 +10,11 @@ that the reader closed before the output was written, which exits with
 nothing on stderr; 2 a ``SizeExceeded``; 3 a check that came out false, or
 a ``VerificationFailed`` from any layer.  Each exception class thus fixes
 its own exit code, and any other exception is a bug that propagates.
+
+Each ``cmd_*`` returns ``(parameters, result, verdict)`` and writes nothing
+but the CSV of ``hstar`` and ``roots``, for which it returns no result;
+``main`` alone builds the envelope, renders it and turns the verdict into
+exit code 0 or 3.
 """
 
 from __future__ import annotations
@@ -31,8 +36,10 @@ EXIT_USAGE = 1
 EXIT_BOUND = 2
 EXIT_VERIFICATION = 3
 
-# vertex bound of `roots` and `interlace`, not an option: at 100 vertices
-# `is_cl` takes about 0.25 to 1.1 s, almost all of it the Sturm verdict
+# vertex bound of every Ehrhart polynomial that `roots`, `interlace`,
+# `recursion` and `scan` build, not an option: at 100 vertices `is_cl`
+# takes about 0.25 to 1.1 s, almost all of it the Sturm verdict, and the
+# slowest call within it, `scan --kind corollary --m 49 --max-n 49`, 68 s
 # (Python 3.11.7 on a 2-core host)
 ROOTS_MAX_TOTAL = 100
 
@@ -46,22 +53,6 @@ HSTAR_MAX_DILATION = 36
 GB_CHECKS = ("reduced", "lead", "degree", "membership", "buchberger", "k222", "export")
 
 
-def _envelope(command: str, params: dict, result: dict, started: float, timing: bool) -> dict:
-    return {
-        "command": command,
-        "parameters": params,
-        "result": result,
-        "timing_ms": int((time.monotonic() - started) * 1000) if timing else None,
-    }
-
-
-def _emit(args, payload: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:  # plain; hstar and roots print CSV themselves
-        _emit_plain(payload)
-
-
 def _emit_plain(payload: dict, prefix: str = "") -> None:
     for key, value in payload.items():
         if isinstance(value, dict):
@@ -73,8 +64,7 @@ def _emit_plain(payload: dict, prefix: str = "") -> None:
             print(f"{prefix}{key} = {value}")
 
 
-def cmd_hstar(args) -> int:
-    started = time.monotonic()
+def cmd_hstar(args) -> tuple[dict, dict | None, bool]:
     sig = Signature.parse(args.signature)
     if args.max_dilation is not None:
         if args.method not in ("oracle", "all"):
@@ -126,29 +116,32 @@ def cmd_hstar(args) -> int:
         print("method," + ",".join(f"h{i}" for i in range(sig.dim + 1)))
         for method, h in values:
             print(method + "," + ",".join(str(c) for c in h.coefficients))
-    else:
-        _emit(args, _envelope("hstar", {"signature": str(sig), "method": args.method}, result, started, args.timing))
-    return EXIT_OK if agree else EXIT_VERIFICATION
+        result = None
+    return {"signature": str(sig), "method": args.method}, result, agree
+
+
+def _check_total(total: int) -> None:
+    """Refuse an Ehrhart polynomial of more than ROOTS_MAX_TOTAL vertices."""
+    if total > ROOTS_MAX_TOTAL:
+        raise SizeExceeded(f"signature total {total} exceeds bound {ROOTS_MAX_TOTAL}")
 
 
 def _ehrhart_of_signature(sig: Signature) -> Poly:
     """E from the closed form, which covers every signature, for a signature
     of at most ROOTS_MAX_TOTAL vertices."""
-    if sig.total > ROOTS_MAX_TOTAL:
-        raise SizeExceeded(f"signature total {sig.total} exceeds bound {ROOTS_MAX_TOTAL}")
+    _check_total(sig.total)
     from .formulas import closed_form_hstar
     from .polynomial import ehrhart_from_hstar
 
     return ehrhart_from_hstar(closed_form_hstar(sig))
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(args) -> tuple[dict, dict | None, bool]:
     from fractions import Fraction
 
     from .polynomial import fraction_str, poly_str
     from .roots import imaginary_bounds, is_cl
 
-    started = time.monotonic()
     sig = Signature.parse(args.signature)
     e = _ehrhart_of_signature(sig)
     cert = is_cl(e)
@@ -170,16 +163,16 @@ def cmd_roots(args) -> int:
             else:
                 print(f"-1/2,{fraction_str(-hi)},{fraction_str(-lo)}")
                 print(f"-1/2,{fraction_str(lo)},{fraction_str(hi)}")
+        result = None
     else:
         result = {"signature": str(sig), "ehrhart": poly_str(e), "certificate": cert.as_dict()}
-        _emit(args, _envelope("roots", {"signature": str(sig)}, result, started, args.timing))
-    return EXIT_OK if cert.on_cl else EXIT_VERIFICATION
+    return {"signature": str(sig)}, result, cert.on_cl
 
 
-def cmd_interlace(args) -> int:
+def cmd_interlace(args) -> tuple[dict, dict | None, bool]:
     from .roots import NotCL, interlaces_on_cl
 
-    started = time.monotonic()
+    params = {"a": args.a, "b": args.b}
     sig_a = Signature.parse(args.a)
     sig_b = Signature.parse(args.b)
     g = _ehrhart_of_signature(sig_a)
@@ -187,29 +180,23 @@ def cmd_interlace(args) -> int:
     try:
         cert = interlaces_on_cl(g, f)
     except NotCL as exc:
-        _emit(args, _envelope("interlace", {"a": args.a, "b": args.b}, {"error": str(exc)}, started, args.timing))
-        return EXIT_VERIFICATION
-    result = {"a": str(sig_a), "b": str(sig_b), "certificate": cert.as_dict()}
-    _emit(args, _envelope("interlace", {"a": args.a, "b": args.b}, result, started, args.timing))
-    return EXIT_OK if cert.interlaces else EXIT_VERIFICATION
+        return params, {"error": str(exc)}, False
+    return params, {"a": str(sig_a), "b": str(sig_b), "certificate": cert.as_dict()}, cert.interlaces
 
 
-def cmd_recursion(args) -> int:
+def cmd_recursion(args) -> tuple[dict, dict | None, bool]:
     from .recursion import reproduce_known_relations
 
-    started = time.monotonic()
+    _check_total(args.n + 4)  # K_{4,n} and K_{1,1,1,n+1}
     report = reproduce_known_relations(args.n, strict=False)
     if args.relation != "all":
         report["rows"] = [r for r in report["rows"] if r["relation"] == args.relation]
         if not report["rows"]:
-            print(f"unknown relation id {args.relation!r}", file=sys.stderr)
-            return EXIT_USAGE
-    ok = all(r["verified"] for r in report["rows"])
-    _emit(args, _envelope("recursion", {"relation": args.relation, "n": args.n}, report, started, args.timing))
-    return EXIT_OK if ok else EXIT_VERIFICATION
+            raise ValueError(f"unknown relation id {args.relation!r}")
+    return {"relation": args.relation, "n": args.n}, report, all(r["verified"] for r in report["rows"])
 
 
-def cmd_gb(args) -> int:
+def cmd_gb(args) -> tuple[dict, dict | None, bool]:
     from .grobner import (
         VarTable,
         basis_to_text,
@@ -222,19 +209,13 @@ def cmd_gb(args) -> int:
         toric_membership_check,
     )
 
-    started = time.monotonic()
     sig = Signature.parse(args.signature)
     checks = args.checks.split(",") if args.checks else ["reduced", "lead", "degree", "membership"]
-    for name, default in SCAN_OPTIONS["k222"].items():
-        if "k222" in checks:
-            if getattr(args, name) is None:
-                setattr(args, name, default)
-        elif getattr(args, name) is not None:
-            raise ValueError(f"--{name} does not apply without --checks k222")
+    k222 = SCAN_OPTIONS["k222"]
+    _scan_options(args, k222, k222 if "k222" in checks else {}, "without --checks k222")
     for check in checks:
         if check not in GB_CHECKS:
-            print(f"unknown check {check!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"unknown check {check!r}")
     vt = VarTable(sig)
     basis = build_basis(sig, vt)
     result: dict = {"signature": str(sig), "size": len(basis)}
@@ -266,8 +247,7 @@ def cmd_gb(args) -> int:
             ok &= scan["all_orders_obstructed"]
         else:  # export
             result["basis"] = basis_to_text(sig, basis).splitlines()
-    _emit(args, _envelope("gb", {"signature": str(sig), "checks": checks}, result, started, args.timing))
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return {"signature": str(sig), "checks": checks}, result, ok
 
 
 # the options each scan kind reads, with their defaults; another kind's
@@ -280,23 +260,30 @@ SCAN_OPTIONS = {
 }
 
 
-def cmd_scan(args) -> int:
-    started = time.monotonic()
-    used = SCAN_OPTIONS[args.kind]
-    for name in ("max_total", "max_n", "m", "seed", "orders"):
+def _scan_options(args, names, used: dict, where: str) -> None:
+    """Set each option of `used` that is unset to its default, and refuse
+    the other options of `names`, in that order, with a usage error."""
+    for name in names:
         if name in used:
             if getattr(args, name) is None:
                 setattr(args, name, used[name])
         elif getattr(args, name) is not None:
-            raise ValueError(f"--{name.replace('_', '-')} does not apply to --kind {args.kind}")
+            raise ValueError(f"--{name.replace('_', '-')} does not apply {where}")
+
+
+def cmd_scan(args) -> tuple[dict, dict | None, bool]:
+    names = ("max_total", "max_n", "m", "seed", "orders")
+    _scan_options(args, names, SCAN_OPTIONS[args.kind], f"to --kind {args.kind}")
     if args.kind == "conjecture":
         from .recursion import conjecture_scan
 
+        _check_total(args.max_n + 3)  # K_{1,1,1,max_n}
         report = conjecture_scan(args.max_total, args.max_n)
         ok = report["violations"] == 0
     elif args.kind == "corollary":
         from .recursion import corollary_scan
 
+        _check_total(args.m + args.max_n + 2)  # K_{m+1,max_n+1}
         report = corollary_scan(args.m, args.max_n)
         ok = all(r["status"] == "unique" for r in report["rows"])
         if "alpha2_matches" in report:
@@ -306,8 +293,7 @@ def cmd_scan(args) -> int:
 
         report = k222_order_scan(args.orders, args.seed)
         ok = report["all_orders_obstructed"]
-    _emit(args, _envelope("scan", {"kind": args.kind}, report, started, args.timing))
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return {"kind": args.kind}, report, ok
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,11 +361,23 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    started = time.monotonic()
     # VerificationFailed before ValueError: some verification errors are both
     try:
-        code = args.func(args)
+        params, result, ok = args.func(args)
+        if result is not None:  # hstar and roots print CSV themselves
+            payload = {
+                "command": args.command,
+                "parameters": params,
+                "result": result,
+                "timing_ms": int((time.monotonic() - started) * 1000) if args.timing else None,
+            }
+            if args.format == "json":
+                print(json.dumps(payload, indent=2, sort_keys=True))
+            else:
+                _emit_plain(payload)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
-        return code
+        return EXIT_OK if ok else EXIT_VERIFICATION
     except BrokenPipeError:
         # the reader left; the interpreter's last flush must not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -74,8 +74,6 @@ def _check_bound(sig: Signature, max_total: Optional[int]) -> None:
             f"signature total {sig.total} exceeds bound {bound}; "
             f"pass an explicit bound to override"
         )
-    if sig.k < 2:
-        raise ValueError("need at least two classes")
 
 
 def _weak_compositions(mass: int, parts: int) -> int:

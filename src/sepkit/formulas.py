@@ -316,8 +316,6 @@ def closed_form_hstar(sig: Signature) -> HStar:
     """h* of K_{a_1,...,a_k} for any k >= 2: the gamma vector of
     `_closed_gamma`, expanded by `gamma_expand`, so the result is
     order-independent.  `HStar` checks the expansion's invariants."""
-    if sig.k < 2:
-        raise ValueError("need at least two classes")
     return HStar(gamma_expand(_closed_gamma(sig), sig.dim), sig.dim)
 
 

@@ -48,13 +48,16 @@ class Unclassifiable(VerificationFailed, ValueError):
 
 
 class Signature:
-    """Ordered class sizes (a_1, ..., a_k) of a complete multipartite graph."""
+    """Ordered class sizes (a_1, ..., a_k), k >= 2, of a complete multipartite
+    graph."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]):
-        if not parts or any(a < 1 for a in parts):
+        if any(a < 1 for a in parts):
             raise ValueError(f"class sizes must be positive: {parts}")
+        if len(parts) < 2:
+            raise ValueError("need at least two classes")
         object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, *a):  # immutability
@@ -216,8 +219,6 @@ def enumerate_facet_labelings(sig: Signature) -> list[FacetLabeling]:
     passes ``is_facet_labeling`` and its unit-difference edges form a
     connected spanning subgraph.
     """
-    if sig.k < 2:
-        raise ValueError("facets need at least two classes")
     n = sig.total
     edges = edge_order(sig)
     out = []

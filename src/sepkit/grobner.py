@@ -177,8 +177,6 @@ def build_basis(sig: Signature, vt: Optional[VarTable] = None) -> list[GBElement
     The loops walk neighbour lists, so every vertex they visit is adjacent
     to the one before; two-variable monomials are sorted by one comparison.
     """
-    if sig.k < 2:
-        raise ValueError("need at least two classes")
     vt = vt or VarTable(sig)
     table = sig.class_table()
     rank = vt._rank

@@ -154,8 +154,6 @@ def _search(
     bound = DEFAULT_TREE_MAX_TOTAL if max_total is None else max_total
     if sig.total > bound:
         raise SizeExceeded(f"signature total {sig.total} exceeds bound {bound}")
-    if sig.k < 2:
-        raise ValueError("need at least two classes")
     vt = VarTable(sig)
     dirs = [vt.dir_of(v) for v in range(1, vt.nvars)]
     tail = [0] + [t - 1 for t, _ in dirs]

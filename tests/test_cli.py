@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -451,7 +452,7 @@ class TestGb:
         code = main(["gb", "--signature", "2,2,3,3", "--checks", "buchberger,bogus"])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == ""
-        assert captured.err == "unknown check 'bogus'\n"
+        assert captured.err == "error: unknown check 'bogus'\n"
 
     def test_buchberger_bound(self, capsys):
         """The certificate covers every signature with at most 10 vertices,
@@ -478,7 +479,7 @@ class TestRecursionCommand:
     @pytest.mark.parametrize(
         "argv,err",
         [
-            (["--relation", "bogus", "--n", "3"], "unknown relation id 'bogus'\n"),
+            (["--relation", "bogus", "--n", "3"], "error: unknown relation id 'bogus'\n"),
             (["--n", "1"], "error: relations are stated for n >= 2\n"),
         ],
         ids=["unknown-relation", "n-below-2"],
@@ -554,6 +555,59 @@ class TestScan:
 
 
 @pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["recursion", "--relation", "zz", "--n", "2"], "unknown relation id 'zz'"),
+        (["gb", "--signature", "2,2", "--checks", "bogus"], "unknown check 'bogus'"),
+        (["gb", "--signature", "2,2", "--seed", "3"], "--seed does not apply without --checks k222"),
+        (["gb", "--signature", "2,2", "--seed", "3", "--orders", "5"], "--orders does not apply without --checks k222"),
+        (["scan", "--kind", "conjecture", "--m", "3"], "--m does not apply to --kind conjecture"),
+        (["scan", "--kind", "conjecture", "--seed", "3", "--orders", "5"], "--seed does not apply to --kind conjecture"),
+        (["hstar", "--signature", "1,x"], "bad signature text: '1,x'"),
+        (["hstar", "--signature", "40", "--method", "oracle"], "need at least two classes"),
+    ],
+    ids=["unknown-relation", "unknown-check", "seed-without-k222", "gb-first-option", "m-with-conjecture",
+         "scan-first-option", "bad-signature-text", "one-class"],
+)
+def test_usage_error_is_one_line(capsys, argv, reason):
+    """Every usage error exits 1 with `error: <reason>` on stderr and
+    nothing on stdout; with two inapplicable options, `gb` names --orders
+    first and `scan` names --seed first."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_USAGE, "", f"error: {reason}\n")
+
+
+@pytest.mark.parametrize(
+    "function,at_bound,past_bound",
+    [
+        ("reproduce_known_relations", ["recursion", "--n", "96"], ["recursion", "--n", "97"]),
+        ("conjecture_scan", ["scan", "--kind", "conjecture", "--max-n", "97"],
+         ["scan", "--kind", "conjecture", "--max-n", "98"]),
+        ("corollary_scan", ["scan", "--kind", "corollary", "--m", "49", "--max-n", "49"],
+         ["scan", "--kind", "corollary", "--m", "49", "--max-n", "50"]),
+    ],
+    ids=["recursion", "conjecture", "corollary"],
+)
+def test_polynomial_bound(capsys, monkeypatch, function, at_bound, past_bound):
+    """`recursion` and the scans refuse an Ehrhart polynomial of more than
+    100 vertices (K_{4,n} and K_{1,1,1,n+1}, K_{1,1,1,max_n}, and
+    K_{m+1,max_n+1}) with exit 2 before they compute anything."""
+    import sepkit.recursion as recursion
+
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{function} reached")
+
+    monkeypatch.setattr(recursion, function, reached)
+    code = main(past_bound)
+    captured = capsys.readouterr()
+    assert code == EXIT_BOUND and captured.out == ""
+    assert captured.err == "size bound exceeded: signature total 101 exceeds bound 100\n"
+    with pytest.raises(AssertionError, match=f"{function} reached"):
+        main(at_bound)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["gb", "--signature", "1,1,2", "--checks", "reduced"],
@@ -582,6 +636,50 @@ class TestDeterminism:
         _, out = run(capsys, "scan", "--kind", "conjecture", "--max-total", "4", "--max-n", "2")
         payload = json.loads(out)
         assert json.loads(json.dumps(payload)) == payload
+
+
+# README's command-line examples, each JSON one also with --format plain:
+# the exit code and the sha256 of stdout, taken from the code before `main`
+# took over rendering, so that any change of the rendered bytes fails here
+README_OUTPUT = [
+    ("hstar --signature 1,1,2 --method all", 0, "29d183ff545fd8c908344714422ae7c6c42e77c333b52c83e52f53433810659f"),
+    ("hstar --signature 1,1,2 --method all --format plain", 0, "45990d21266f1a785e4da7aef64ce01510ef7432da6e15da5d67f9f5cea8d84d"),
+    ("hstar --signature 2,2 --method formula --format csv", 0, "c12f0188bb18fd7783340d5857c53ef7851006d885bcd4d587bb9282b5ac62cc"),
+    ("hstar --signature 2,2,3 --method oracle --max-dilation 4", 0, "77b87d7385933de3d877b47ca3132509176ef93a16a3a24cb270075eb4bc20b3"),
+    ("hstar --signature 2,2,3 --method oracle --max-dilation 4 --format plain", 0, "2e67f8c76f0b7e975347c5ad7a63e256441b7e07f52262459ef7a36be935930a"),
+    ("roots --signature 2,2 --format csv", 0, "ac10561c3698bca77eb1bc017b31c84917f0f86d6be60d9adb62431f430fd0f6"),
+    ("interlace --a 1,4 --b 1,5", 0, "4088b7dd91028781fbeb2b68faa220d6e8ce2859968bf9b19abed3cba2978041"),
+    ("interlace --a 1,4 --b 1,5 --format plain", 0, "1b632561e88de24307498d31b9416d87d9692f03c9dcfd4ddc853dca7c2f1636"),
+    ("gb --signature 2,2,2 --checks reduced,lead,degree,membership,k222 --seed 7", 0, "36c641e7f898268e32adfa0e863fca154cb6e944ac44d317e63cfd8c208992b9"),
+    ("gb --signature 2,2,2 --checks reduced,lead,degree,membership,k222 --seed 7 --format plain", 0, "cb7d4fd16f5887c6c59f62bde9562efa281b0e9d7066191db1a1d8f18ba5b7f9"),
+    ("gb --signature 1,1,2 --checks buchberger,export", 0, "4337c5ec8ce0a76eaac8f2a9d4e8a3eb91c727029033b56e5f8767ea965b6213"),
+    ("gb --signature 1,1,2 --checks buchberger,export --format plain", 0, "ae874a7768c3948e3adbb7b571620c133f73c1c3679f41b2bbdf68d80234f8ff"),
+    ("recursion --relation a --n 4", 0, "5dc9925e683737b569aca438a6b4da13b6b77ee6b3935c88e15bd0696fbe81a8"),
+    ("recursion --relation a --n 4 --format plain", 0, "adf649960534c580995500dd8dbf08ba525d50d66aef10e170b90dc0452e30f9"),
+    ("scan --kind conjecture --max-total 6 --max-n 8", 0, "83840746bda9816e666a3f2582dedbbe327e4c41e9b7ba26f33b34bb61c31e51"),
+    ("scan --kind conjecture --max-total 6 --max-n 8 --format plain", 0, "6ca7f05701a1b5f4c213fcdcb746d4c9d6c835a9ee32a496fd039d80964b3a40"),
+    ("scan --kind corollary --m 4 --max-n 10", 0, "2af3890e7e1102f2330964c7315d9f4c282e881f58d46a39bda834731735f435"),
+    ("scan --kind corollary --m 4 --max-n 10 --format plain", 0, "879aa2df680c9de6345f80806030da52805c380fef3ed65375230187f8c9f160"),
+]
+
+
+def readme_examples() -> list[str]:
+    """The arguments of each `sepkit` line in README's command-line block."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as f:
+        text = f.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#")[0].split(None, 1)[1].strip() for line in block.splitlines() if line.startswith("sepkit ")]
+
+
+class TestReadmeExamples:
+    def test_table_lists_the_readme_examples(self):
+        assert readme_examples() == [argv for argv, _, _ in README_OUTPUT if not argv.endswith(" --format plain")]
+
+    @pytest.mark.parametrize("argv,code,digest", README_OUTPUT, ids=[argv for argv, _, _ in README_OUTPUT])
+    def test_output_is_pinned(self, capsys, argv, code, digest):
+        got = main(argv.split())
+        captured = capsys.readouterr()
+        assert (got, hashlib.sha256(captured.out.encode()).hexdigest(), captured.err) == (code, digest, "")
 
 
 @pytest.mark.parametrize("fmt", ["json", "plain"])

@@ -32,6 +32,8 @@ class TestSignature:
             Signature.parse("1,x")
         with pytest.raises(ValueError):
             Signature.parse("0,2")
+        with pytest.raises(ValueError, match="^need at least two classes$"):
+            Signature.parse("40")
 
     def test_vertex_numbering(self):
         sig = Signature((2, 1, 3))
