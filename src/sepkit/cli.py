@@ -43,6 +43,12 @@ EXIT_VERIFICATION = 3
 # (Python 3.11.7 on a 2-core host)
 ROOTS_MAX_TOTAL = 100
 
+# bound of `scan --kind conjecture --max-total`, not an option: the rows
+# run over every partition up to it, and at 40 the scan takes 11 to 14 s
+# and prints 47 MB (`--max-n 1`, Python 3.11.7 on a 2-core host); 40 is
+# also the total up to which gamma >= 0 has been checked
+SCAN_MAX_TOTAL = 40
+
 # dilation bound of `hstar --max-dilation`, not an option and not lifted by
 # --bound: the count grows about as k^4, and at 36 the worst signatures
 # within the counting bound of 36 vertices, 2^18 and 1^36, take 7 to 9 s
@@ -185,14 +191,14 @@ def cmd_interlace(args) -> tuple[dict, dict | None, bool]:
 
 
 def cmd_recursion(args) -> tuple[dict, dict | None, bool]:
-    from .recursion import reproduce_known_relations
+    from .recursion import RELATION_IDS, reproduce_known_relations
 
     _check_total(args.n + 4)  # K_{4,n} and K_{1,1,1,n+1}
+    if args.relation != "all" and args.relation not in RELATION_IDS:
+        raise ValueError(f"unknown relation id {args.relation!r}")
     report = reproduce_known_relations(args.n, strict=False)
     if args.relation != "all":
         report["rows"] = [r for r in report["rows"] if r["relation"] == args.relation]
-        if not report["rows"]:
-            raise ValueError(f"unknown relation id {args.relation!r}")
     return {"relation": args.relation, "n": args.n}, report, all(r["verified"] for r in report["rows"])
 
 
@@ -216,6 +222,8 @@ def cmd_gb(args) -> tuple[dict, dict | None, bool]:
     for check in checks:
         if check not in GB_CHECKS:
             raise ValueError(f"unknown check {check!r}")
+    if "k222" in checks and sig.parts != (2, 2, 2):  # the scan's graph is always K_{2,2,2}
+        raise ValueError("--checks k222 needs --signature 2,2,2")
     vt = VarTable(sig)
     basis = build_basis(sig, vt)
     result: dict = {"signature": str(sig), "size": len(basis)}
@@ -225,14 +233,14 @@ def cmd_gb(args) -> tuple[dict, dict | None, bool]:
             result["reduced"] = reducedness_check(basis)
             ok &= result["reduced"]
         elif check == "lead":
-            result["lead_consistent"] = leading_term_consistency(sig, basis)
+            result["lead_consistent"] = leading_term_consistency(basis)
             ok &= result["lead_consistent"]
         elif check == "degree":
             result["max_degree"] = max_degree(basis)
             result["at_most_cubic"] = result["max_degree"] <= 3
             ok &= result["at_most_cubic"]
         elif check == "membership":
-            result["toric_membership"] = all(toric_membership_check(sig, e, vt) for e in basis)
+            result["toric_membership"] = all(toric_membership_check(vt, e) for e in basis)
             ok &= result["toric_membership"]
         elif check == "buchberger":
             result["buchberger"] = buchberger_verify(sig)
@@ -246,7 +254,7 @@ def cmd_gb(args) -> tuple[dict, dict | None, bool]:
             }
             ok &= scan["all_orders_obstructed"]
         else:  # export
-            result["basis"] = basis_to_text(sig, basis).splitlines()
+            result["basis"] = basis_to_text(vt, basis).splitlines()
     return {"signature": str(sig), "checks": checks}, result, ok
 
 
@@ -278,6 +286,8 @@ def cmd_scan(args) -> tuple[dict, dict | None, bool]:
         from .recursion import conjecture_scan
 
         _check_total(args.max_n + 3)  # K_{1,1,1,max_n}
+        if args.max_total > SCAN_MAX_TOTAL:
+            raise SizeExceeded(f"--max-total {args.max_total} exceeds bound {SCAN_MAX_TOTAL}")
         report = conjecture_scan(args.max_total, args.max_n)
         ok = report["violations"] == 0
     elif args.kind == "corollary":
@@ -364,6 +374,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     # VerificationFailed before ValueError: some verification errors are both
     try:
+        if args.timing and args.format == "csv":  # hstar and roots print CSV without the envelope
+            raise ValueError("--timing does not apply to --format csv")
         params, result, ok = args.func(args)
         if result is not None:  # hstar and roots print CSV themselves
             payload = {

@@ -35,7 +35,7 @@ independent referee for ``build_basis`` (``tests/initial_ideal.py``).
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 from typing import NamedTuple, Optional, Sequence
 
@@ -49,47 +49,33 @@ DEFAULT_TREE_MAX_TOTAL = 10  # vertex bound of the standard-tree search and `buc
 
 
 class VarTable:
-    """Variable indexing for a given edge order and per-edge orientation.
+    """The variables of one edge order and per-edge orientation.
 
-    ``ordered_edges`` lists undirected edges from smallest to largest;
-    ``first_dir`` gives, for each edge, the directed version that occupies
-    the earlier of its two variable slots.  The canonical table orders edges
-    lexicographically and lets the small-to-large orientation go first.
+    ``edges``, when given, lists every edge once, from smallest to largest,
+    each in the orientation that occupies the earlier of its two variable
+    slots; by default the edges come lexicographically and small-to-large
+    first.  The edge of rank r gets variables 1 + 2r (that orientation)
+    and 2 + 2r (the reverse).
+
+    ``var[t][h]`` is the variable of the directed edge t -> h, 0 for a
+    non-edge; ``dirs[v]`` is the directed edge of variable v, None for z;
+    ``rank[u][w] = rank[w][u]`` is the position of the edge {u, w}, -1 for a
+    non-edge.  ``self.edges`` lists the edges in order as (u, w), u < w.
     """
 
-    def __init__(
-        self,
-        sig: Signature,
-        ordered_edges: Optional[Sequence[tuple[int, int]]] = None,
-        first_dir: Optional[dict[tuple[int, int], tuple[int, int]]] = None,
-    ):
+    def __init__(self, sig: Signature, edges: Optional[Sequence[tuple[int, int]]] = None):
         self.sig = sig
-        edges = list(edge_order(sig)) if ordered_edges is None else [
-            tuple(sorted(e)) for e in ordered_edges
-        ]
-        self.edges = edges
-        self.nvars = 1 + 2 * len(edges)
-        self._var_of: dict[tuple[int, int], int] = {}
-        self._dir_of: list[Optional[tuple[int, int]]] = [None] * self.nvars
-        # _rank[u][w] = _rank[w][u]: position of the edge {u, w}, -1 for a non-edge
-        self._rank = [[-1] * (sig.total + 1) for _ in range(sig.total + 1)]
-        for r, (u, w) in enumerate(edges):
-            self._rank[u][w] = self._rank[w][u] = r
-            first = (u, w) if first_dir is None else first_dir[(u, w)]
-            second = (first[1], first[0])
-            self._var_of[first] = 1 + 2 * r
-            self._var_of[second] = 2 + 2 * r
-            self._dir_of[1 + 2 * r] = first
-            self._dir_of[2 + 2 * r] = second
-
-    def var(self, tail: int, head: int) -> int:
-        return self._var_of[(tail, head)]
-
-    def dir_of(self, v: int) -> tuple[int, int]:
-        d = self._dir_of[v]
-        if d is None:
-            raise ValueError("z has no direction")
-        return d
+        oriented = edge_order(sig) if edges is None else edges
+        self.edges = [(min(e), max(e)) for e in oriented]
+        self.nvars = 1 + 2 * len(oriented)
+        size = sig.total + 1
+        self.var = [[0] * size for _ in range(size)]
+        self.dirs: list[Optional[tuple[int, int]]] = [None] * self.nvars
+        self.rank = [[-1] * size for _ in range(size)]
+        for r, (t, h) in enumerate(oriented):
+            self.rank[t][h] = self.rank[h][t] = r
+            self.var[t][h], self.var[h][t] = 1 + 2 * r, 2 + 2 * r
+            self.dirs[1 + 2 * r], self.dirs[2 + 2 * r] = (t, h), (h, t)
 
     def weight(self, mono: Mono) -> tuple[int, ...]:
         """Sum of the lattice points of the monomial's variables."""
@@ -98,7 +84,7 @@ class VarTable:
         for v in mono:
             if v == Z:
                 continue
-            tail, head = self._dir_of[v]
+            tail, head = self.dirs[v]
             vec[head - 1] += 1
             vec[tail - 1] -= 1
         return tuple(vec)
@@ -109,7 +95,7 @@ class VarTable:
             if v == Z:
                 parts.append("z")
             else:
-                t, h = self._dir_of[v]
+                t, h = self.dirs[v]
                 parts.append(f"x({t},{h})")
         return "*".join(parts) if parts else "1"
 
@@ -160,7 +146,7 @@ def _crossing_is_lead(vt: VarTable, d1: tuple[int, int], d2: tuple[int, int]) ->
     four undirected edges lies on the partner's side.
     """
     (s1, t1), (s2, t2) = d1, d2
-    rank = vt._rank
+    rank = vt.rank
     partner = min(rank[s1][t2], rank[s2][t1])  # -1 for a non-edge
     return 0 <= partner < min(rank[s1][t1], rank[s2][t2])
 
@@ -179,12 +165,8 @@ def build_basis(sig: Signature, vt: Optional[VarTable] = None) -> list[GBElement
     """
     vt = vt or VarTable(sig)
     table = sig.class_table()
-    rank = vt._rank
+    rank, V = vt.rank, vt.var
     verts = sig.vertices()
-    # V[t][h]: the variable of the directed edge t -> h
-    V = [[0] * (sig.total + 1) for _ in range(sig.total + 1)]
-    for (t, h), v in vt._var_of.items():
-        V[t][h] = v
     # nbrs[v]: the vertices outside the class of v, in increasing order; its
     # first entry is the smallest such vertex, the canonical 4-cycle apex
     nbrs = [[u for u in verts if table[u] != table[v]] for v in range(sig.total + 1)]
@@ -297,9 +279,9 @@ def build_basis(sig: Signature, vt: Optional[VarTable] = None) -> list[GBElement
 # -- verification -------------------------------------------------------------
 
 
-def toric_membership_check(sig: Signature, elem: GBElement, vt: Optional[VarTable] = None) -> bool:
-    """Lead and tail must have equal degree and equal lattice-point sums."""
-    vt = vt or VarTable(sig)
+def toric_membership_check(vt: VarTable, elem: GBElement) -> bool:
+    """Lead and tail must have equal degree and equal lattice-point sums
+    under the table's variables."""
     return len(elem.lead) == len(elem.tail) and vt.weight(elem.lead) == vt.weight(elem.tail)
 
 
@@ -313,9 +295,8 @@ def reducedness_check(basis: Sequence[GBElement]) -> bool:
     return True
 
 
-def leading_term_consistency(sig: Signature, basis: Optional[Sequence[GBElement]] = None) -> bool:
+def leading_term_consistency(basis: Sequence[GBElement]) -> bool:
     """The degrevlex-computed lead of every binomial is its stated lead."""
-    basis = build_basis(sig) if basis is None else basis
     return all(drl_greater(e.lead, e.tail) for e in basis)
 
 
@@ -411,7 +392,7 @@ def buchberger_verify(sig: Signature) -> bool:
     basis = build_basis(sig, vt)
     for e in basis:
         lead = e.lead
-        if not (toric_membership_check(sig, e, vt) and drl_greater(lead, e.tail)):
+        if not (toric_membership_check(vt, e) and drl_greater(lead, e.tail)):
             return False
         if Z in lead or len(set(lead)) != len(lead) or len(lead) > 3:
             return False
@@ -426,12 +407,10 @@ def buchberger_verify(sig: Signature) -> bool:
     return tuple(h) == hstar_oracle(sig).coefficients
 
 
-def basis_to_text(sig: Signature, basis: Optional[Sequence[GBElement]] = None) -> str:
-    """One element per line, monomials in canonical variable-sorted form."""
-    vt = VarTable(sig)
-    basis = build_basis(sig) if basis is None else basis
-    lines = [f"{vt.mono_str(e.lead)} - {vt.mono_str(e.tail)}" for e in basis]
-    return "\n".join(lines)
+def basis_to_text(vt: VarTable, basis: Sequence[GBElement]) -> str:
+    """One element per line, each monomial's variables in index order and
+    named by the table the basis was built on."""
+    return "\n".join(f"{vt.mono_str(e.lead)} - {vt.mono_str(e.tail)}" for e in basis)
 
 
 # -- the K_{2,2,2} cubic obstruction -------------------------------------------
@@ -444,7 +423,7 @@ def _deg2_standard_map(vt: VarTable) -> set[Mono]:
     one met in each weight class is its degrevlex minimum.  The weight
     e_h - e_t of x(t,h) is keyed as the integer 8^h - 8^t; a sum of two
     such keys has digits in -2..2 in base 8, so it determines the weight."""
-    key = [0] + [(1 << 3 * h) - (1 << 3 * t) for t, h in vt._dir_of[1:]]
+    key = [0] + [(1 << 3 * h) - (1 << 3 * t) for t, h in vt.dirs[1:]]
     first: dict[int, Mono] = {}
     for a, b in combinations_with_replacement(range(vt.nvars), 2):
         first.setdefault(key[a] + key[b], (a, b))
@@ -456,6 +435,7 @@ def _k222_obstruction(vt: VarTable) -> Optional[dict]:
     quadratic element of the toric ideal can divide."""
     sig = vt.sig
     table = sig.class_table()
+    var = vt.var
     standard = _deg2_standard_map(vt)
     u, w = vt.edges[0]
     others = [v for v in sig.vertices() if v not in (u, w)]
@@ -465,19 +445,15 @@ def _k222_obstruction(vt: VarTable) -> Optional[dict]:
             cyc = [(a, b), (b, c), (c, d), (d, e), (e, f), (f, a)]
             if any(table[x] == table[y] for x, y in cyc):
                 continue
-            lead_dirs = [(b, c), (d, e), (f, a)]
-            lead = tuple(sorted(vt.var(s, t) for s, t in lead_dirs))
-            tail = tuple(sorted(vt.var(s, t) for s, t in [(b, a), (d, c), (f, e)]))
+            lead = tuple(sorted(var[s][t] for s, t in [(b, c), (d, e), (f, a)]))
+            tail = tuple(sorted(var[s][t] for s, t in [(b, a), (d, c), (f, e)]))
             # the tail holds x(b,a), the variable 1 or 2 of the smallest edge,
             # and no lead variable lies on that edge, so the lead is always the
             # larger monomial; skipping a cycle here could flip the scan's verdict
             if not drl_greater(lead, tail):
                 raise VerificationFailed(f"{vt.mono_str(lead)} does not lead {vt.mono_str(tail)}")
-            pairs = [
-                tuple(sorted((vt.var(*p), vt.var(*q))))
-                for p, q in [(lead_dirs[0], lead_dirs[1]), (lead_dirs[0], lead_dirs[2]), (lead_dirs[1], lead_dirs[2])]
-            ]
-            if all(p in standard for p in pairs):
+            # the lead is sorted, so its pairs come sorted
+            if all(p in standard for p in combinations(lead, 2)):
                 return {
                     "cycle": [a, b, c, d, e, f],
                     "lead": vt.mono_str(lead),
@@ -510,11 +486,7 @@ def k222_order_scan(num_orders: int, seed: int) -> dict:
         else:
             edges = list(base_edges)
             rng.shuffle(edges)
-            first = {
-                tuple(sorted(e)): (e if rng.random() < 0.5 else (e[1], e[0]))
-                for e in edges
-            }
-            vt = VarTable(sig, ordered_edges=edges, first_dir=first)
+            vt = VarTable(sig, [e if rng.random() < 0.5 else (e[1], e[0]) for e in edges])
             label = f"random-{idx}"
         witness = _k222_obstruction(vt)
         found = witness is not None

@@ -300,6 +300,10 @@ def _signs(cs: Sequence[Fraction]) -> list[str]:
     return ["+" if c > 0 else ("0" if c == 0 else "-") for c in cs]
 
 
+# the id of every row of `reproduce_known_relations`, in report order
+RELATION_IDS = ("a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "bipartite-1", "bipartite-2", "bipartite-3")
+
+
 def _relation_instances(n: int) -> list[dict]:
     """The ten recursions (a)-(j) at parameter n, as solver inputs."""
     return [

@@ -155,9 +155,8 @@ def _search(
     if sig.total > bound:
         raise SizeExceeded(f"signature total {sig.total} exceeds bound {bound}")
     vt = VarTable(sig)
-    dirs = [vt.dir_of(v) for v in range(1, vt.nvars)]
-    tail = [0] + [t - 1 for t, _ in dirs]
-    head = [0] + [h - 1 for _, h in dirs]
+    tail = [0] + [t - 1 for t, _ in vt.dirs[1:]]
+    head = [0] + [h - 1 for _, h in vt.dirs[1:]]
     pair, triple = _lead_partners(build_basis(sig, vt), vt.nvars)
     return tail, head, _standard_tree_monomials(sig.total, vt.edges, pair, triple)
 

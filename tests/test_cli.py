@@ -454,6 +454,21 @@ class TestGb:
         assert code == EXIT_USAGE and captured.out == ""
         assert captured.err == "error: unknown check 'bogus'\n"
 
+    @pytest.mark.parametrize("signature", ["1,1", "2,2", "2,2,2,2", "1,2,2"])
+    def test_k222_needs_signature_222(self, capsys, monkeypatch, signature):
+        """The k222 check scans orders of K_{2,2,2} whatever the signature,
+        so any other signature is refused before the basis is built."""
+        import sepkit.grobner as grobner
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("basis or scan reached")
+
+        monkeypatch.setattr(grobner, "build_basis", unreachable)
+        monkeypatch.setattr(grobner, "k222_order_scan", unreachable)
+        code = main(["gb", "--signature", signature, "--checks", "reduced,k222", "--orders", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_USAGE, "", "error: --checks k222 needs --signature 2,2,2\n")
+
     def test_buchberger_bound(self, capsys):
         """The certificate covers every signature with at most 10 vertices,
         whatever its edge count, and refuses a larger one with exit 2."""
@@ -488,6 +503,20 @@ class TestRecursionCommand:
         code = main(["recursion", *argv])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == "" and captured.err == err
+
+    @pytest.mark.parametrize("n", ["1", "96"])
+    def test_unknown_relation_refused_before_the_report(self, capsys, monkeypatch, n):
+        """An unknown id is refused before any relation is solved, and
+        before the report's own `n >= 2` check."""
+        import sepkit.recursion as recursion
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("report reached")
+
+        monkeypatch.setattr(recursion, "reproduce_known_relations", unreachable)
+        code = main(["recursion", "--relation", "zz", "--n", n])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_USAGE, "", "error: unknown relation id 'zz'\n")
 
 
 class TestScan:
@@ -546,6 +575,21 @@ class TestScan:
         code, out = run(capsys, "scan", "--kind", "k222", "--orders", "0")
         assert code == EXIT_OK
         assert [r["order"] for r in json.loads(out)["result"]["rows"]] == ["canonical"]
+
+    def test_conjecture_total_bound(self, capsys, monkeypatch):
+        """The conjecture rows run over every partition up to --max-total,
+        so a total above SCAN_MAX_TOTAL = 40 exits 2 before any row."""
+        import sepkit.recursion as recursion
+
+        def reached(*args, **kwargs):
+            raise AssertionError("conjecture_scan reached")
+
+        monkeypatch.setattr(recursion, "conjecture_scan", reached)
+        code = main(["scan", "--kind", "conjecture", "--max-total", "41", "--max-n", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_BOUND, "", "size bound exceeded: --max-total 41 exceeds bound 40\n")
+        with pytest.raises(AssertionError, match="conjecture_scan reached"):
+            main(["scan", "--kind", "conjecture", "--max-total", "40", "--max-n", "1"])
 
     def test_unknown_kind_is_a_usage_error(self, capsys):
         code = main(["scan", "--kind", "bogus"])
@@ -623,6 +667,64 @@ def test_bound_is_not_an_option(capsys, argv):
     interlace is fixed."""
     code, _ = run(capsys, *argv, "--bound", "3")
     assert code == EXIT_USAGE
+
+
+class TestTiming:
+    def test_envelope_carries_timing(self, capsys):
+        code, out = run(capsys, "gb", "--signature", "1,2", "--timing")
+        assert code == EXIT_OK and type(json.loads(out)["timing_ms"]) is int
+        code, out = run(capsys, "gb", "--signature", "1,2", "--timing", "--format", "plain")
+        lines = [line for line in out.splitlines() if line.startswith("timing_ms = ")]
+        assert code == EXIT_OK and len(lines) == 1 and lines[0][len("timing_ms = "):].isdigit()
+
+    @pytest.mark.parametrize("command", ["hstar", "roots"])
+    def test_csv_refuses_timing(self, capsys, monkeypatch, command):
+        """CSV has no envelope to hold the timing, so --timing is refused
+        before any computation instead of dropped."""
+        import sepkit.cli as cli
+
+        def unreachable(args):
+            raise AssertionError("subcommand reached")
+
+        monkeypatch.setattr(cli, f"cmd_{command}", unreachable)
+        code = main([command, "--signature", "1,2", "--format", "csv", "--timing"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_USAGE, "", "error: --timing does not apply to --format csv\n")
+
+
+# exit code and sha256 of stdout of `gb` on one signature each with 2, 3, 4
+# and 5 classes and of the K_{2,2,2} order scan on each seed the benchmark
+# draws, taken from the code before `VarTable` became the one variable
+# index, so that any change of the rendered basis or scan fails here
+GROBNER_OUTPUT = [
+    ("gb --signature 2,3 --checks reduced,lead,degree,membership,export", 0, "e176d85d9fc09c19d05f595854aee1770c3e88a87b0b46513396f96de88a34f4"),
+    ("gb --signature 1,2,3 --checks reduced,lead,degree,membership,export", 0, "1e3e78d18ae1c2fb2115f6a8be1abba42166db5f51f99aa87ac9f19d75349bdb"),
+    ("gb --signature 1,1,2,2 --checks reduced,lead,degree,membership,export", 0, "56867173abcd3147fa12381446a96000f3e2ad2c37f4bf2c977b8d89235193fd"),
+    ("gb --signature 1,1,1,1,2 --checks reduced,lead,degree,membership,export", 0, "60f043c7f63745e858eb8463971413e2be200c65749667c65ce1dc9eb69f8911"),
+    ("scan --kind k222 --seed 1", 0, "5d4d83b724b60b050869c24718caa6ebed8391488eba5d9c961b23ec7b0ee6d5"),
+    ("scan --kind k222 --seed 2", 0, "f2665c78909e2b52ea8282c01127a7404cb60a820eb49d94abed2b0e7252aaa1"),
+    ("scan --kind k222 --seed 3", 0, "7a235d5c4324c469f79b7491d1b41aecff88f3f0864c02479faa6d094d16ad30"),
+    ("scan --kind k222 --seed 4", 0, "4175e01a6b94c9165b012df4827fa17aa0b2d70ddda8880e971a78f1a2cdd100"),
+    ("scan --kind k222 --seed 5", 0, "b759f7bd6d0dd01f3681aa5ef559c09455c4308a438018e0c4cafbd491db088d"),
+    ("scan --kind k222 --seed 6", 0, "440cb845500a6a7d779cf9595480d1182b973e41e4f913ba460c95ccb8b45355"),
+    ("scan --kind k222 --seed 7", 0, "5bc6c85a753db2187b830e004e16fe1d375902478b1f87e393b1283545d98825"),
+    ("scan --kind k222 --seed 8", 0, "92155c27336db7ceddde2e4ba39934b28af8ef25044af5d9bb692c9d4224b13a"),
+    ("scan --kind k222 --seed 9", 0, "a125ed47fa88ee57ec5782f5f96ed55430551437fbbde9ec13936f518fbcccc6"),
+    ("scan --kind k222 --seed 10", 0, "4592eb2b256811b74a57abd34ffb79f33c42c350eb303a9311428c947b97b3ec"),
+    ("scan --kind k222 --seed 11", 0, "73c73c00a4212f78c5a775d08c79c477499f8b83eda3b3302ca4acb973f88c97"),
+    ("scan --kind k222 --seed 12", 0, "2b012056b66af13d18b04831cbc84b0329ca6d4e6b3458576dec8b7f593d8fc1"),
+    ("scan --kind k222 --seed 13", 0, "d9df1f406516ed2c70f82ab5cd4bad2dcbfdbd36a6c6e350193f2d8dc6f832f0"),
+    ("scan --kind k222 --seed 14", 0, "9cdf68c8801f5d5e9c427602e127d2a7899e7f0774cb9f115e0ef3331d649e32"),
+    ("scan --kind k222 --seed 15", 0, "813a90dc029d6e3194779dcdfaec1c34e2c128b5e789319073235fe86f08b7e6"),
+    ("scan --kind k222 --seed 16", 0, "b37073c42055d5d0241b800f9b2182debb78e82c9f51fe4d37e90cb66eded732"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GROBNER_OUTPUT, ids=[argv for argv, _, _ in GROBNER_OUTPUT])
+def test_grobner_output_is_pinned(capsys, argv, code, digest):
+    got = main(argv.split())
+    captured = capsys.readouterr()
+    assert (got, hashlib.sha256(captured.out.encode()).hexdigest(), captured.err) == (code, digest, "")
 
 
 class TestDeterminism:
@@ -741,7 +843,7 @@ class TestImportFootprint:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["gb", "--signature", "2,2", "--checks", "reduced,lead,degree,membership,k222,export", "--orders", "2"],
+            ["gb", "--signature", "2,2,2", "--checks", "reduced,lead,degree,membership,k222,export", "--orders", "2"],
             ["scan", "--kind", "k222", "--orders", "2"],
         ],
         ids=["gb", "scan-k222"],
@@ -753,7 +855,7 @@ class TestImportFootprint:
         """The certificate compares with the counting oracle's h*, so it alone
         loads the counting layer and the polynomials that it needs."""
         layers = self.loaded_layers(
-            "gb", "--signature", "2,2", "--checks", "reduced,lead,degree,membership,buchberger,k222,export",
+            "gb", "--signature", "2,2,2", "--checks", "reduced,lead,degree,membership,buchberger,k222,export",
             "--orders", "2",
         )
         assert layers == {"graphs", "grobner", "counting", "polynomial"}

@@ -82,8 +82,8 @@ def union_min_build_basis(sig, vt=None):
                         continue
                     if grobner._crossing_is_lead(vt, (b, c), (d, e)):
                         continue
-                    lead = tuple(sorted((vt.var(a, b), vt.var(b, c), vt.var(d, e))))
-                    tail = tuple(sorted((grobner.Z, vt.var(d, c), vt.var(a, e))))
+                    lead = tuple(sorted((vt.var[a][b], vt.var[b][c], vt.var[d][e])))
+                    tail = tuple(sorted((grobner.Z, vt.var[d][c], vt.var[a][e])))
                     basis.append(grobner.GBElement("4", lead, tail))
     return basis
 
@@ -112,19 +112,28 @@ class TestMonomials:
 
 
 class TestVarTable:
-    @pytest.mark.parametrize("canonical", [True, False])
-    def test_edge_rank(self, canonical):
+    @pytest.mark.parametrize("order", ["canonical", "reversed", "reversed-flipped"])
+    def test_edge_rank(self, order):
         """The rank table gives an edge's position in the table's edge order
-        from either orientation, and -1 for a pair that is no edge."""
+        from either orientation, and -1 for a pair that is no edge; the
+        given orientation of each edge takes its first variable, and `var`
+        and `dirs` invert each other."""
         sig = Signature((2, 1, 3))
         edges = grobner.edge_order(sig)
-        if not canonical:
+        if order != "canonical":
             edges = edges[::-1]
-        vt = VarTable(sig) if canonical else VarTable(sig, ordered_edges=edges)
+        if order == "reversed-flipped":
+            edges = [(w, u) for u, w in edges]
+        vt = VarTable(sig) if order == "canonical" else VarTable(sig, edges)
         for r, (u, w) in enumerate(edges):
-            assert vt._rank[u][w] == vt._rank[w][u] == r
+            assert vt.rank[u][w] == vt.rank[w][u] == r
+            assert (vt.var[u][w], vt.var[w][u]) == (1 + 2 * r, 2 + 2 * r)
+            assert vt.edges[r] == (min(u, w), max(u, w))
         for u, w in [(1, 2), (4, 6), (3, 3), (0, 3), (3, 0)]:
-            assert vt._rank[u][w] == -1
+            assert vt.rank[u][w] == -1 and vt.var[u][w] == 0
+        assert vt.dirs[grobner.Z] is None
+        assert all(vt.var[t][h] == v for v, (t, h) in enumerate(vt.dirs[1:], 1))
+        assert sum(v > 0 for row in vt.var for v in row) == vt.nvars - 1
 
 
 class TestBuildBasis:
@@ -178,11 +187,11 @@ class TestVerification:
         assert reducedness_check(basis)
         assert max_degree(basis) <= 3
         vt = VarTable(sig)
-        assert all(toric_membership_check(sig, e, vt) for e in basis)
+        assert all(toric_membership_check(vt, e) for e in basis)
 
     @pytest.mark.parametrize("sig", signatures_with_total(2, 7), ids=str)
     def test_leading_terms(self, sig):
-        assert leading_term_consistency(sig)
+        assert leading_term_consistency(build_basis(sig))
 
     @pytest.mark.parametrize("parts", BUCHBERGER_SIGNATURES, ids=str)
     def test_buchberger(self, parts):
@@ -264,7 +273,7 @@ class TestVerification:
         else:
             extra = grobner.GBElement("1", (x, x, y), (z, z, x))
         vt = VarTable(sig)
-        assert toric_membership_check(sig, extra, vt) and drl_greater(extra.lead, extra.tail)
+        assert toric_membership_check(vt, extra) and drl_greater(extra.lead, extra.tail)
         monkeypatch.setattr(grobner, "build_basis", lambda sig, vt=None: real(sig, vt) + [extra])
         assert not buchberger_verify(sig)
 
@@ -276,12 +285,23 @@ class TestVerification:
 
 class TestExport:
     def test_text_format(self):
-        text = basis_to_text(Signature((1, 1)))
+        sig = Signature((1, 1))
+        text = basis_to_text(VarTable(sig), build_basis(sig))
         assert text == "x(1,2)*x(2,1) - z*z"
 
     def test_one_line_per_element(self):
         sig = Signature((1, 1, 2))
-        assert len(basis_to_text(sig).splitlines()) == len(build_basis(sig))
+        assert len(basis_to_text(VarTable(sig), build_basis(sig)).splitlines()) == len(build_basis(sig))
+
+    def test_renders_with_the_given_table(self):
+        """The variables are named by the table the basis was built on: with
+        the edge 1-2 flipped, variable 1 is x(2,1) and leads the text."""
+        sig = Signature((1, 1, 1))
+        flipped = VarTable(sig, [(2, 1), (1, 3), (2, 3)])
+        basis = build_basis(sig, flipped)
+        lines = basis_to_text(flipped, basis).splitlines()
+        assert lines[0] == "x(2,1)*x(1,2) - z*z"
+        assert lines != basis_to_text(VarTable(sig), basis).splitlines()
 
 
 class TestK222Scan:

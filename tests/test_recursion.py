@@ -12,6 +12,7 @@ from sepkit.formulas import closed_form_hstar, ehrhart_1mn, ehrhart_bipartite
 from sepkit.polynomial import Poly, cross_polynomial, gamma_vector
 import sepkit.recursion as recursion
 from sepkit.recursion import (
+    RELATION_IDS,
     CrossDegreeMismatch,
     DegreeMismatch,
     ExactSolveFailed,
@@ -235,6 +236,12 @@ class TestKnownRelations:
         rep = reproduce_known_relations(2, strict=False)
         bad = {r["relation"] for r in rep["rows"] if not r["verified"]}
         assert bad == {"f"}
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_relation_ids(self, n):
+        """The ids that `recursion --relation` accepts before any row is
+        built are the ids of the report's rows, in order."""
+        assert RELATION_IDS == tuple(r["relation"] for r in reproduce_known_relations(n, strict=False)["rows"])
 
 
 class TestCorollaryScan:

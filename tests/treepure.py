@@ -64,7 +64,7 @@ def standard_trees(sig: Signature) -> list[tuple[DirectedEdge, ...]]:
                 DirectedEdge(u, w) if o == 0 else DirectedEdge(w, u)
                 for (u, w), o in zip(und, orient)
             )
-            mono = [vt.var(e.tail, e.head) for e in dirs]
+            mono = [vt.var[e.tail][e.head] for e in dirs]
             if any(frozenset(p) in deg2 for p in combinations(mono, 2)):
                 continue
             if any(frozenset(p) in deg3 for p in combinations(mono, 3)):
