@@ -93,15 +93,6 @@ class Signature:
         """Dimension of the symmetric edge polytope (total - 1)."""
         return self.total - 1
 
-    def class_of(self, v: int) -> int:
-        """Class index (0-based) of vertex v (1-based)."""
-        acc = 0
-        for i, a in enumerate(self.parts):
-            acc += a
-            if v <= acc:
-                return i
-        raise ValueError(f"vertex {v} out of range")
-
     def class_vertices(self, i: int) -> range:
         lo = sum(self.parts[:i]) + 1
         return range(lo, lo + self.parts[i])
@@ -236,31 +227,37 @@ def classify_labeling(sig: Signature, lam: FacetLabeling) -> FacetType:
 
     After re-centering, type (i) has one class carrying {-1, 1} with all
     other vertices at 0; type (ii) is {0,1}-valued, split into (a) constant
-    on every class and (b) some class mixed with mixed complement.
+    on every class and (b) some class mixed with mixed complement.  The
+    vertices are numbered class by class, so each class is a slice of the
+    values, and the test takes O(n + k) steps.
     """
     if sig.k < 3:
         raise ValueError("classification defined for k >= 3")
     vals = lam.values
     hi = max(vals)
+    slices, lo = [], 0
+    for a in sig.parts:
+        slices.append(vals[lo : lo + a])
+        lo += a
     if hi == 2:
         # re-center by -1: the {0,2} class becomes {-1,1}, the rest must sit at 1
-        extremes = [v for v in sig.vertices() if lam[v] != 1]
-        classes = {sig.class_of(v) for v in extremes}
-        if len(classes) == 1 and {lam[v] for v in extremes} == {0, 2}:
-            i = classes.pop()
-            rest = [v for v in sig.vertices() if sig.class_of(v) != i]
-            if all(lam[v] == 1 for v in rest):
-                return FacetType.TYPE_I
+        off = [s for s in slices if s.count(1) < len(s)]
+        if len(off) == 1 and set(off[0]) - {1} == {0, 2}:
+            return FacetType.TYPE_I
         raise Unclassifiable(f"{vals} matches no normal form")
     if hi <= 1:
-        per_class = [{lam[v] for v in cls} for cls in sig.classes()]
+        per_class = [set(s) for s in slices]
         if all(len(s) == 1 for s in per_class):
             return FacetType.TYPE_IIA
-        for i, s in enumerate(per_class):
-            if s == {0, 1}:
-                outside = {lam[v] for v in sig.vertices() if sig.class_of(v) != i}
-                if outside == {0, 1}:
-                    return FacetType.TYPE_IIB
+        # a mixed class, and both labels among the other classes: two
+        # classes or more hold a 0, and two or more a 1
+        if (
+            {0, 1} in per_class
+            and set().union(*per_class) == {0, 1}
+            and sum(0 in s for s in per_class) > 1
+            and sum(1 in s for s in per_class) > 1
+        ):
+            return FacetType.TYPE_IIB
         raise Unclassifiable(f"{vals} has a mixed class but constant complement")
     raise Unclassifiable(f"{vals} not normalized")
 

@@ -68,9 +68,10 @@ def initial_ideal_ground_truth(
     return deg2_leads, deg3_min
 
 
-def basis_matches_ground_truth(sig: Signature) -> bool:
-    """Do the construction's leads coincide with the minimal generators?"""
-    vt = VarTable(sig)
+def basis_matches_ground_truth(sig: Signature, vt: Optional[VarTable] = None) -> bool:
+    """Do the construction's leads coincide with the minimal generators,
+    under the given table or the canonical one?"""
+    vt = vt or VarTable(sig)
     basis = grobner.build_basis(sig, vt=vt)  # looked up at call time, so tests can patch it
     built2 = {e.lead for e in basis if len(e.lead) == 2}
     built3 = {e.lead for e in basis if len(e.lead) == 3}

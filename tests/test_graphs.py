@@ -1,5 +1,7 @@
 """Vertex/edge order, facet labelings and their classification."""
 
+from collections import Counter
+
 import pytest
 
 from sepkit.graphs import (
@@ -39,10 +41,7 @@ class TestSignature:
         sig = Signature((2, 1, 3))
         assert list(sig.class_vertices(0)) == [1, 2]
         assert list(sig.class_vertices(2)) == [4, 5, 6]
-        assert sig.class_of(3) == 1
-        assert sig.class_of(6) == 2
-        with pytest.raises(ValueError, match="vertex 7 out of range"):
-            sig.class_of(7)
+        assert sig.class_table() == [-1, 0, 0, 1, 2, 2, 2]
         assert sig.dim == 5
 
 
@@ -96,8 +95,15 @@ class TestFacetLabelings:
 
     @pytest.mark.parametrize("sig", signatures_with_total(3, 7, min_k=3), ids=str)
     def test_classification_total(self, sig):
-        for lam in enumerate_facet_labelings(sig):
-            classify_labeling(sig, lam)  # must never raise Unclassifiable
+        """Every facet classifies (never Unclassifiable), with sum_i (2^a_i - 2)
+        of type (i), 2^k - 2 of type (ii-a) and the rest of type (ii-b)."""
+        counts = Counter(classify_labeling(sig, lam) for lam in enumerate_facet_labelings(sig))
+        type_i = sum(2**a - 2 for a in sig.parts)
+        type_iia = 2**sig.k - 2
+        assert counts[FacetType.TYPE_I] == type_i
+        assert counts[FacetType.TYPE_IIA] == type_iia
+        assert counts[FacetType.TYPE_IIB] == facet_count_formula(sig) - type_i - type_iia
+        assert sum(counts.values()) == facet_count_formula(sig)
 
     def test_classification_examples(self):
         sig = Signature((1, 1, 1))

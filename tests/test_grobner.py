@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from collections import Counter
 from itertools import combinations_with_replacement, permutations
 
@@ -58,6 +59,20 @@ def counter_drl_greater(m1, m2):
 SMALL_MONOMIALS = [m for d in range(4) for m in combinations_with_replacement(range(6), d)]
 
 
+def edge_rank(vt, u, w):
+    """Position of the edge {u, w} in the table's edge order, -1 for a non-edge."""
+    pair = (min(u, w), max(u, w))
+    return vt.edges.index(pair) if pair in vt.edges else -1
+
+
+def crossing_is_lead(vt, d1, d2):
+    """Is x(d1) x(d2) the lead of a crossing (kind 3b) binomial: do both
+    partner edges exist, the smaller of them below both of the pair's?"""
+    (s1, t1), (s2, t2) = d1, d2
+    partner = min(edge_rank(vt, s1, t2), edge_rank(vt, s2, t1))
+    return 0 <= partner < min(edge_rank(vt, s1, t1), edge_rank(vt, s2, t2))
+
+
 def union_min_build_basis(sig, vt=None):
     """`build_basis` with the literal union-min reading of the 5-cycle rule:
     the middle vertex b is vertex 1, so a and c lie in the second class."""
@@ -78,9 +93,9 @@ def union_min_build_basis(sig, vt=None):
                 for e in verts:
                     if e in (a, b, c, d) or table[e] in (table[d], table[a]):
                         continue
-                    if grobner._crossing_is_lead(vt, (a, b), (d, e)):
+                    if crossing_is_lead(vt, (a, b), (d, e)):
                         continue
-                    if grobner._crossing_is_lead(vt, (b, c), (d, e)):
+                    if crossing_is_lead(vt, (b, c), (d, e)):
                         continue
                     lead = tuple(sorted((vt.var[a][b], vt.var[b][c], vt.var[d][e])))
                     tail = tuple(sorted((grobner.Z, vt.var[d][c], vt.var[a][e])))
@@ -114,10 +129,9 @@ class TestMonomials:
 class TestVarTable:
     @pytest.mark.parametrize("order", ["canonical", "reversed", "reversed-flipped"])
     def test_edge_rank(self, order):
-        """The rank table gives an edge's position in the table's edge order
-        from either orientation, and -1 for a pair that is no edge; the
-        given orientation of each edge takes its first variable, and `var`
-        and `dirs` invert each other."""
+        """The edge of rank r in the table's edge order gets variables 1 + 2r
+        and 2 + 2r, the given orientation the first; a pair that is no edge
+        has variable 0, and `var` and `dirs` invert each other."""
         sig = Signature((2, 1, 3))
         edges = grobner.edge_order(sig)
         if order != "canonical":
@@ -126,11 +140,10 @@ class TestVarTable:
             edges = [(w, u) for u, w in edges]
         vt = VarTable(sig) if order == "canonical" else VarTable(sig, edges)
         for r, (u, w) in enumerate(edges):
-            assert vt.rank[u][w] == vt.rank[w][u] == r
             assert (vt.var[u][w], vt.var[w][u]) == (1 + 2 * r, 2 + 2 * r)
             assert vt.edges[r] == (min(u, w), max(u, w))
         for u, w in [(1, 2), (4, 6), (3, 3), (0, 3), (3, 0)]:
-            assert vt.rank[u][w] == -1 and vt.var[u][w] == 0
+            assert vt.var[u][w] == 0
         assert vt.dirs[grobner.Z] is None
         assert all(vt.var[t][h] == v for v, (t, h) in enumerate(vt.dirs[1:], 1))
         assert sum(v > 0 for row in vt.var for v in row) == vt.nvars - 1
@@ -152,7 +165,7 @@ class TestBuildBasis:
         assert any(e.kind == "5" for e in basis)
         assert max_degree(basis) == 3
 
-    @pytest.mark.parametrize("sig", signatures_with_total(2, 7), ids=str)
+    @pytest.mark.parametrize("sig", signatures_with_total(2, 8), ids=str)
     def test_matches_initial_ideal(self, sig):
         """Independent referee: the constructed leads are exactly the minimal
         generators of the initial ideal computed from toric weight classes."""
@@ -169,6 +182,57 @@ class TestBuildBasis:
         bases = [[(e.kind, e.lead, e.tail) for e in build_basis(Signature(p))] for p in orders]
         assert (len(orders), sum(map(len, bases))) == (120, 20230)
         assert hashlib.sha256(json.dumps(bases).encode()).hexdigest() == self.DIGEST
+
+    # the same digest over the larger bases, taken before the 6-cycle
+    # elements were enumerated through a missing chord
+    DIGEST_TO_TEN = "795c9373be529da559f4432c803f377192b01a61e6263412b37c0120f9acc9e4"
+
+    def test_digest_to_ten(self):
+        """Every element, kind and position over every sorted signature with
+        total 8-10, among them 1^10 with 2,025 elements, byte for byte."""
+        sigs = signatures_with_total(8, 10)
+        bases = [[(e.kind, e.lead, e.tail) for e in build_basis(s)] for s in sigs]
+        assert (len(sigs), sum(map(len, bases)), len(bases[-1])) == (91, 71320, 2025)
+        assert hashlib.sha256(json.dumps(bases).encode()).hexdigest() == self.DIGEST_TO_TEN
+
+    @pytest.mark.parametrize("parts", [(1, 2, 2), (2, 2, 2)], ids=str)
+    def test_refuses_a_table_of_another_order(self, parts):
+        """The construction follows the canonical edge order, so a table
+        whose edges come in another order is refused before anything is
+        built, rather than given leads that are not its initial ideal's."""
+        sig = Signature(parts)
+        edges = grobner.edge_order(sig)
+        rng = random.Random(1)
+        for _ in range(20):
+            shuffled = list(edges)
+            rng.shuffle(shuffled)
+            assert shuffled != edges
+            with pytest.raises(ValueError, match="not the canonical edge order"):
+                build_basis(sig, VarTable(sig, shuffled))
+
+    @pytest.mark.parametrize("parts", [(1, 2, 2), (2, 2, 2), (1, 1, 2), (1, 1, 1, 1)], ids=str)
+    def test_flipped_tables_match_the_referee(self, parts):
+        """Flipping the orientation of edges keeps the order of the edges,
+        so the basis built on such a table is still its initial ideal's."""
+        sig = Signature(parts)
+        edges = grobner.edge_order(sig)
+        rng = random.Random(1)
+        for _ in range(20):
+            flipped = VarTable(sig, [e if rng.random() < 0.5 else (e[1], e[0]) for e in edges])
+            assert basis_matches_ground_truth(sig, flipped)
+
+    def test_crossing_rule_reads_vertex_order(self):
+        """In the canonical order a crossing pair over a 4-cycle is a 3b lead
+        exactly when its sources and its targets come in opposite orders,
+        the rule the construction tests instead of comparing edge ranks."""
+        for sig in signatures_with_total(4, 7):
+            vt, table = VarTable(sig), sig.class_table()
+            darts = vt.dirs[1:]
+            for (s1, t1) in darts:
+                for (s2, t2) in darts:
+                    if len({s1, t1, s2, t2}) < 4 or table[s1] == table[t2] or table[s2] == table[t1]:
+                        continue
+                    assert crossing_is_lead(vt, (s1, t1), (s2, t2)) == ((s1 < s2) != (t1 < t2))
 
     def test_five_cycle_rule_selection(self, monkeypatch):
         """The literal union-min reading of the 5-cycle condition fails the
